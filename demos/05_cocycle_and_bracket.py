@@ -2,8 +2,8 @@
 
 The nonequivariance cocycle Sigma, computed two independent ways, equals
 -4*pi*omega0(a1, a2)*deg; plugged into the commutation relations it predicts
-{P_x, P_y} = 4*pi*deg, which the finite-difference bracket measurement
-reproduces.
+{P_x, P_y} = 4*pi*deg, which the bracket measured from the exact adjoint
+gradients of P reproduces.
 """
 import numpy as np
 

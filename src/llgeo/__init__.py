@@ -19,6 +19,7 @@ from .generators import (
 )
 from .calculus import (
     partial,
+    partial_T,
     integrate,
     hat,
     vee,
@@ -48,6 +49,7 @@ from .momenta import (
     momentum_P_cross,
     momentum_P_general,
     momentum_density_P,
+    momentum_P_derivative,
     rotational_momentum,
     lift_psi,
     lift_singular_mask,

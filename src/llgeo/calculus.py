@@ -12,7 +12,6 @@ Conventions pinned here once and used everywhere:
 
 import numpy as np
 
-from .grid import Grid
 from .fields import RotationField, SpinField
 
 
@@ -40,6 +39,36 @@ def partial(values, grid, axis):
         4.0 * (values[sl(-1)] - values[sl(-2)]) - (values[sl(-1)] - values[sl(-3)])
     ) / (2.0 * h)
     return out
+
+
+def partial_T(cot, grid, axis):
+    """Exact transpose of the partial stencil, edge rows included:
+    sum(partial(v) * c) == sum(v * partial_T(c)) for every v and c.
+
+    Pulls a cotangent of d(values)/dx_axis back to a cotangent of values,
+    which is how the adjoint gradients of quadrature functionals are built.
+    """
+    if not 0 <= axis < grid.p:
+        raise ValueError(f"axis {axis} out of range for p={grid.p}")
+    cot = np.asarray(cot, float)
+    out = np.zeros_like(cot)
+
+    def sl(s):
+        idx = [slice(None)] * cot.ndim
+        idx[axis] = s
+        return tuple(idx)
+
+    inner = cot[sl(slice(1, -1))]
+    out[sl(slice(2, None))] += inner
+    out[sl(slice(None, -2))] -= inner
+    lo, hi = cot[sl(0)], cot[sl(-1)]
+    out[sl(0)] -= 3.0 * lo
+    out[sl(1)] += 4.0 * lo
+    out[sl(2)] -= lo
+    out[sl(-1)] += 3.0 * hi
+    out[sl(-2)] -= 4.0 * hi
+    out[sl(-3)] += hi
+    return out / (2.0 * grid.spacing[axis])
 
 
 def integrate(values, grid):
@@ -243,21 +272,16 @@ def tangent_basis(n_values):
     return t1, t2
 
 
-def functional_derivative(functional, n, step=1e-4, window=None):
+def functional_derivative(functional, n, step=1e-4):
     """Finite-difference variational derivative of a functional of a SpinField.
 
-    At each cell the field is rotated by +-step about the two tangent axes
-    (staying exactly on the sphere) and the central difference is divided by
-    the cell volume.  The result is tangent to n by construction.
-
-    window=None is the assumption-free path: 4 * ncells full evaluations of
-    the functional.  An integer window applies the same central difference to
-    the functional restricted to a coordinate-faithful patch of that
-    half-width around the perturbed cell.  For functionals that are sums of
-    cellwise integrand terms with stencil reach <= window - 2 (all the
-    quadratures here at reach 2), every term outside the patch is identical
-    in the two evaluations and cancels, so the windowed difference equals the
-    full difference exactly; it is just evaluated lazily.
+    This is the independent test oracle for the analytic and adjoint
+    gradients (variational_derivative_energy, momentum_P_derivative); no
+    production path calls it.  At each cell the field is rotated by +-step
+    about the two tangent axes (staying exactly on the sphere) and the
+    central difference is divided by the cell volume, so the result is
+    tangent to n by construction.  It costs 4 * ncells full evaluations of
+    the functional and assumes nothing about its stencil.
     """
     if not isinstance(n, SpinField):
         raise TypeError("n must be a SpinField")
@@ -270,79 +294,27 @@ def functional_derivative(functional, n, step=1e-4, window=None):
     cos_s = np.cos(step)
     sin_s = np.sin(step)
 
-    if window is None:
-        flat = (-1, 3)
-        base_flat = base.reshape(flat)
-        t1_flat = t1.reshape(flat)
-        t2_flat = t2.reshape(flat)
-        out_flat = out.reshape(flat)
-        work = np.array(base)
-        work_flat = work.reshape(flat)
+    flat = (-1, 3)
+    base_flat = base.reshape(flat)
+    t1_flat = t1.reshape(flat)
+    t2_flat = t2.reshape(flat)
+    out_flat = out.reshape(flat)
+    work = np.array(base)
+    work_flat = work.reshape(flat)
 
-        def difference(cell, nv, u):
-            work_flat[cell] = cos_s * nv + sin_s * u
-            plus = functional(SpinField(n.grid, work, n.decaying, n.layer, check=False))
-            work_flat[cell] = cos_s * nv - sin_s * u
-            minus = functional(SpinField(n.grid, work, n.decaying, n.layer, check=False))
-            work_flat[cell] = nv
-            return (plus - minus) / (2.0 * step)
+    def difference(cell, nv, u):
+        work_flat[cell] = cos_s * nv + sin_s * u
+        plus = functional(SpinField(n.grid, work, n.decaying, n.layer, check=False))
+        work_flat[cell] = cos_s * nv - sin_s * u
+        minus = functional(SpinField(n.grid, work, n.decaying, n.layer, check=False))
+        work_flat[cell] = nv
+        return (plus - minus) / (2.0 * step)
 
-        for cell in range(base_flat.shape[0]):
-            nv = base_flat[cell].copy()
-            d1 = difference(cell, nv, t1_flat[cell])
-            d2 = difference(cell, nv, t2_flat[cell])
-            out_flat[cell] = (d1 * t1_flat[cell] + d2 * t2_flat[cell]) / vol
-        return out
-
-    window = int(window)
-    if window < 4:
-        raise ValueError("window must be at least 4 for second-order stencils")
-    return _windowed_derivative(functional, n, step, window, t1, t2, out, cos_s, sin_s)
-
-
-def _windowed_derivative(functional, n, step, window, t1, t2, out, cos_s, sin_s):
-    grid = n.grid
-    base = n.values
-    width = 2 * window + 1
-    spans = []
-    for axis in range(grid.p):
-        dim = grid.dims[axis]
-        w = min(width, dim)
-        spans.append((w, dim))
-
-    for index in np.ndindex(*grid.dims):
-        los = []
-        for axis in range(grid.p):
-            w, dim = spans[axis]
-            lo = min(max(index[axis] - window, 0), dim - w)
-            los.append(lo)
-        patch_sl = tuple(
-            slice(lo, lo + spans[axis][0]) for axis, lo in enumerate(los)
-        )
-        patch_grid = Grid(
-            tuple(spans[axis][0] for axis in range(grid.p)),
-            grid.spacing,
-            tuple(
-                grid.origin[axis] + los[axis] * grid.spacing[axis]
-                for axis in range(grid.p)
-            ),
-        )
-        local = tuple(index[axis] - los[axis] for axis in range(grid.p))
-        patch = np.array(base[patch_sl])
-        pf = SpinField(patch_grid, patch, n.decaying, n.layer, check=False)
-        nv = patch[local].copy()
-
-        def difference(u):
-            patch[local] = cos_s * nv + sin_s * u
-            plus = functional(pf)
-            patch[local] = cos_s * nv - sin_s * u
-            minus = functional(pf)
-            patch[local] = nv
-            return (plus - minus) / (2.0 * step)
-
-        u1 = t1[index]
-        u2 = t2[index]
-        out[index] = (difference(u1) * u1 + difference(u2) * u2) / grid.cell_volume
+    for cell in range(base_flat.shape[0]):
+        nv = base_flat[cell].copy()
+        d1 = difference(cell, nv, t1_flat[cell])
+        d2 = difference(cell, nv, t2_flat[cell])
+        out_flat[cell] = (d1 * t1_flat[cell] + d2 * t2_flat[cell]) / vol
     return out
 
 

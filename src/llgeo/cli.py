@@ -9,12 +9,11 @@
 
 All outputs are line-oriented KEY=VALUE (diagnose can also emit a CSV row).
 Exit codes: 0 ok / PASS, 1 FAIL verdict, 2 config error, 3 io error,
-4 numeric error.  LLGEO_THREADS caps BLAS/OpenMP parallelism (best effort).
+4 numeric error.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -93,6 +92,13 @@ _COMMANDS = {
 }
 
 
+_CHOICES = {
+    "kind": ("constant", "bp", "radial", "random"),
+    "scheme": ("rk4", "midpoint"),
+    "format": ("csv", "text"),
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -114,14 +120,8 @@ def _build_parser():
         cp.add_argument("--print-config", action="store_true",
                         help="echo the resolved configuration and exit")
         for key in keys:
-            if key == "kind":
-                cp.add_argument("--kind", choices=["constant", "bp", "radial", "random"])
-            elif key == "scheme":
-                cp.add_argument("--scheme", choices=["rk4", "midpoint"])
-            elif key == "format":
-                cp.add_argument("--format", choices=["csv", "text"])
-            else:
-                cp.add_argument(f"--{key}", dest=key.replace("-", "_"))
+            cp.add_argument(f"--{key}", dest=key.replace("-", "_"),
+                            choices=_CHOICES.get(key))
     return parser
 
 
@@ -137,10 +137,10 @@ def parse_config(argv):
 
     resolved = {}
     for key in keys:
-        conv, default = _OPTIONS[key]
+        default = _OPTIONS[key][1]
         if key == "tol" and default is None:
             default = _DEFAULT_TOL.get(args.command)
-        resolved[key] = default
+        resolved[key] = None if default is None else _convert(key, default)
 
     if args.config:
         try:
@@ -177,13 +177,6 @@ def _convert(key, value):
         return conv(value) if not (conv is str and isinstance(value, str)) else value
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: bad value {value!r} ({exc})") from exc
-
-
-_CHOICES = {
-    "kind": ("constant", "bp", "radial", "random"),
-    "scheme": ("rk4", "midpoint"),
-    "format": ("csv", "text"),
-}
 
 
 def _validate(cfg):
@@ -341,25 +334,7 @@ def run(cfg):
     return _verdict(residual, cfg["tol"])
 
 
-def _cap_threads():
-    cap = os.environ.get("LLGEO_THREADS")
-    if not cap:
-        return
-    try:
-        limit = int(cap)
-    except ValueError:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
-
-
 def main(argv=None):
-    _cap_threads()
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = parse_config(argv)

@@ -30,8 +30,10 @@ from .calculus import (
     cross3,
     integrate,
     partial,
+    partial_T,
     right_gradient_stack,
     so3_exp,
+    tangent_project,
     triple,
 )
 
@@ -111,9 +113,9 @@ def momentum_P_cross(n):
     return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vorticity(n)), n.grid)
 
 
-def momentum_density_P(n):
-    """Translation momentum density, shape dims + (p,):
-    P_i = 1/(p-1) n . (d_i n x sum_j x_j d_j n)."""
+def _moment_terms(n):
+    """The one derivative pass behind P: the axis derivatives a_i = d_i n and
+    the moment s = sum_j x_j d_j n."""
     grid = n.grid
     if grid.p < 2:
         raise ValueError("translation momentum needs p >= 2")
@@ -121,10 +123,43 @@ def momentum_density_P(n):
     s = grid.coord_component(0)[..., None] * grads[0]
     for j in range(1, grid.p):
         s += grid.coord_component(j)[..., None] * grads[j]
+    return grads, s
+
+
+def momentum_density_P(n):
+    """Translation momentum density, shape dims + (p,):
+    P_i = 1/(p-1) n . (d_i n x sum_j x_j d_j n)."""
+    grads, s = _moment_terms(n)
+    grid = n.grid
     dens = np.empty(grid.dims + (grid.p,))
     for k in range(grid.p):
         dens[..., k] = triple(n.values, grads[k], s)
     return dens / (grid.p - 1)
+
+
+def momentum_P_derivative(n):
+    """Tangent functional derivatives of every component of
+    momentum_P_general, shape (p,) + dims + (3,), normalised like
+    functional_derivative (per unit cell volume).
+
+    This is the exact adjoint of the quadrature.  With a_k = d_k n and
+    s = sum_j x_j d_j n the integrand f_k = n . (a_k x s)/(p-1) has the
+    partials df/dn = a_k x s, df/da_k = s x n and df/ds = n x a_k; the last
+    two are pulled back to n through partial_T.  The cell volume of the
+    quadrature cancels against the normalisation.
+    """
+    n.require_decaying("momentum_P_derivative")
+    grid = n.grid
+    grads, s = _moment_terms(n)
+    s_x_n = cross3(s, n.values)
+    out = np.empty((grid.p,) + n.values.shape)
+    for k in range(grid.p):
+        n_x_a = cross3(n.values, grads[k])
+        total = cross3(grads[k], s) + partial_T(s_x_n, grid, k)
+        for j in range(grid.p):
+            total += partial_T(grid.coord_component(j)[..., None] * n_x_a, grid, j)
+        out[k] = tangent_project(total, n.values) / (grid.p - 1)
+    return out
 
 
 def momentum_P_general(n):

@@ -12,6 +12,7 @@ from llgeo import (
     make_random_smooth,
     momentum_N,
     partial,
+    partial_T,
     right_gradient,
     right_gradient_axis,
     so3_exp,
@@ -56,6 +57,24 @@ def test_partial_second_order_convergence():
         errs.append(np.abs(partial(f, g, 0) - exact).max())
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
+
+
+@pytest.mark.parametrize("dims", [(9, 13), (8, 10, 9)])
+def test_partial_T_is_exact_transpose(dims):
+    g = Grid(dims, tuple(0.3 + 0.1 * i for i in range(len(dims))), (0.0,) * len(dims))
+    rng = np.random.default_rng(len(dims))
+    v = rng.standard_normal(dims + (3,))
+    c = rng.standard_normal(dims + (3,))
+    for axis in range(g.p):
+        lhs = np.sum(partial(v, g, axis) * c)
+        rhs = np.sum(v * partial_T(c, g, axis))
+        assert abs(lhs - rhs) <= 1e-12 * np.abs(partial(v, g, axis) * c).sum()
+
+
+def test_partial_T_axis_out_of_range():
+    g = Grid.centered((8, 8), 4.0)
+    with pytest.raises(ValueError):
+        partial_T(np.zeros(g.dims), g, 2)
 
 
 # ---------- integrate ----------
@@ -230,21 +249,8 @@ def test_functional_derivative_zero_at_energy_minimum():
     assert np.abs(d).max() < 1e-8
 
 
-def test_windowed_derivative_matches_full():
-    from llgeo import momentum_P_general
-
-    g = Grid.centered((16, 16), 8.0)
-    n = make_random_smooth(g, seed=9, amplitude=1.4)
-    F = lambda f: float(momentum_P_general(f)[0])
-    full = functional_derivative(F, n, step=1e-4)
-    windowed = functional_derivative(F, n, step=1e-4, window=4)
-    assert relative_gap(full, windowed) < 1e-9
-
-
 def test_functional_derivative_rejects_bad_step():
     g = Grid.centered((16, 16), 8.0)
     n = make_constant(g, (0, 0, -1))
     with pytest.raises(ValueError):
         functional_derivative(momentum_N, n, step=0.0)
-    with pytest.raises(ValueError):
-        functional_derivative(momentum_N, n, step=1e-4, window=2)

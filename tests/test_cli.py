@@ -42,6 +42,13 @@ def test_init_bp_snapshot_and_degree(tmp_path, capsys):
     assert field.grid.dims == (128, 128)
 
 
+def test_init_default_grid(tmp_path, capsys):
+    # defaults pass through the same converters as flag values
+    code, out, _ = run_cli(capsys, "init", "--kind", "bp", "--out", str(tmp_path / "x.llgf"))
+    assert code == 0
+    assert kv(out)["CELLS"] == "9216"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "bp", "m": 1, "grid": "48x48", "out": "ignored"}))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llgeo import (
     Grid,
     K_AXIS,
     SingularLiftError,
     degree,
+    functional_derivative,
     gauge_invariance_residual,
     check_lift_identity,
     lift_identity_residual_field,
@@ -19,6 +21,7 @@ from llgeo import (
     momentum_JH,
     momentum_N,
     momentum_P_cross,
+    momentum_P_derivative,
     momentum_P_general,
     momentum_density_P,
     reduced_momentum_lift,
@@ -153,6 +156,41 @@ def test_momentum_P_shift_identity():
     f1 = make_bp_soliton(g, 1, 1.5, 6.0, center=delta)
     predicted = 4.0 * np.pi * degree(f0) * (J2 @ delta)
     assert relative_gap(momentum_P_general(f1) - momentum_P_general(f0), predicted) < 1e-6
+
+
+def p_component_oracle(n, axis):
+    return functional_derivative(lambda f: float(momentum_P_general(f)[axis]), n, step=1e-4)
+
+
+def test_momentum_P_derivative_matches_fd_oracle_2d():
+    n = make_random_smooth(Grid.centered((16, 16), 8.0), seed=9, amplitude=1.4)
+    adjoint = momentum_P_derivative(n)
+    assert adjoint.shape == (2, 16, 16, 3)
+    for axis in range(2):
+        assert relative_gap(adjoint[axis], p_component_oracle(n, axis)) < 1e-8
+
+
+def test_momentum_P_derivative_matches_fd_oracle_3d():
+    n = make_random_smooth(Grid.centered((9, 10, 11), 6.0), seed=4, amplitude=1.2,
+                           support=0.55)
+    assert relative_gap(momentum_P_derivative(n)[2], p_component_oracle(n, 2)) < 1e-8
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), amplitude=st.floats(0.3, 2.0))
+def test_momentum_P_derivative_oracle_property(seed, amplitude):
+    n = make_random_smooth(Grid.centered((12, 13), 6.0), seed=seed, amplitude=amplitude)
+    adjoint = momentum_P_derivative(n)
+    for axis in range(2):
+        assert relative_gap(adjoint[axis], p_component_oracle(n, axis)) < 1e-8
+
+
+def test_momentum_P_derivative_is_tangent_and_needs_decay():
+    n = make_random_smooth(Grid.centered((16, 16), 8.0), seed=2)
+    dots = np.einsum("k...i,...i->k...", momentum_P_derivative(n), n.values)
+    assert np.abs(dots).max() < 1e-12
+    with pytest.raises(ValueError):
+        momentum_P_derivative(make_constant(Grid.centered((16, 16), 8.0), (1, 0, 0)))
 
 
 def test_rotational_momentum_shift_identity():
