@@ -204,14 +204,9 @@ def so3_log(r, tol=1e-8):
     return out
 
 
-def _shifted_log_step(psi_values, axis, shift):
-    """log( psi(x + shift*h*e_axis) psi(x)^-1 ) with edge padding by zero motion.
-
-    Out-of-range entries are returned as zeros and masked by the caller.
-    """
-    rolled = np.roll(psi_values, -shift, axis=axis)
-    step = np.einsum("...ij,...kj->...ik", rolled, psi_values)  # rolled @ psi^T
-    return so3_log(step)
+def _motion(later, earlier):
+    """later @ earlier^T: the rotation carrying earlier to later."""
+    return np.einsum("...ij,...kj->...ik", later, earlier)
 
 
 def right_gradient_axis(psi, axis):
@@ -219,27 +214,22 @@ def right_gradient_axis(psi, axis):
     3-vector field: the derivative at epsilon=0 of psi(x + eps e_axis) psi(x)^-1.
 
     Central in the group in the interior, second-order one-sided at the edges.
+    Each one-step motion psi(x+h) psi(x)^-1 is logged once: the backward
+    motion at x is the inverse of the forward one at x-h, and log R^-1 = -log R.
     """
     if not isinstance(psi, RotationField):
         raise TypeError("psi must be a RotationField")
-    h = psi.grid.spacing[axis]
-    n = psi.grid.dims[axis]
-    fwd1 = _shifted_log_step(psi.values, axis, +1)
-    bwd1 = _shifted_log_step(psi.values, axis, -1)
-    out = (fwd1 - bwd1) / (2.0 * h)
-
-    # one-sided second-order replacements on the two edge slices
-    fwd2 = _shifted_log_step(psi.values, axis, +2)
-    bwd2 = _shifted_log_step(psi.values, axis, -2)
-    sl_lo = [slice(None)] * psi.grid.p
-    sl_hi = [slice(None)] * psi.grid.p
-    sl_lo[axis] = slice(0, 1)
-    sl_hi[axis] = slice(n - 1, n)
-    lo = tuple(sl_lo)
-    hi = tuple(sl_hi)
-    out[lo] = (4.0 * fwd1[lo] - fwd2[lo]) / (2.0 * h)
-    out[hi] = -(4.0 * bwd1[hi] - bwd2[hi]) / (2.0 * h)
-    return out
+    if not 0 <= axis < psi.grid.p:
+        raise ValueError(f"axis {axis} out of range for p={psi.grid.p}")
+    values = np.moveaxis(psi.values, axis, 0)
+    fwd = so3_log(_motion(values[1:], values[:-1]))
+    # the two-step motions enter only the one-sided edge stencils
+    two = so3_log(_motion(values[[2, -3]], values[[0, -1]]))
+    out = np.empty(values.shape[:-1])
+    out[1:-1] = fwd[1:] + fwd[:-1]
+    out[0] = 4.0 * fwd[0] - two[0]
+    out[-1] = 4.0 * fwd[-1] + two[1]
+    return np.moveaxis(out / (2.0 * psi.grid.spacing[axis]), 0, axis)
 
 
 def right_gradient_stack(psi):
@@ -266,9 +256,9 @@ def tangent_basis(n_values):
     ey = np.array([0.0, 1.0, 0.0])
     use_y = np.abs(n[..., 0]) > 0.9
     helper = np.where(use_y[..., None], ey, ex)
-    t1 = np.cross(helper, n)
+    t1 = cross3(helper, n)
     t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = np.cross(n, t1)
+    t2 = cross3(n, t1)
     return t1, t2
 
 

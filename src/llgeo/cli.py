@@ -23,6 +23,7 @@ from .errors import ConfigError, NumericsError, SnapshotError
 from .grid import Grid
 from .fields import EuclideanAlgebraElement, SpinField
 from .generators import (
+    bump,
     make_bp_soliton,
     make_constant,
     make_radial_profile,
@@ -42,10 +43,14 @@ def _fmt(x):
 
 def _parse_grid(text):
     try:
-        dims = tuple(int(tok) for tok in str(text).lower().split("x"))
+        return tuple(int(tok) for tok in str(text).lower().split("x"))
     except ValueError:
-        raise ConfigError(f"grid: cannot parse {text!r} (want e.g. 96x96)")
-    return dims
+        raise ValueError("want e.g. 96x96") from None
+
+
+def _echo(value):
+    """Option value as --print-config shows it: the form the flags accept."""
+    return "x".join(map(str, value)) if isinstance(value, tuple) else value
 
 
 def _parse_algebra(text, p):
@@ -166,7 +171,7 @@ def parse_config(argv):
     _validate(cfg)
     if args.print_config:
         for key in sorted(resolved):
-            print(f"{key.upper().replace('-', '_')}={resolved[key]}")
+            print(f"{key.upper().replace('-', '_')}={_echo(resolved[key])}")
         raise SystemExit(0)
     return cfg
 
@@ -222,13 +227,7 @@ def _make_field(cfg):
         if kind == "radial":
             amp, radius = cfg["lambda"], cfg["cutoff"]
 
-            def profile(r):
-                arg = 1.0 - (r / radius) ** 2
-                return np.where(
-                    r < radius, amp * np.exp(1.0 - 1.0 / np.clip(arg, 1e-12, None)), 0.0
-                )
-
-            return make_radial_profile(grid, profile)
+            return make_radial_profile(grid, lambda r: amp * bump((r / radius) ** 2))
         return make_random_smooth(grid, seed=cfg["seed"])
     except ValueError as exc:
         raise ConfigError(f"{kind}: {exc}") from exc

@@ -67,10 +67,6 @@ def energy(n, params=EnergyParams()):
     the integral is not the compactly supported one the theory assumes.
     """
     n.require_decaying("energy")
-    return _energy_any(n, params)
-
-
-def _energy_any(n, params):
     grid = n.grid
     exch = 0.0
     for axis in range(grid.p):
@@ -87,12 +83,10 @@ def _free_laplacian(values, grid):
     exactly the gradient of the neighbor-difference exchange sum."""
     out = np.zeros_like(values)
     for axis in range(grid.p):
-        h = grid.spacing[axis]
-        d = np.diff(values, axis=axis) / h
         pad = [(0, 0)] * values.ndim
         pad[axis] = (1, 1)
-        padded = np.pad(d, pad)
-        out += np.diff(padded, axis=axis) / h
+        padded = np.pad(_neighbor_diffs(values, grid, axis), pad)
+        out += np.diff(padded, axis=axis) / grid.spacing[axis]
     return out
 
 
@@ -127,8 +121,7 @@ def _masked_rhs_func(n, params):
     template = n
 
     def rhs(values):
-        f = -cross3(values, variational_derivative_energy(
-            template.with_values(values, check=False), params))
+        f = ll_rhs(template.with_values(values, check=False), params)
         if mask is not None:
             f[mask] = 0.0
         return f

@@ -30,6 +30,12 @@ def _cutoff_blend(t):
     return 0.5 * (1.0 - np.cos(np.pi * t))
 
 
+def bump(r2):
+    """Smooth compactly supported bump exp(1 - 1/(1 - r2)) of the squared
+    scaled radius r2: 1 at the centre, identically 0 for r2 >= 1."""
+    return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.clip(1.0 - r2, 1e-12, None)), 0.0)
+
+
 def make_bp_soliton(grid, m, lam, cutoff_radius, center=None, layer=DEFAULT_LAYER):
     """Degree-m soliton: inverse stereographic image of w = ((x+iy)/lam)^m,
     blended to the constant -k over [cutoff-lam, cutoff].
@@ -148,8 +154,7 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75,
             out += rng.uniform(0.3, 1.0) * term
         return out / modes
 
-    r2 = (u ** 2).sum(axis=-1) / support ** 2
-    envelope = np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.clip(1.0 - r2, 1e-12, None)), 0.0)
+    envelope = bump((u ** 2).sum(axis=-1) / support ** 2)
 
     raw = band_limited()
     theta = amplitude * envelope * raw / max(np.abs(raw).max(), 1e-12)
@@ -180,6 +185,4 @@ def make_gauge_bump_alpha(grid, winding=1, support=0.6):
     if grid.p == 1:
         t = np.clip((x[..., 0] / half[0] + support) / (2 * support), 0.0, 1.0)
         return 2.0 * np.pi * winding * _cutoff_blend(t)
-    r2 = ((x / half) ** 2).sum(axis=-1) / support ** 2
-    bump = np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.clip(1.0 - r2, 1e-12, None)), 0.0)
-    return 2.0 * np.pi * winding * bump
+    return 2.0 * np.pi * winding * bump(((x / half) ** 2).sum(axis=-1) / support ** 2)

@@ -66,18 +66,16 @@ class MomentumReport:
 
 
 def _gradients(n):
-    """Per-axis derivatives of the spin values, shape dims + (p, 3)."""
-    return np.stack(
-        [partial(n.values, n.grid, i) for i in range(n.grid.p)], axis=-2
-    )
+    """The one derivative pass over a spin field: the list of per-axis
+    derivatives d_i n, each of shape dims + (3,)."""
+    return [partial(n.values, n.grid, i) for i in range(n.grid.p)]
 
 
 def degree_density(n):
     """Integrand of the degree: (1/4pi) n . (d_x n x d_y n)."""
     if n.grid.p != 2:
         raise ValueError("degree is defined for p = 2 only")
-    dx = partial(n.values, n.grid, 0)
-    dy = partial(n.values, n.grid, 1)
+    dx, dy = _gradients(n)
     return triple(n.values, dx, dy) / (4.0 * np.pi)
 
 
@@ -101,7 +99,7 @@ def vorticity(n):
     g = _gradients(n)
     out = np.empty(n.grid.dims + (3,))
     for a, (b, c) in enumerate(((1, 2), (2, 0), (0, 1))):
-        out[..., a] = triple(n.values, g[..., b, :], g[..., c, :]) / (4.0 * np.pi)
+        out[..., a] = triple(n.values, g[b], g[c]) / (4.0 * np.pi)
     return out
 
 
@@ -119,7 +117,7 @@ def _moment_terms(n):
     grid = n.grid
     if grid.p < 2:
         raise ValueError("translation momentum needs p >= 2")
-    grads = [partial(n.values, grid, i) for i in range(grid.p)]
+    grads = _gradients(n)
     s = grid.coord_component(0)[..., None] * grads[0]
     for j in range(1, grid.p):
         s += grid.coord_component(j)[..., None] * grads[j]
@@ -206,7 +204,7 @@ def lift_psi(n):
     """
     n.require_decaying("lift_psi")
     kdot = n.values @ K_AXIS
-    cross = np.cross(K_AXIS, n.values)
+    cross = cross3(K_AXIS, n.values)
     s = np.linalg.norm(cross, axis=-1)
     # arctan2 keeps the rotation angle accurate where kdot rounds to -1 and
     # the tilt survives only in the transverse components
@@ -249,10 +247,10 @@ def _lift_integrand(n):
     Returns (wbar, singular_mask).  The singular cells are dropped from the
     quadrature: the singularities of the lift are tame and do not contribute.
     """
-    g = _gradients(n)
     kdot = n.values @ K_AXIS
-    cross = np.cross(K_AXIS, n.values)
-    num = np.einsum("...i,...ki->...k", cross, g)
+    cross = cross3(K_AXIS, n.values)
+    num = np.stack([np.einsum("...i,...i->...", cross, g) for g in _gradients(n)],
+                   axis=-1)
     singular = kdot > SINGULAR_KDOT
     denom = np.where(singular, 1.0, 1.0 - kdot)
     wbar = num / denom[..., None]

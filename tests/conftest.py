@@ -8,6 +8,7 @@ from llgeo import (
     make_random_smooth,
     so3_exp,
 )
+from llgeo.generators import bump
 
 
 def relative_gap(a, b):
@@ -35,8 +36,7 @@ def smooth_scalar(grid, rng, modes=3):
 def bump_envelope(grid, support=0.7):
     half = np.array(grid.half_widths())
     u = grid.coords() / half
-    r2 = (u ** 2).sum(axis=-1) / support ** 2
-    return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.clip(1.0 - r2, 1e-12, None)), 0.0)
+    return bump((u ** 2).sum(axis=-1) / support ** 2)
 
 
 def random_rotation_field(grid, seed, amplitude=0.8):

@@ -183,6 +183,57 @@ def test_right_gradient_exponential_field():
     assert np.abs(grad - c * K_AXIS).max() < 1e-10
 
 
+def test_right_gradient_axis_out_of_range():
+    psi = random_rotation_field(Grid.centered((16, 16), 8.0), seed=1)
+    for axis in (-1, 2):
+        with pytest.raises(ValueError):
+            right_gradient_axis(psi, axis)
+
+
+def _exp_field(g, c, v):
+    """psi = exp(sum_i c_i x_i hat(v_i)) for one vector per axis; not the
+    identity on the boundary, so built unchecked."""
+    from llgeo import RotationField
+
+    x = g.coords()
+    rotvec = sum(c[i] * x[..., i, None] * v[i] for i in range(g.p))
+    return RotationField(g, so3_exp(rotvec), check=False)
+
+
+def test_right_gradient_3d_all_axes_and_edges():
+    # exp(c x_axis hat(v)) has the exact gradient c v along that axis, edges
+    # included; a random field times a non-trivial one matches the matrix
+    # stencil vee(partial(psi) psi^T) to second order, edges included
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(3, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    g = Grid.centered((10, 11, 12), 6.0)
+    for axis in range(3):
+        c = np.zeros(3)
+        c[axis] = 0.3
+        grad = right_gradient_axis(_exp_field(g, c, v), axis)
+        assert np.abs(grad - c[axis] * v[axis]).max() < 1e-12
+
+    # the random factor is the identity near the boundary, the exponential
+    # one keeps the edge slices non-trivial; the gap is the RMS over all
+    # cells and the max over the two edge slices, worst over the axes
+    gaps = []
+    for nn in (20, 40):
+        g = Grid.centered((nn, nn + 1, nn + 2), 6.0)
+        psi = random_rotation_field(g, seed=2).compose(
+            _exp_field(g, (0.2, -0.3, 0.25), v), check=False
+        )
+        rms = edge = 0.0
+        for axis in range(3):
+            ref = vee(partial(psi.values, g, axis) @ np.swapaxes(psi.values, -1, -2))
+            gap = right_gradient_axis(psi, axis) - ref
+            rms = max(rms, np.sqrt(np.mean(gap ** 2)))
+            edge = max(edge, np.abs(np.take(gap, [0, -1], axis=axis)).max())
+        gaps.append((rms, edge))
+    for coarse, fine in zip(*gaps):
+        assert 3.0 < coarse / fine < 5.0, gaps
+
+
 def test_right_gradient_of_gauge_field_is_grad_alpha_times_k():
     g = Grid.centered((64, 64), 16.0)
     alpha = make_gauge_bump_alpha(g, winding=1)

@@ -60,7 +60,28 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     pairs = kv(out)
     assert pairs["M"] == "0"            # flag beat the file
-    assert pairs["GRID"] == "(48, 48)"  # file beat the default
+    assert pairs["GRID"] == "48x48"     # file beat the default
+
+
+@pytest.mark.parametrize("argv", [
+    ["init", "--out", "x.llgf"],
+    ["init", "--kind", "random", "--grid", "40x48", "--box", "12.5", "--out", "x.llgf"],
+    ["simulate", "--in", "a.llgf", "--out", "b", "--dt", "2.5e-4", "--report-every", "7"],
+    ["diagnose", "--in", "a.llgf", "--format", "text"],
+    ["bracket-check", "--in", "a.llgf"],
+    ["cocycle", "--in", "a.llgf", "--e1", "0,1,0", "--e2", "0,0,1"],
+    ["lift-check", "--in", "a.llgf", "--tol", "0.1"],
+])
+def test_print_config_echo_replays(tmp_path, capsys, argv):
+    code, echo, _ = run_cli(capsys, *argv, "--print-config")
+    assert code == 0
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(json.dumps(
+        {key.lower().replace("_", "-"): value for key, value in kv(echo).items()}
+    ))
+    code, replay, err = run_cli(capsys, argv[0], "--config", str(cfg), "--print-config")
+    assert code == 0, err
+    assert replay == echo
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -75,6 +96,7 @@ def test_bad_flag_value_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "init", "--grid", "96xABC", "--out", "x.llgf")
     assert code == 2
     assert "grid" in err
+    assert err.count("grid") == 1
 
 
 def test_missing_input_is_io_error(capsys):
