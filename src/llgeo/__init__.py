@@ -49,6 +49,7 @@ from .momenta import (
     momentum_P_cross,
     momentum_P_general,
     momentum_density_P,
+    moments,
     momentum_P_derivative,
     rotational_momentum,
     lift_psi,

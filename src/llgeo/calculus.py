@@ -14,6 +14,8 @@ import numpy as np
 
 from .fields import RotationField, SpinField
 
+ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
+
 
 def partial(values, grid, axis):
     """d(values)/dx_axis with second-order stencils (central in the interior,
@@ -148,16 +150,16 @@ def so3_exp(v):
     return np.eye(3) + a[..., None, None] * vh + b[..., None, None] * vh2
 
 
-def so3_log(r, tol=1e-8):
+def so3_log(r):
     """Rotation vector of R in SO(3), |log| <= pi, vectorized over (..., 3, 3).
 
-    Rejects inputs that are not rotations.  The branch at angle pi uses the
-    stabilized axis extraction from the symmetric part.
+    Rejects inputs further than ROTATION_TOL from SO(3).  The branch at angle
+    pi uses the stabilized axis extraction from the symmetric part.
     """
     r = np.asarray(r, float)
-    if np.abs(np.einsum("...ji,...jk->...ik", r, r) - np.eye(3)).max() > tol:
+    if np.abs(np.einsum("...ji,...jk->...ik", r, r) - np.eye(3)).max() > ROTATION_TOL:
         raise ValueError("input is not orthogonal")
-    if np.abs(np.linalg.det(r) - 1.0).max() > tol:
+    if np.abs(np.linalg.det(r) - 1.0).max() > ROTATION_TOL:
         raise ValueError("input does not have determinant 1")
 
     trace = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]

@@ -31,7 +31,7 @@ from .generators import (
 )
 from .dynamics import EnergyParams, SimConfig, make_report, simulate
 from .momenta import check_lift_identity, lift_singular_mask
-from .cocycle import check_px_py_bracket, cocycle_direct, cocycle_via_pairing
+from .cocycle import check_px_py_bracket, cocycle_direct, cocycle_via_pairing, omega0
 from . import io as snapio
 
 _FMT = "%.17g"
@@ -319,7 +319,9 @@ def run(cfg):
         e2 = _parse_algebra(cfg["e2"], n.grid.p)
         direct = cocycle_direct(n, e1, e2)
         paired = cocycle_via_pairing(n, e1, e2)
-        scale = max(abs(direct), abs(paired), 1e-300)
+        # 2D floor: a unit-degree field's cocycle, since a degree-0 one is ~0
+        floor = 4.0 * np.pi * abs(omega0(e1.adot, e2.adot)) if n.grid.p == 2 else 0.0
+        scale = max(abs(direct), abs(paired), floor, 1e-300)
         gap = abs(direct - paired) / scale
         print(f"SIGMA_DIRECT={_fmt(direct)}")
         print(f"SIGMA_PAIRING={_fmt(paired)}")

@@ -165,15 +165,8 @@ def step(n, cfg):
 def make_report(n, t, params=EnergyParams()):
     """Assemble the diagnostics bundle; entries that need decay or a
     particular dimension are None when unavailable."""
-    p = n.grid.p
     e_val = energy(n, params) if n.decaying else None
-    deg = momenta.degree(n) if (p == 2 and n.decaying) else None
-    if p >= 2 and n.decaying:
-        P = momenta.momentum_P_general(n)
-        L = momenta.rotational_momentum(n)
-    else:
-        P = None
-        L = None
+    deg, P, L = momenta.moments(n) if n.grid.p >= 2 and n.decaying else (None,) * 3
     return momenta.MomentumReport(
         t=float(t),
         energy=e_val,

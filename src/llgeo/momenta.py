@@ -4,7 +4,8 @@ Everything here is a quadrature of first derivatives of the field: the
 topological degree, the rotation charge N, the translation momenta P (in the
 curl form and in the general-dimension form), the rotational momentum, and
 the three routes to the Euclidean momentum of the reduced system (direct
-density, rotation-lift + group gradient, closed-form lift identity).
+density, rotation-lift + group gradient, closed-form lift identity), each the
+first moments (integral of x wedge w, integral of w) of one density w.
 
 Orientation conventions are pinned in one place:
 
@@ -16,7 +17,7 @@ Orientation conventions are pinned in one place:
 * with these choices the three momentum routes agree with NO extra sign,
   i.e. reduced_momentum_lift == momentum_JH(lift_psi(n), n) == (L, P),
   which the cross-formula tests assert.  The rotation slot of the density
-  route needs the factor (p-1)/p baked into rotational_momentum; see there.
+  route needs the factor (p-1)/p that moments applies; see there.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLiftError
-from .fields import K_AXIS, RotationField, SpinField
+from .fields import K_AXIS, RotationField
 from .calculus import (
     cross3,
     integrate,
@@ -38,6 +39,7 @@ from .calculus import (
 )
 
 SINGULAR_KDOT = 1.0 - 1e-8
+MAX_SINGULAR_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,16 @@ def _gradients(n):
     return [partial(n.values, n.grid, i) for i in range(n.grid.p)]
 
 
+def _degree_integrand(n, grads):
+    """(1/4pi) n . (d_x n x d_y n) from the derivative list of a p = 2 field."""
+    return triple(n.values, grads[0], grads[1]) / (4.0 * np.pi)
+
+
 def degree_density(n):
     """Integrand of the degree: (1/4pi) n . (d_x n x d_y n)."""
     if n.grid.p != 2:
         raise ValueError("degree is defined for p = 2 only")
-    dx, dy = _gradients(n)
-    return triple(n.values, dx, dy) / (4.0 * np.pi)
+    return _degree_integrand(n, _gradients(n))
 
 
 def degree(n):
@@ -112,8 +118,8 @@ def momentum_P_cross(n):
 
 
 def _moment_terms(n):
-    """The one derivative pass behind P: the axis derivatives a_i = d_i n and
-    the moment s = sum_j x_j d_j n."""
+    """The one derivative pass behind deg, P and L: the axis derivatives
+    a_i = d_i n and the moment s = sum_j x_j d_j n."""
     grid = n.grid
     if grid.p < 2:
         raise ValueError("translation momentum needs p >= 2")
@@ -124,15 +130,41 @@ def _moment_terms(n):
     return grads, s
 
 
-def momentum_density_P(n):
-    """Translation momentum density, shape dims + (p,):
-    P_i = 1/(p-1) n . (d_i n x sum_j x_j d_j n)."""
-    grads, s = _moment_terms(n)
+def _density_P(n, grads, s):
+    """P-density from the derivative list and the moment s of _moment_terms."""
     grid = n.grid
     dens = np.empty(grid.dims + (grid.p,))
     for k in range(grid.p):
         dens[..., k] = triple(n.values, grads[k], s)
     return dens / (grid.p - 1)
+
+
+def momentum_density_P(n):
+    """Translation momentum density, shape dims + (p,):
+    P_i = 1/(p-1) n . (d_i n x sum_j x_j d_j n)."""
+    return _density_P(n, *_moment_terms(n))
+
+
+def _moments(w, grid):
+    """(integral of x wedge w, integral of w) for a density w, dims + (p,);
+    the wedge moment is M - M^T with M = integral of x w^T, exactly skew."""
+    spatial = list(range(grid.p))
+    m = np.tensordot(grid.coords(), w, axes=(spatial, spatial)) * grid.cell_volume
+    return m - m.T, integrate(w, grid)
+
+
+def moments(n):
+    """(deg, P, L) from one derivative pass; deg is None unless p = 2.
+    L is -(p-1)/p times the wedge moment of the P-density.  The factor is
+    load-bearing: the raw moment is exactly p/(p-1) times the charge that
+    generates spatial rotations through the Lie-Poisson flow and that both
+    lift routes produce (the Hamiltonian-flow test pins it numerically)."""
+    n.require_decaying("moments")
+    grid = n.grid
+    grads, s = _moment_terms(n)
+    rot, P = _moments(_density_P(n, grads, s), grid)
+    deg = float(integrate(_degree_integrand(n, grads), grid)) if grid.p == 2 else None
+    return deg, P, -(grid.p - 1) / grid.p * rot
 
 
 def momentum_P_derivative(n):
@@ -162,36 +194,12 @@ def momentum_P_derivative(n):
 
 def momentum_P_general(n):
     """Translation momentum as the integral of the density form; a p-vector."""
-    n.require_decaying("momentum_P_general")
-    return integrate(momentum_density_P(n), n.grid)
-
-
-def wedge(a, b):
-    """a wedge b = a b^T - b a^T for trailing-axis vectors; returns p x p arrays."""
-    return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
+    return moments(n)[1]
 
 
 def rotational_momentum(n):
-    """Rotational momentum as a skew p x p matrix:
-    -(p-1)/p times the integral of x wedge P-density.
-
-    The prefactor is load-bearing: the raw wedge moment of the momentum
-    density is exactly p/(p-1) times the charge that (a) generates spatial
-    rotations through the Lie-Poisson flow and (b) both rotation-lift routes
-    produce (an integration by parts shows this; the Hamiltonian-flow test
-    pins it numerically).  wedge_moment_density exposes the raw integrand
-    for cross-checks.
-    """
-    n.require_decaying("rotational_momentum")
-    p = n.grid.p
-    return -(p - 1) / p * integrate(wedge_moment_density(n), n.grid)
-
-
-def wedge_moment_density(n):
-    """Raw wedge moment x wedge P-density, shape dims + (p, p)."""
-    dens = momentum_density_P(n)
-    x = n.grid.coords()
-    return wedge(x, dens)
+    """Rotational momentum, a skew p x p matrix: the L of moments."""
+    return moments(n)[2]
 
 
 def lift_psi(n):
@@ -235,10 +243,8 @@ def momentum_JH(psi, mu):
         raise ValueError("psi and mu must share a grid")
     stack = right_gradient_stack(psi)  # dims + (p, 3)
     w = np.einsum("...i,...ki->...k", mu.values, stack)
-    x = psi.grid.coords()
-    rot = integrate(wedge(x, w), psi.grid)
-    trans = -integrate(w, psi.grid)
-    return rot, trans
+    rot, total = _moments(w, psi.grid)
+    return rot, -total
 
 
 def _lift_integrand(n):
@@ -246,36 +252,30 @@ def _lift_integrand(n):
 
     Returns (wbar, singular_mask).  The singular cells are dropped from the
     quadrature: the singularities of the lift are tame and do not contribute.
+    Above MAX_SINGULAR_FRACTION singular cells it raises SingularLiftError.
     """
     kdot = n.values @ K_AXIS
+    singular = kdot > SINGULAR_KDOT
+    if singular.mean() > MAX_SINGULAR_FRACTION:
+        raise SingularLiftError(f"{100 * singular.mean():.2f}% of cells are singular "
+                                f"(limit {100 * MAX_SINGULAR_FRACTION:g}%)")
     cross = cross3(K_AXIS, n.values)
     num = np.stack([np.einsum("...i,...i->...", cross, g) for g in _gradients(n)],
                    axis=-1)
-    singular = kdot > SINGULAR_KDOT
     denom = np.where(singular, 1.0, 1.0 - kdot)
     wbar = num / denom[..., None]
     wbar[singular] = 0.0
     return wbar, singular
 
 
-def reduced_momentum_lift(n, max_singular_fraction=0.01):
+def reduced_momentum_lift(n):
     """Euclidean momentum from the closed-form lift identity:
-    ( integral of x wedge wbar, -integral of wbar ).
-
-    Refuses when more than max_singular_fraction of the cells sit on the
-    singular set, since the quadrature is then untrustworthy.
-    """
+    ( integral of x wedge wbar, -integral of wbar ); refuses on a fat
+    singular set (see _lift_integrand)."""
     n.require_decaying("reduced_momentum_lift")
-    wbar, singular = _lift_integrand(n)
-    frac = singular.mean()
-    if frac > max_singular_fraction:
-        raise SingularLiftError(
-            f"{100 * frac:.2f}% of cells are singular (limit {100 * max_singular_fraction:g}%)"
-        )
-    x = n.grid.coords()
-    rot = integrate(wedge(x, wbar), n.grid)
-    trans = -integrate(wbar, n.grid)
-    return rot, trans
+    wbar, _ = _lift_integrand(n)
+    rot, total = _moments(wbar, n.grid)
+    return rot, -total
 
 
 def gauge_invariance_residual(n, alpha):
@@ -301,16 +301,17 @@ def gauge_invariance_residual(n, alpha):
 def lift_identity_residual_field(n):
     """Cellwise |n . rgrad_i psi_n - wbar_i| over axes i, with wbar the
     closed form; zero on singular cells.  Shape dims."""
+    wbar, singular = _lift_integrand(n)
     psi = lift_psi(n)
     stack = right_gradient_stack(psi)
     lhs = np.einsum("...i,...ki->...k", n.values, stack)
-    wbar, singular = _lift_integrand(n)
     resid = np.abs(lhs - wbar).max(axis=-1)
     resid[singular] = 0.0
     return resid
 
 
 def check_lift_identity(n):
-    """Max residual of the lift derivative identity over non-singular cells."""
+    """Max residual of the lift derivative identity over non-singular cells;
+    refuses on a fat singular set (see _lift_integrand)."""
     n.require_decaying("check_lift_identity")
     return float(lift_identity_residual_field(n).max())

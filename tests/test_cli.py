@@ -186,6 +186,24 @@ def test_cocycle_subcommand(tmp_path, capsys):
     assert out.strip().endswith("PASS")
 
 
+def test_cocycle_degree_zero_field_is_judged_on_the_unit_degree_scale(tmp_path, capsys):
+    # seed 11 after 200 steps: the routes differ by about 3.4e-6 on a cocycle
+    # of about 1e-5; relative to the cocycle itself the gap reads 0.34
+    init, run = str(tmp_path / "r.llgf"), str(tmp_path / "run")
+    assert main(["init", "--kind", "random", "--seed", "11", "--grid", "96x96",
+                 "--box", "16", "--out", init]) == 0
+    assert main(["simulate", "--in", init, "--out", run, "--steps", "200",
+                 "--report-every", "200", "--a", "0.5"]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "cocycle", "--in", run + ".llgf",
+                           "--e1", "0,1,0", "--e2", "0,0,1")
+    pairs = kv(out)
+    gap = abs(float(pairs["SIGMA_DIRECT"]) - float(pairs["SIGMA_PAIRING"]))
+    assert 1e-6 < gap < 1e-5
+    assert float(pairs["REL_GAP"]) == pytest.approx(gap / (4.0 * np.pi), rel=1e-12)
+    assert code == 0 and out.strip().endswith("PASS")
+
+
 def test_cocycle_requires_elements(tmp_path, capsys):
     snap = tmp_path / "bp.llgf"
     write_snapshot(make_constant(Grid.centered((32, 32), 8.0), (0, 0, -1)), snap)
@@ -203,3 +221,17 @@ def test_lift_check_on_smooth_field(tmp_path, capsys):
     pairs = kv(out)
     assert float(pairs["RESIDUAL"]) < 0.02
     assert pairs["SINGULAR_CELLS"] == "0"
+
+
+def test_lift_check_refuses_fat_singular_set(tmp_path, capsys):
+    from llgeo import make_radial_profile
+
+    # 19.6% of the cells sit at +k, and the residual over the other cells is 0
+    snap = tmp_path / "fat.llgf"
+    f = make_radial_profile(Grid.centered((96, 96), 16.0),
+                            lambda r: np.where(r < 4.0, np.pi, 0.0))
+    write_snapshot(f, snap)
+    code, out, err = run_cli(capsys, "lift-check", "--in", str(snap))
+    assert code == 4
+    assert "PASS" not in out and "RESIDUAL" not in out
+    assert "19.57% of cells are singular" in err

@@ -20,7 +20,9 @@ from llgeo import (
     tangent_project,
     variational_derivative_energy,
 )
+from llgeo import momenta
 from llgeo.calculus import integrate
+from llgeo.dynamics import make_report
 
 from conftest import relative_gap
 from test_generators import profile_bump
@@ -271,3 +273,34 @@ def test_non_decaying_fields_evolve_freely_and_report_partial():
     # the whole field precessed: the layer is not frozen for non-decaying fields
     assert np.abs(final.values - n.values).max() > 1e-4
     assert np.abs(final.values[..., 2] - np.cos(theta)).max() < 1e-10
+
+
+@pytest.fixture(params=["soliton_2d", "random_3d"])
+def report_field(request):
+    if request.param == "soliton_2d":
+        return make_bp_soliton(Grid.centered((64, 64), 16.0), 1, 1.5, 6.0)
+    return make_random_smooth(Grid.centered((20, 22, 24), 12.0), seed=5, amplitude=1.2)
+
+
+def test_make_report_shares_one_pass_with_the_public_diagnostics(report_field):
+    n = report_field
+    rep = make_report(n, 0.0)
+    if n.grid.p == 2:
+        assert rep.deg == momenta.degree(n)
+    else:
+        assert rep.deg is None
+    assert np.array_equal(rep.P, momenta.momentum_P_general(n))
+    assert np.array_equal(rep.L, momenta.rotational_momentum(n))
+
+
+def test_make_report_differentiates_once_per_axis(report_field, monkeypatch):
+    calls = []
+    original = momenta.partial
+
+    def counted(values, grid, axis):
+        calls.append(axis)
+        return original(values, grid, axis)
+
+    monkeypatch.setattr(momenta, "partial", counted)
+    make_report(report_field, 0.0)
+    assert sorted(calls) == list(range(report_field.grid.p))

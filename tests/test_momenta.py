@@ -29,7 +29,7 @@ from llgeo import (
     rotational_momentum,
     vorticity,
 )
-from llgeo.momenta import MomentumReport, wedge_moment_density
+from llgeo.momenta import MAX_SINGULAR_FRACTION, MomentumReport
 from llgeo.calculus import integrate, partial
 
 from conftest import relative_gap
@@ -220,7 +220,10 @@ def test_rotational_momentum_normalization_factor():
     # the raw wedge moment is p/(p-1) times the generator-normalized charge
     g = Grid.centered((64, 64), 16.0)
     f = make_bp_soliton(g, 1, 1.5, 5.0)
-    raw = integrate(wedge_moment_density(f), g)
+    dens = momentum_density_P(f)
+    x = g.coords()
+    wedge = x[..., :, None] * dens[..., None, :] - dens[..., :, None] * x[..., None, :]
+    raw = integrate(wedge, g)
     assert relative_gap(rotational_momentum(f), -0.5 * raw) < 1e-14
 
 
@@ -353,6 +356,15 @@ def test_gauge_residual_p1_winding_is_2pi():
 def test_lift_identity_vacuum_zero():
     g = Grid.centered((48, 48), 16.0)
     assert check_lift_identity(make_constant(g, (0, 0, -1))) == 0.0
+
+
+def test_lift_identity_refuses_fat_singular_set():
+    # 19.6% of the cells sit at +k: a residual over the rest would say PASS
+    g = Grid.centered((96, 96), 16.0)
+    f = make_radial_profile(g, lambda r: np.where(r < 4.0, np.pi, 0.0))
+    assert lift_singular_mask(f).mean() > MAX_SINGULAR_FRACTION
+    with pytest.raises(SingularLiftError, match="19.57% of cells"):
+        check_lift_identity(f)
 
 
 def test_lift_identity_converges():
