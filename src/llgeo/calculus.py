@@ -296,9 +296,9 @@ def functional_derivative(functional, n, step=1e-4):
 
     def difference(cell, nv, u):
         work_flat[cell] = cos_s * nv + sin_s * u
-        plus = functional(SpinField(n.grid, work, n.decaying, n.layer, check=False))
+        plus = functional(SpinField(n.grid, work, n.decaying, check=False))
         work_flat[cell] = cos_s * nv - sin_s * u
-        minus = functional(SpinField(n.grid, work, n.decaying, n.layer, check=False))
+        minus = functional(SpinField(n.grid, work, n.decaying, check=False))
         work_flat[cell] = nv
         return (plus - minus) / (2.0 * step)
 

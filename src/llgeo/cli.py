@@ -308,7 +308,8 @@ def run(cfg):
         if n.grid.p != 2:
             raise ConfigError("bracket-check needs a p = 2 snapshot")
         bracket, fourpi_deg = check_px_py_bracket(n)
-        rel = abs(bracket - fourpi_deg) / max(abs(fourpi_deg), 1e-300)
+        # floor: a unit-degree field's 4*pi, since a degree-0 one is ~0
+        rel = abs(bracket - fourpi_deg) / max(abs(fourpi_deg), 4.0 * np.pi)
         print(f"BRACKET={_fmt(bracket)}")
         print(f"FOURPI_DEG={_fmt(fourpi_deg)}")
         print(f"REL_ERR={_fmt(rel)}")

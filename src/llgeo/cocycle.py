@@ -51,8 +51,8 @@ def wedge_lift(mu, e):
     vel = e.velocity_field(mu.grid)
     dmu = directional_derivative(mu.values, mu.grid, vel)
     xi = cross3(mu.values, dmu)
-    xi[mu.grid.boundary_mask(mu.layer)] = 0.0
-    return SemidirectAlgebraElement(mu.grid, xi, e, layer=mu.layer)
+    xi[mu.grid.boundary_mask()] = 0.0
+    return SemidirectAlgebraElement(mu.grid, xi, e)
 
 
 def _euclid_bracket(e1, e2):
@@ -76,9 +76,8 @@ def semidirect_bracket(u, v):
         - directional_derivative(v.xi, grid, c1)
         + directional_derivative(u.xi, grid, c2)
     )
-    xi[grid.boundary_mask(u.layer)] = 0.0
-    return SemidirectAlgebraElement(grid, xi, _euclid_bracket(u.euclid, v.euclid),
-                                    layer=u.layer)
+    xi[grid.boundary_mask()] = 0.0
+    return SemidirectAlgebraElement(grid, xi, _euclid_bracket(u.euclid, v.euclid))
 
 
 def cocycle_direct(mu, e1, e2):

@@ -3,9 +3,12 @@
 The exchange term is discretized with nearest-neighbor differences, so that
 variational_derivative_energy is the *exact* gradient of the discrete energy
 (the finite-difference functional oracle checks this to 1e-5).  The evolution
-is the conservative flow dn/dt = -n x dE/dn; two steppers are provided:
-projected classical RK4 (default) and fixed-point implicit midpoint, which
-preserves the unit norm to solver tolerance by construction.
+is the conservative flow dn/dt = -n x dE/dn, with the boundary layer of
+decaying fields frozen; two steppers are provided: projected classical RK4
+(default), stable only for dt*rho <= 2*sqrt(2) with rho = 4 sum 1/h_i^2 + |a|
+(beyond it renormalization hides a blow-up, so step refuses such a dt), and
+fixed-point implicit midpoint, which preserves the unit norm to solver
+tolerance by construction.
 """
 
 from dataclasses import dataclass, field
@@ -20,19 +23,16 @@ from . import momenta
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Anisotropy coupling a and easy axis k (unit vector, default z)."""
+    """Anisotropy coupling a about K_AXIS: the axis is fixed, because N is
+    conserved only when the energy is invariant under the rotations about
+    the same k that the reduction divides out."""
 
     a: float = 0.0
-    k: np.ndarray = field(default_factory=lambda: K_AXIS.copy())
 
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
-        k = np.asarray(self.k, float)
-        if k.shape != (3,) or abs(np.linalg.norm(k) - 1.0) > 1e-12:
-            raise ValueError("k must be a unit 3-vector")
         if not np.isfinite(self.a):
             raise ValueError("a must be finite")
-        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def energy(n, params=EnergyParams()):
     for axis in range(grid.p):
         d = _neighbor_diffs(n.values, grid, axis)
         exch += 0.5 * float((d * d).sum()) * grid.cell_volume
-    kdot = n.values @ params.k
+    kdot = n.values @ K_AXIS
     aniso_dens = (n.values * n.values).sum(axis=-1) - kdot * kdot
     aniso = 0.5 * params.a * float(integrate(aniso_dens, grid))
     return exch + aniso
@@ -96,9 +96,9 @@ def variational_derivative_energy(n, params=EnergyParams()):
     The normal component is irrelevant to the dynamics: the cross product in
     the evolution law annihilates it.
     """
-    kdot = n.values @ params.k
+    kdot = n.values @ K_AXIS
     return -_free_laplacian(n.values, n.grid) + params.a * (
-        n.values - kdot[..., None] * params.k
+        n.values - kdot[..., None] * K_AXIS
     )
 
 
@@ -112,7 +112,7 @@ def _freeze_mask(n):
     fields (the reduction's boundary condition).  Non-decaying fields evolve
     everywhere."""
     if n.decaying:
-        return n.grid.boundary_mask(n.layer)
+        return n.grid.boundary_mask()
     return None
 
 
@@ -134,11 +134,16 @@ def _renormalize(values):
 
 
 def step(n, cfg):
-    """Advance one time step and return the new field."""
+    """Advance one time step and return the new field; an RK4 dt beyond
+    dt*rho = 2*sqrt(2) raises ValueError."""
     rhs = _masked_rhs_func(n, cfg.params)
     y = np.array(n.values)
     dt = cfg.dt
     if cfg.scheme == "rk4_project":
+        rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(cfg.params.a)
+        if dt * rho > 2.0 * np.sqrt(2.0):
+            raise ValueError(f"dt*rho = {dt * rho:.4g} exceeds the RK4 stability limit "
+                             f"2*sqrt(2); use dt <= {2.0 * np.sqrt(2.0) / rho:.4g}")
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)

@@ -2,18 +2,17 @@
 Euclidean / semidirect-product algebra elements they pair with.
 
 All containers are value types: the payload array is copied in and frozen,
-and any "mutation" goes through with_values(), which re-validates.
+and a spin field "mutates" only through with_values(), which re-validates.
+Boundary conditions hold on the grid.BOUNDARY_LAYER cells next to each face.
 """
 
 import numpy as np
 
-from .grid import Grid
+from .grid import BOUNDARY_LAYER, Grid
 
 UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-10
 K_AXIS = np.array([0.0, 0.0, 1.0])
-
-DEFAULT_LAYER = 2
 
 
 def _frozen(values):
@@ -31,7 +30,7 @@ class SpinField:
     diagnostics that need decay.
     """
 
-    def __init__(self, grid, values, decaying=True, layer=DEFAULT_LAYER, check=True):
+    def __init__(self, grid, values, decaying=True, check=True):
         if not isinstance(grid, Grid):
             raise TypeError("grid must be a Grid")
         values = np.asarray(values, dtype=float)
@@ -43,7 +42,6 @@ class SpinField:
         # check=False is the trusted internal fast path: no copy, no freeze
         self.values = _frozen(values) if check else values
         self.decaying = bool(decaying)
-        self.layer = int(layer)
         if check:
             self.check_invariants()
 
@@ -55,14 +53,14 @@ class SpinField:
         if worst > UNIT_TOL:
             raise ValueError(f"|n| deviates from 1 by {worst:.3e} (> {UNIT_TOL:g})")
         if self.decaying:
-            mask = self.grid.boundary_mask(self.layer)
+            mask = self.grid.boundary_mask()
             if not (self.values[mask] == -K_AXIS).all():
                 raise ValueError(
-                    f"decaying field must equal -k exactly on the {self.layer}-cell boundary layer"
+                    f"decaying field must equal -k exactly on the {BOUNDARY_LAYER}-cell boundary layer"
                 )
 
     def with_values(self, values, check=True):
-        return SpinField(self.grid, values, self.decaying, self.layer, check=check)
+        return SpinField(self.grid, values, self.decaying, check=check)
 
     def norm_deviation(self):
         """Max deviation of |n| from 1 over all cells."""
@@ -76,7 +74,7 @@ class SpinField:
 class RotationField:
     """SO(3)-matrix field psi(x) on a Grid; identity on the boundary layer."""
 
-    def __init__(self, grid, values, layer=DEFAULT_LAYER, check=True):
+    def __init__(self, grid, values, check=True):
         if not isinstance(grid, Grid):
             raise TypeError("grid must be a Grid")
         values = np.asarray(values, dtype=float)
@@ -86,7 +84,6 @@ class RotationField:
             )
         self.grid = grid
         self.values = _frozen(values)
-        self.layer = int(layer)
         if check:
             self.check_invariants()
 
@@ -99,27 +96,24 @@ class RotationField:
         det = np.linalg.det(v)
         if np.abs(det - 1.0).max() > ORTHO_TOL:
             raise ValueError("det psi deviates from 1")
-        mask = self.grid.boundary_mask(self.layer)
+        mask = self.grid.boundary_mask()
         if np.abs(v[mask] - eye).max() > ORTHO_TOL:
             raise ValueError("rotation field must be the identity on the boundary layer")
 
-    def with_values(self, values, check=True):
-        return RotationField(self.grid, values, self.layer, check=check)
-
-    def apply_to_axis(self, vec=K_AXIS):
-        """Pointwise psi(x) @ vec, a 3-vector field."""
-        return self.values @ np.asarray(vec, float)
+    def apply_to_axis(self):
+        """Pointwise psi(x) k, a 3-vector field."""
+        return self.values @ K_AXIS
 
     def compose(self, other, check=True):
         """Pointwise matrix product psi(x) other(x)."""
         return RotationField(
             self.grid, np.einsum("...ij,...jk->...ik", self.values, other.values),
-            self.layer, check=check,
+            check=check,
         )
 
     def inverse(self):
         return RotationField(
-            self.grid, np.swapaxes(self.values, -1, -2), self.layer, check=False
+            self.grid, np.swapaxes(self.values, -1, -2), check=False
         )
 
 
@@ -183,7 +177,7 @@ class SemidirectAlgebraElement:
     """Pair (xi, (Omega, adot)): an so(3)-valued field vanishing on the
     boundary layer together with a Euclidean algebra element."""
 
-    def __init__(self, grid, xi, euclid, layer=DEFAULT_LAYER, check=True):
+    def __init__(self, grid, xi, euclid):
         if not isinstance(euclid, EuclideanAlgebraElement):
             raise TypeError("euclid must be a EuclideanAlgebraElement")
         xi = np.asarray(xi, dtype=float)
@@ -194,12 +188,10 @@ class SemidirectAlgebraElement:
         self.grid = grid
         self.xi = _frozen(xi)
         self.euclid = euclid
-        self.layer = int(layer)
-        if check:
-            self.check_invariants()
+        self.check_invariants()
 
     def check_invariants(self):
-        mask = self.grid.boundary_mask(self.layer)
+        mask = self.grid.boundary_mask()
         if self.xi[mask].any():
             raise ValueError("xi must vanish exactly on the boundary layer")
         if not np.isfinite(self.xi).all():

@@ -3,17 +3,12 @@ fields, gauge rotation fields and seeded random smooth fields."""
 
 import numpy as np
 
-from .fields import (
-    DEFAULT_LAYER,
-    EuclideanAlgebraElement,
-    K_AXIS,
-    RotationField,
-    SpinField,
-)
+from .fields import K_AXIS, RotationField, SpinField
+from .grid import BOUNDARY_LAYER
 from .calculus import so3_exp
 
 
-def make_constant(grid, v, layer=DEFAULT_LAYER):
+def make_constant(grid, v):
     """Uniform field n(x) = v.  Anything but v = -k is flagged non-decaying
     and excluded from the diagnostics that need decay."""
     v = np.asarray(v, float)
@@ -21,7 +16,7 @@ def make_constant(grid, v, layer=DEFAULT_LAYER):
         raise ValueError("v must be a unit 3-vector")
     values = np.broadcast_to(v, grid.dims + (3,)).copy()
     decaying = bool((v == -K_AXIS).all())
-    return SpinField(grid, values, decaying=decaying, layer=layer)
+    return SpinField(grid, values, decaying=decaying)
 
 
 def _cutoff_blend(t):
@@ -36,7 +31,7 @@ def bump(r2):
     return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.clip(1.0 - r2, 1e-12, None)), 0.0)
 
 
-def make_bp_soliton(grid, m, lam, cutoff_radius, center=None, layer=DEFAULT_LAYER):
+def make_bp_soliton(grid, m, lam, cutoff_radius, center=None):
     """Degree-m soliton: inverse stereographic image of w = ((x+iy)/lam)^m,
     blended to the constant -k over [cutoff-lam, cutoff].
 
@@ -52,7 +47,7 @@ def make_bp_soliton(grid, m, lam, cutoff_radius, center=None, layer=DEFAULT_LAYE
     if m != 0 and not 0 < lam < cutoff:
         raise ValueError("need 0 < lambda < cutoff_radius")
     center = np.zeros(2) if center is None else np.asarray(center, float)
-    margin = (layer + 2) * max(grid.spacing)
+    margin = (BOUNDARY_LAYER + 2) * max(grid.spacing)
     half = min(grid.half_widths())
     if m != 0 and cutoff + float(np.abs(center).max()) > half - margin:
         raise ValueError(
@@ -60,7 +55,7 @@ def make_bp_soliton(grid, m, lam, cutoff_radius, center=None, layer=DEFAULT_LAYE
         )
 
     if m == 0:
-        return make_constant(grid, -K_AXIS, layer=layer)
+        return make_constant(grid, -K_AXIS)
 
     xy = grid.coords() - center
     z = (xy[..., 0] + 1j * xy[..., 1]) / lam
@@ -84,10 +79,10 @@ def make_bp_soliton(grid, m, lam, cutoff_radius, center=None, layer=DEFAULT_LAYE
     n[..., 2] = np.cos(theta)
     n[r >= cutoff] = -K_AXIS
     n /= np.linalg.norm(n, axis=-1, keepdims=True)
-    return SpinField(grid, n, layer=layer)
+    return SpinField(grid, n)
 
 
-def make_radial_profile(grid, profile, layer=DEFAULT_LAYER):
+def make_radial_profile(grid, profile):
     """Field depending on |x| only and lying in the fixed x-z plane through -k:
     n(r) = (sin w(r), 0, -cos w(r)) for the given angle profile w.
 
@@ -103,10 +98,10 @@ def make_radial_profile(grid, profile, layer=DEFAULT_LAYER):
     n = np.zeros(grid.dims + (3,))
     n[..., 0] = np.sin(omega)
     n[..., 2] = -np.cos(omega)
-    return SpinField(grid, n, layer=layer)
+    return SpinField(grid, n)
 
 
-def make_gauge_field(grid, alpha, layer=DEFAULT_LAYER):
+def make_gauge_field(grid, alpha):
     """Rotation field A(x) = exp(alpha(x) hat(k)): rotation about k by alpha.
 
     For p >= 2 alpha must sit at one common multiple of 2*pi on the whole
@@ -116,7 +111,7 @@ def make_gauge_field(grid, alpha, layer=DEFAULT_LAYER):
     alpha = np.asarray(alpha, float)
     if alpha.shape != grid.dims:
         raise ValueError("alpha must be a scalar field on the grid")
-    mask = grid.boundary_mask(layer)
+    mask = grid.boundary_mask()
     edge = alpha[mask] / (2.0 * np.pi)
     if np.abs(edge - np.round(edge)).max() > 1e-9:
         raise ValueError("alpha must be a multiple of 2*pi on the boundary layer")
@@ -125,11 +120,10 @@ def make_gauge_field(grid, alpha, layer=DEFAULT_LAYER):
             "for p >= 2 alpha must take a single 2*pi multiple on the boundary layer"
         )
     values = so3_exp(alpha[..., None] * K_AXIS)
-    return RotationField(grid, values, layer=layer)
+    return RotationField(grid, values)
 
 
-def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75,
-                       layer=DEFAULT_LAYER):
+def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):
     """Seeded band-limited degree-0 test field.
 
     Polar angle from -k is amplitude * envelope * (random low-mode cosines),
@@ -165,7 +159,7 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75,
     n[..., 0] = np.sin(theta) * np.cos(chi)
     n[..., 1] = np.sin(theta) * np.sin(chi)
     n[..., 2] = -np.cos(theta)
-    return SpinField(grid, n, layer=layer)
+    return SpinField(grid, n)
 
 
 def rotate_about_k(n, angle):

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BOUNDARY_LAYER = 2  # cells per face that stand in for "vanishing at infinity"
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -92,7 +94,7 @@ class Grid:
         """Distance of every cell center from the coordinate origin."""
         return np.sqrt((self.coords() ** 2).sum(axis=-1))
 
-    def boundary_mask(self, thickness=2):
+    def boundary_mask(self, thickness=BOUNDARY_LAYER):
         """Boolean mask of cells within `thickness` cells of any face."""
         mask = np.zeros(self.dims, dtype=bool)
         for axis in range(self.p):

@@ -8,6 +8,7 @@ Binary snapshot layout (all little-endian):
 Round trips are bit-exact; every malformed-input mode gets its own message.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -78,7 +79,8 @@ def read_snapshot(path):
     if kind not in (KIND_SPIN, KIND_ROTATION):
         raise SnapshotError(f"unknown payload kind {kind}")
     comp = (3,) if kind == KIND_SPIN else (3, 3)
-    count = int(np.prod(dims)) * int(np.prod(comp))
+    # math.prod: Python integers, so huge header dims cannot wrap around
+    count = math.prod(dims) * math.prod(comp)
     payload = take(8 * count, "payload")
     if offset != len(blob):
         raise SnapshotError(f"trailing bytes: {len(blob) - offset} past the payload")

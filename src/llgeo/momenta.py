@@ -224,7 +224,7 @@ def lift_psi(n):
     if singular.any():
         rotvec[singular] = np.array([np.pi, 0.0, 0.0])
     values = so3_exp(rotvec)
-    return RotationField(n.grid, values, n.layer, check=False)
+    return RotationField(n.grid, values, check=False)
 
 
 def lift_singular_mask(n):
@@ -289,7 +289,7 @@ def gauge_invariance_residual(n, alpha):
     from .generators import make_gauge_field
 
     psi = lift_psi(n)
-    gauge = make_gauge_field(n.grid, alpha, layer=n.layer)
+    gauge = make_gauge_field(n.grid, alpha)
     psi_moved = psi.compose(gauge.inverse(), check=False)
     rot0, trans0 = momentum_JH(psi, n)
     rot1, trans1 = momentum_JH(psi_moved, n)

@@ -158,14 +158,43 @@ def test_simulate_midpoint_blowup_is_numeric_error(tmp_path, capsys):
     assert "midpoint" in err
 
 
+def test_simulate_rk4_beyond_stability_limit_is_config_error(tmp_path, capsys):
+    # h = 1/32 gives dt*rho = 8.19 at the default dt = 1e-3; unchecked, the run
+    # exits 0 with E 18 -> 3.5e4 while renormalization hides the blow-up
+    init = str(tmp_path / "s.llgf")
+    assert main(["init", "--kind", "bp", "--grid", "128x128", "--box", "4",
+                 "--lambda", "0.4", "--cutoff", "1.2", "--out", init]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "simulate", "--in", init,
+                             "--out", str(tmp_path / "run"), "--steps", "200")
+    assert code == 2
+    assert "dt*rho = 8.19" in err and "use dt <= 0.0003453" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_bracket_check_degree_zero_field_is_judged_on_the_unit_degree_scale(tmp_path,
+                                                                            capsys):
+    # relative to 4*pi*deg ~ 1e-4 itself the error read 0.62
+    snap = str(tmp_path / "r.llgf")
+    assert main(["init", "--kind", "random", "--seed", "0", "--out", snap]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "bracket-check", "--in", snap)
+    pairs = kv(out)
+    gap = abs(float(pairs["BRACKET"]) - float(pairs["FOURPI_DEG"]))
+    assert float(pairs["REL_ERR"]) == pytest.approx(gap / (4.0 * np.pi), rel=1e-12)
+    assert code == 0 and out.strip().endswith("PASS")
+
+
 def test_bracket_check_verdicts(tmp_path, capsys):
     snap = tmp_path / "bp.llgf"
     write_snapshot(make_bp_soliton(Grid.centered((48, 48), 16.0), 1, 1.5, 6.0), snap)
     code, out, _ = run_cli(capsys, "bracket-check", "--in", str(snap), "--tol", "0.08")
     pairs = kv(out)
     assert code == 0 and out.strip().endswith("PASS")
-    assert abs(float(pairs["BRACKET"]) - float(pairs["FOURPI_DEG"])) / abs(
-        float(pairs["FOURPI_DEG"])
+    # 4*pi floor: the relative error of a field of degree below one is
+    # measured on the unit-degree scale
+    assert abs(float(pairs["BRACKET"]) - float(pairs["FOURPI_DEG"])) / max(
+        abs(float(pairs["FOURPI_DEG"])), 4.0 * np.pi
     ) == pytest.approx(float(pairs["REL_ERR"]), rel=1e-12)
 
     code, out, _ = run_cli(capsys, "bracket-check", "--in", str(snap), "--tol", "1e-6")

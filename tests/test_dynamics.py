@@ -31,8 +31,6 @@ from test_generators import profile_bump
 def test_energy_params_validation():
     with pytest.raises(ValueError):
         EnergyParams(a=np.inf)
-    with pytest.raises(ValueError):
-        EnergyParams(a=1.0, k=(1.0, 1.0, 0.0))
     EnergyParams(a=-0.5)  # negative coupling is legal
 
 
@@ -162,10 +160,21 @@ def test_step_uniform_precession_latitude():
     assert cur.norm_deviation() < 1e-12
 
 
+def test_rk4_step_refuses_dt_beyond_stability_limit():
+    g = Grid.centered((16, 16), 8.0)  # rho = 4 * (4 + 4) + |a| = 33
+    n = make_random_smooth(g, seed=1)
+    params = EnergyParams(a=-1.0)
+    dt_max = 2.0 * np.sqrt(2.0) / 33.0
+    with pytest.raises(ValueError, match=r"dt\*rho = 2\.828"):
+        step(n, SimConfig(dt=dt_max * (1 + 1e-9), steps=1, params=params))
+    out = step(n, SimConfig(dt=dt_max * (1 - 1e-9), steps=1, params=params))
+    assert np.isfinite(out.values).all()
+
+
 def test_step_preserves_boundary_layer_exactly():
     g = Grid.centered((48, 48), 16.0)
     n = make_random_smooth(g, seed=3, amplitude=1.5)
-    mask = g.boundary_mask(n.layer)
+    mask = g.boundary_mask()
     for scheme in ("rk4_project", "midpoint"):
         cfg = SimConfig(dt=1e-3, steps=1, scheme=scheme, params=EnergyParams(a=0.4))
         out = step(n, cfg)

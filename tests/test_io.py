@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,20 @@ def test_truncated_payload_reports_byte_counts(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-100])
     with pytest.raises(SnapshotError, match=r"truncated payload: expected \d+ bytes, found \d+"):
+        read_snapshot(path)
+
+
+def test_huge_header_dims_report_truncated_payload(tmp_path):
+    # (2**32 - 1)**2 cells overflow int64 byte counts; the message must still
+    # name the true size instead of a wrapped one
+    dims = (2 ** 32 - 1,) * 2
+    header = b"LLGF" + struct.pack("<HH2I2d2dB", 1, 2, *dims, 1.0, 1.0, 0.0, 0.0, 0)
+    path = tmp_path / "huge.llgf"
+    path.write_bytes(header + b"\0" * 64)
+    expected = len(header) + 8 * 3 * dims[0] * dims[1]
+    with pytest.raises(SnapshotError,
+                       match=f"truncated payload: expected {expected} bytes, "
+                             f"found {len(header) + 64}"):
         read_snapshot(path)
 
 
