@@ -200,8 +200,8 @@ def _validate(cfg):
     if cfg.command == "simulate":
         if opt["out"] is None:
             raise ConfigError("out: simulate needs an output prefix")
-        if opt["dt"] <= 0:
-            raise ConfigError(f"dt: must be positive, got {opt['dt']}")
+        if not np.isfinite(opt["dt"]) or opt["dt"] <= 0:
+            raise ConfigError(f"dt: must be finite and positive, got {opt['dt']}")
         if opt["steps"] < 0:
             raise ConfigError(f"steps: must be nonnegative, got {opt['steps']}")
         if opt["in"] == opt["out"]:

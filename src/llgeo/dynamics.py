@@ -9,6 +9,14 @@ decaying fields frozen; two steppers are provided: projected classical RK4
 (beyond it renormalization hides a blow-up, so step refuses such a dt), and
 fixed-point implicit midpoint, which preserves the unit norm to solver
 tolerance by construction.
+
+Stepping writes in place.  Each step call allocates its stage buffers, a
+dE/dn buffer and two scratch planes once, and every right-hand side, the
+cross product and the renormalization write into them; each
+variational_derivative_energy call adds one flat difference scratch.
+Nothing is shared between calls.  Every value is computed with the
+operation order of the textbook allocating formulas (np.diff plus np.pad,
+cross3, np.linalg.norm), so the results are bit-identical to them.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericsError
 from .fields import K_AXIS, SpinField
-from .calculus import cross3, integrate
+from .calculus import integrate
 from . import momenta
 
 
@@ -44,8 +52,8 @@ class SimConfig:
     params: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not np.isfinite(self.dt) or self.dt <= 0:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.scheme not in ("rk4_project", "midpoint"):
@@ -78,84 +86,163 @@ def energy(n, params=EnergyParams()):
     return exch + aniso
 
 
-def _free_laplacian(values, grid):
-    """Sum over axes of second differences with missing neighbors dropped;
-    exactly the gradient of the neighbor-difference exchange sum."""
-    out = np.zeros_like(values)
+def _free_laplacian(values, grid, out, work):
+    """Sum over axes of second differences with missing neighbors dropped,
+    written into out; exactly the gradient of the neighbor-difference
+    exchange sum.
+
+    Per axis the arithmetic is np.diff's over the zero-padded differences
+    d[i] = (v[i+1]-v[i])/h: (d[i] - d[i-1])/h, with (d[0] - 0)/h and
+    (0 - d[-1])/h at the edges; the axes are added in order.  So the result
+    is bit-identical to that allocating form.  Each axis is built in a flat
+    buffer (out for axis 0, the scratch `work` after it) by whole-array
+    passes whose neighbor is one axis stride s ahead: buf[i] = d[i-1] with
+    buf[0] = 0, then buf[i] = buf[i+1] - buf[i], which takes the last d of a
+    line against the zero that starts the next line.  Only the final line
+    needs its own 0 - d[-1].
+    """
+    vflat = values.reshape(-1)
     for axis in range(grid.p):
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (1, 1)
-        padded = np.pad(_neighbor_diffs(values, grid, axis), pad)
-        out += np.diff(padded, axis=axis) / grid.spacing[axis]
+        h = grid.spacing[axis]
+        buf = out if axis == 0 else work.reshape(values.shape)
+        flat = buf.reshape(-1)
+        s = buf.strides[axis] // buf.itemsize
+        np.subtract(vflat[s:], vflat[:-s], out=flat[s:])
+        buf[(slice(None),) * axis + (0,)] = 0.0
+        np.divide(flat, h, out=flat)
+        np.subtract(flat[s:], flat[:-s], out=flat[:-s])  # reads run ahead of writes
+        np.subtract(0.0, flat[-s:], out=flat[-s:])
+        np.divide(flat, h, out=flat)
+        if axis:
+            np.add(out, buf, out=out)
     return out
 
 
-def variational_derivative_energy(n, params=EnergyParams()):
-    """dE/dn = -(discrete Laplacian of n) + a (n - (n.k) k), unprojected.
+def variational_derivative_energy(n, params=EnergyParams(), out=None):
+    """dE/dn = -(discrete Laplacian of n) + a (n - (n.k) k), unprojected,
+    written into out (allocated when None) and returned.
 
     The normal component is irrelevant to the dynamics: the cross product in
-    the evolution law annihilates it.
+    the evolution law annihilates it.  K_AXIS is e_z, so the anisotropy
+    term is a (n_x, n_y, 0): n_z - n_z is exactly 0 and the other
+    components subtract an exact zero.
     """
-    kdot = n.values @ K_AXIS
-    return -_free_laplacian(n.values, n.grid) + params.a * (
-        n.values - kdot[..., None] * K_AXIS
-    )
+    values = n.values
+    if out is None:
+        out = np.empty_like(values)
+    elif out.shape != values.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array shaped like n.values")
+    work = np.empty(values.size)
+    _free_laplacian(values, n.grid, out, work)
+    np.negative(out, out=out)
+    t = work[: values.size // 3].reshape(values.shape[:-1])
+    for c in (0, 1):
+        np.multiply(values[..., c], params.a, out=t)
+        np.add(out[..., c], t, out=out[..., c])
+    return out
+
+
+def _minus_cross(a, b, out, planes):
+    """out = -(a x b) over the trailing axis, cross3's products taken through
+    the two planes; q - p is -(p - q) exactly."""
+    p, q = planes
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.multiply(a[..., i], b[..., j], out=p)
+        np.multiply(a[..., j], b[..., i], out=q)
+        np.subtract(q, p, out=out[..., c])
+    return out
 
 
 def ll_rhs(n, params=EnergyParams()):
     """Right-hand side -n x dE/dn; tangent to n cellwise."""
-    return -cross3(n.values, variational_derivative_energy(n, params))
+    values = n.values
+    return _minus_cross(values, variational_derivative_energy(n, params),
+                        np.empty_like(values), np.empty((2,) + values.shape[:-1]))
 
 
-def _freeze_mask(n):
-    """Cells held fixed during stepping: the boundary layer of decaying
-    fields (the reduction's boundary condition).  Non-decaying fields evolve
-    everywhere."""
+def _frozen_cells(n):
+    """Indices of the cells held fixed during stepping: the boundary layer
+    of decaying fields (the reduction's boundary condition).  Non-decaying
+    fields evolve everywhere (None)."""
     if n.decaying:
-        return n.grid.boundary_mask()
+        return np.nonzero(n.grid.boundary_mask())
     return None
 
 
-def _masked_rhs_func(n, params):
-    mask = _freeze_mask(n)
-    template = n
-
-    def rhs(values):
-        f = ll_rhs(template.with_values(values, check=False), params)
-        if mask is not None:
-            f[mask] = 0.0
-        return f
-
-    return rhs
-
-
-def _renormalize(values):
-    return values / np.linalg.norm(values, axis=-1, keepdims=True)
+def _renormalize(values, planes):
+    """Divide each vector in place by sqrt(v0*v0 + v1*v1 + v2*v2), summed in
+    that order (np.linalg.norm's), so the result is bit-identical to it."""
+    s, t = planes
+    np.multiply(values[..., 0], values[..., 0], out=s)
+    np.multiply(values[..., 1], values[..., 1], out=t)
+    np.add(s, t, out=s)
+    np.multiply(values[..., 2], values[..., 2], out=t)
+    np.add(s, t, out=s)
+    np.sqrt(s, out=s)
+    for c in range(3):
+        np.divide(values[..., c], s, out=values[..., c])
+    return values
 
 
 def step(n, cfg):
     """Advance one time step and return the new field; an RK4 dt beyond
-    dt*rho = 2*sqrt(2) raises ValueError."""
-    rhs = _masked_rhs_func(n, cfg.params)
-    y = np.array(n.values)
+    dt*rho = 2*sqrt(2) raises ValueError.
+
+    The stage buffers, a dE/dn buffer and two scratch planes are allocated
+    once per call, and every right-hand side, cross product and
+    renormalization writes into them (variational_derivative_energy adds
+    its flat difference scratch per evaluation).  Nothing is shared between
+    calls: the returned field owns its array, and n.values is only read.
+    Every stage keeps the operation order of the allocating formulas, so the
+    result is bit-identical to them.
+    """
+    y = n.values
     dt = cfg.dt
+    params = cfg.params
+    frozen = _frozen_cells(n)
+    de = np.empty_like(y)
+    planes = np.empty((2,) + y.shape[:-1])
+
+    def rhs(values, out):
+        """out = -values x dE/dn, zero on the frozen cells."""
+        g = variational_derivative_energy(n.with_values(values, check=False), params,
+                                          out=de)
+        _minus_cross(values, g, out, planes)
+        if frozen is not None:
+            out[frozen] = 0.0
+        return out
+
     if cfg.scheme == "rk4_project":
-        rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(cfg.params.a)
+        rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(params.a)
         if dt * rho > 2.0 * np.sqrt(2.0):
             raise ValueError(f"dt*rho = {dt * rho:.4g} exceeds the RK4 stability limit "
                              f"2*sqrt(2); use dt <= {2.0 * np.sqrt(2.0) / rho:.4g}")
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        out = _renormalize(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        # acc = k1 + 2 k2 + 2 k3 + k4; stage holds 2 k_i, then the next stage
+        acc, k, stage = (np.empty_like(y) for _ in range(3))
+        rhs(y, acc)
+        np.multiply(acc, 0.5 * dt, out=stage)
+        np.add(y, stage, out=stage)
+        for weight in (0.5 * dt, dt):
+            rhs(stage, k)
+            np.multiply(k, 2.0, out=stage)
+            np.add(acc, stage, out=acc)
+            np.multiply(k, weight, out=stage)
+            np.add(y, stage, out=stage)
+        rhs(stage, k)
+        np.add(acc, k, out=acc)
+        np.multiply(acc, dt / 6.0, out=acc)
+        out = _renormalize(np.add(y, acc, out=acc), planes)
     else:
-        out = y.copy()
+        out, mid, f = np.array(y), np.empty_like(y), np.empty_like(y)
         for iteration in range(50):
-            mid = _renormalize(0.5 * (y + out))
-            new = y + dt * rhs(mid)
-            delta = np.abs(new - out).max()
-            out = new
+            np.add(y, out, out=mid)
+            _renormalize(np.multiply(mid, 0.5, out=mid), planes)
+            rhs(mid, f)
+            np.multiply(f, dt, out=f)
+            np.add(y, f, out=f)
+            delta = np.abs(np.subtract(f, out, out=mid), out=mid).max()
+            out, f = f, out
             if delta < 1e-12:
                 break
         else:

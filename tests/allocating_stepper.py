@@ -1,0 +1,69 @@
+"""The allocating Landau-Lifshitz stepper, kept as an oracle for the in-place
+one in llgeo.dynamics.
+
+It builds every stage from fresh arrays: the np.diff plus np.pad Laplacian,
+cross3, np.linalg.norm renormalisation and the textbook stage formulas.
+llgeo.dynamics.step must reproduce it exactly (np.array_equal).
+"""
+
+import numpy as np
+
+from llgeo import K_AXIS
+from llgeo.calculus import cross3
+from llgeo.errors import ConvergenceError
+
+
+def free_laplacian(values, grid):
+    out = np.zeros_like(values)
+    for axis in range(grid.p):
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (1, 1)
+        d = np.diff(values, axis=axis) / grid.spacing[axis]
+        out += np.diff(np.pad(d, pad), axis=axis) / grid.spacing[axis]
+    return out
+
+
+def variational_derivative_energy(n, params):
+    kdot = n.values @ K_AXIS
+    return -free_laplacian(n.values, n.grid) + params.a * (
+        n.values - kdot[..., None] * K_AXIS
+    )
+
+
+def ll_rhs(n, params):
+    return -cross3(n.values, variational_derivative_energy(n, params))
+
+
+def renormalize(values):
+    return values / np.linalg.norm(values, axis=-1, keepdims=True)
+
+
+def step(n, cfg):
+    mask = n.grid.boundary_mask() if n.decaying else None
+
+    def rhs(values):
+        f = ll_rhs(n.with_values(values, check=False), cfg.params)
+        if mask is not None:
+            f[mask] = 0.0
+        return f
+
+    y = np.array(n.values)
+    dt = cfg.dt
+    if cfg.scheme == "rk4_project":
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        out = renormalize(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    else:
+        out = y.copy()
+        for _ in range(50):
+            mid = renormalize(0.5 * (y + out))
+            new = y + dt * rhs(mid)
+            delta = np.abs(new - out).max()
+            out = new
+            if delta < 1e-12:
+                break
+        else:
+            raise ConvergenceError("implicit midpoint did not converge", iterations=50)
+    return n.with_values(out, check=False)

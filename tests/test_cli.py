@@ -158,6 +158,21 @@ def test_simulate_midpoint_blowup_is_numeric_error(tmp_path, capsys):
     assert "midpoint" in err
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
+def test_simulate_non_finite_dt_is_config_error(tmp_path, capsys, scheme):
+    # a NaN dt used to run: RK4 exited 4 at step 1, the midpoint spent its
+    # 50 iterations and raised ConvergenceError
+    snap = tmp_path / "in.llgf"
+    write_snapshot(make_bp_soliton(Grid.centered((32, 32), 12.0), 1, 1.0, 4.0), snap)
+    code, _, err = run_cli(
+        capsys, "simulate", "--in", str(snap), "--out", str(tmp_path / "r"),
+        "--steps", "3", "--dt", "nan", "--scheme", scheme,
+    )
+    assert code == 2
+    assert "dt: must be finite and positive, got nan" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_simulate_rk4_beyond_stability_limit_is_config_error(tmp_path, capsys):
     # h = 1/32 gives dt*rho = 8.19 at the default dt = 1e-3; unchecked, the run
     # exits 0 with E 18 -> 3.5e4 while renormalization hides the blow-up

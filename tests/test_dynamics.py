@@ -8,6 +8,7 @@ from llgeo import (
     K_AXIS,
     NumericsError,
     SimConfig,
+    SpinField,
     energy,
     functional_derivative,
     ll_rhs,
@@ -16,6 +17,7 @@ from llgeo import (
     make_radial_profile,
     make_random_smooth,
     simulate,
+    so3_exp,
     step,
     tangent_project,
     variational_derivative_energy,
@@ -24,6 +26,7 @@ from llgeo import momenta
 from llgeo.calculus import integrate
 from llgeo.dynamics import make_report
 
+import allocating_stepper
 from conftest import relative_gap
 from test_generators import profile_bump
 
@@ -201,6 +204,76 @@ def test_midpoint_divergence_reports_iterations():
     assert err.value.iterations == 50
 
 
+def test_simconfig_rejects_non_finite_dt():
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(dt=dt, steps=1)
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(dt=dt, steps=1, scheme="midpoint")
+
+
+def _tilted_random_field(grid, seed):
+    """A random smooth field rotated off -k: non-decaying, so nothing is frozen."""
+    n = make_random_smooth(grid, seed=seed, amplitude=1.4)
+    return SpinField(grid, n.values @ so3_exp(np.array([0.4, -0.3, 0.0])).T,
+                     decaying=False)
+
+
+_ORACLE_CASES = {
+    "2d_decaying_rk4": (lambda: make_bp_soliton(Grid.centered((40, 40), 16.0), 1, 1.5, 6.0),
+                        "rk4_project"),
+    "2d_decaying_midpoint": (lambda: make_random_smooth(Grid.centered((32, 36), 12.0), seed=2,
+                                                        amplitude=1.5), "midpoint"),
+    "3d_rk4": (lambda: make_random_smooth(Grid.centered((12, 14, 16), 8.0), seed=3), "rk4_project"),
+    "2d_non_decaying_rk4": (lambda: _tilted_random_field(Grid.centered((24, 28), 10.0), 6),
+                            "rk4_project"),
+}
+
+
+def _stable_cfg(n, scheme, a=0.5):
+    rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + a
+    return SimConfig(dt=1.0 / rho, steps=1, scheme=scheme, params=EnergyParams(a=a))
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_step_equals_the_allocating_stepper_bitwise(case):
+    make, scheme = _ORACLE_CASES[case]
+    n = make()
+    cfg = _stable_cfg(n, scheme)
+    new = old = n
+    for _ in range(10):
+        new, old = step(new, cfg), allocating_stepper.step(old, cfg)
+    assert np.array_equal(new.values, old.values)
+    assert np.abs(new.values - n.values).max() > 1e-6  # the field moved
+
+
+@pytest.mark.parametrize("case", ["2d_decaying_rk4", "3d_rk4", "2d_non_decaying_rk4"])
+def test_variational_derivative_fills_and_returns_out(case):
+    n = _ORACLE_CASES[case][0]()
+    params = EnergyParams(a=0.7)
+    buf = np.full(n.values.shape, np.nan)
+    got = variational_derivative_energy(n, params, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, variational_derivative_energy(n, params))
+    assert np.array_equal(buf, allocating_stepper.variational_derivative_energy(n, params))
+    assert np.array_equal(ll_rhs(n, params), allocating_stepper.ll_rhs(n, params))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        variational_derivative_energy(n, params, out=np.empty(n.values.shape[::-1]).T)
+
+
+@pytest.mark.parametrize("scheme", ["rk4_project", "midpoint"])
+@pytest.mark.parametrize("case", ["2d_decaying_rk4", "2d_non_decaying_rk4"])
+def test_step_never_writes_into_its_input(case, scheme):
+    n = _ORACLE_CASES[case][0]()
+    cfg = _stable_cfg(n, scheme)
+    writable = step(n, cfg)  # built with check=False: its array is writable
+    assert writable.values.flags.writeable
+    before = writable.values.copy()
+    after = step(writable, cfg)
+    assert np.array_equal(writable.values, before)
+    assert not np.shares_memory(after.values, writable.values)
+
+
 def test_energy_conservation_against_step_halved_run():
     g = Grid.centered((64, 64), 16.0)
     n = make_bp_soliton(g, 1, 1.5, 5.0)
@@ -256,9 +329,9 @@ def test_simulate_aborts_on_nan_with_step_index(monkeypatch):
 
     true_vde = dyn.variational_derivative_energy
 
-    def poisoned(field, params):
+    def poisoned(field, params, out=None):
         calls["count"] += 1
-        out = true_vde(field, params)
+        out = true_vde(field, params, out=out)
         if calls["count"] > 10:
             out = np.array(out)
             out[5, 5] = np.nan
