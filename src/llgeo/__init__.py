@@ -15,7 +15,6 @@ from .generators import (
     make_gauge_field,
     make_random_smooth,
     make_gauge_bump_alpha,
-    rotate_about_k,
 )
 from .calculus import (
     partial,
@@ -25,10 +24,8 @@ from .calculus import (
     vee,
     so3_exp,
     so3_log,
-    right_gradient,
     right_gradient_axis,
     right_gradient_stack,
-    functional_derivative,
     tangent_project,
 )
 from .dynamics import (
@@ -43,7 +40,6 @@ from .dynamics import (
 from .momenta import (
     MomentumReport,
     degree,
-    degree_density,
     momentum_N,
     vorticity,
     momentum_P_cross,
@@ -68,7 +64,7 @@ from .cocycle import (
     lie_poisson_bracket,
     check_px_py_bracket,
 )
-from .io import write_snapshot, read_snapshot, export_csv
+from .io import write_snapshot, read_snapshot
 from .errors import (
     ConfigError,
     SnapshotError,

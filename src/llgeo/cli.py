@@ -209,8 +209,8 @@ def _validate(cfg):
     if cfg.command == "cocycle" and (opt["e1"] is None or opt["e2"] is None):
         raise ConfigError("e1/e2: cocycle needs two algebra elements")
     tol = opt.get("tol")
-    if tol is not None and tol <= 0:
-        raise ConfigError(f"tol: must be positive, got {tol}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol: must be finite and positive, got {tol}")
 
 
 def _make_field(cfg):

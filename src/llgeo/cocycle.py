@@ -1,5 +1,10 @@
-"""Semidirect-product algebra, the nonequivariance cocycle (computed two
-independent ways) and the Lie-Poisson bracket on spin fields.
+"""Semidirect-product algebra, the nonequivariance cocycle and the
+Lie-Poisson bracket on spin fields.
+
+The cocycle is computed two ways: directly, as a moment of the topological
+2-form of momenta weighted by the two affine velocity fields, and through
+the algebra, by pairing the field with the bracket of two wedge lifts,
+which differentiates the lifted algebra fields as well.
 
 The headline identity tied together here: for unit translations i, j on a
 degree-m field, the measured bracket {P_x, P_y} equals -Sigma(i, j)
@@ -19,7 +24,8 @@ from .calculus import (
 )
 # momentum_P_general stays importable here: perfbench/test_smoke.py traces
 # it as a cross-module name of this module
-from .momenta import degree, momentum_P_derivative, momentum_P_general  # noqa: F401
+from .momenta import _P_adjoint, _degree, _gradients, _two_form
+from .momenta import momentum_P_general  # noqa: F401
 
 OMEGA0_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -49,7 +55,7 @@ def wedge_lift(mu, e):
     if e.p != mu.grid.p:
         raise ValueError("algebra element dimension must match the grid")
     vel = e.velocity_field(mu.grid)
-    dmu = directional_derivative(mu.values, mu.grid, vel)
+    dmu = sum(vel[..., i, None] * g for i, g in enumerate(_gradients(mu)))
     xi = cross3(mu.values, dmu)
     xi[mu.grid.boundary_mask()] = 0.0
     return SemidirectAlgebraElement(mu.grid, xi, e)
@@ -82,12 +88,15 @@ def semidirect_bracket(u, v):
 
 def cocycle_direct(mu, e1, e2):
     """Nonequivariance cocycle, direct quadrature:
-    Sigma(e1, e2) = -int mu . (grad_{c1} mu x grad_{c2} mu)."""
-    vel1 = e1.velocity_field(mu.grid)
-    vel2 = e2.velocity_field(mu.grid)
-    d1 = directional_derivative(mu.values, mu.grid, vel1)
-    d2 = directional_derivative(mu.values, mu.grid, vel2)
-    return -float(integrate(triple(mu.values, d1, d2), mu.grid))
+    Sigma(e1, e2) = -int mu . (grad_{c1} mu x grad_{c2} mu)
+                  = -int sum_{i<j} (c1_i c2_j - c1_j c2_i) F_ij,
+    with c_a the affine velocity field of e_a and F the 2-form of mu."""
+    c1 = e1.velocity_field(mu.grid)
+    c2 = e2.velocity_field(mu.grid)
+    dens = np.zeros(mu.grid.dims)
+    for (i, j), f in _two_form(mu, _gradients(mu)).items():
+        dens += (c1[..., i] * c2[..., j] - c1[..., j] * c2[..., i]) * f
+    return -float(integrate(dens, mu.grid))
 
 
 def cocycle_via_pairing(mu, e1, e2):
@@ -115,10 +124,13 @@ def check_px_py_bracket(n):
     No rotation lift is involved, so soliton fields (which hit +k) are fine.
     The gradients are those of the discrete P quadrature itself, so the
     only error left is the discretization of the bracket and the degree;
-    the tests compare them against the finite-difference oracle.
+    the tests compare them against the finite-difference oracle.  Both
+    sides come from one derivative pass.
     """
     if n.grid.p != 2:
         raise ValueError("the bracket check is a p = 2 diagnostic")
-    dpx, dpy = momentum_P_derivative(n)
+    n.require_decaying("check_px_py_bracket")
+    grads = _gradients(n)
+    dpx, dpy = _P_adjoint(n, grads)
     bracket = lie_poisson_bracket(dpx, dpy, n)
-    return bracket, 4.0 * np.pi * degree(n)
+    return bracket, 4.0 * np.pi * _degree(_two_form(n, grads), n.grid)

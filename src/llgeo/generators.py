@@ -1,6 +1,8 @@
 """Analytic initial conditions: constants, degree-m solitons, radial test
 fields, gauge rotation fields and seeded random smooth fields."""
 
+import math
+
 import numpy as np
 
 from .fields import K_AXIS, RotationField, SpinField
@@ -130,8 +132,11 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):
     azimuth another random low-mode combination.  The envelope vanishes
     outside `support` times the half-width, so the far field is exactly -k,
     and the polar angle stays below pi, so +k is never hit and the degree
-    is zero.
+    is zero.  Each axis needs about (2 BOUNDARY_LAYER - 1)/(1 - support)
+    cells for the envelope to clear the boundary layer.
     """
+    if not 0 < support < 1:
+        raise ValueError(f"support must lie in (0, 1), got {support}")
     rng = np.random.default_rng(seed)
     x = grid.coords()
     half = np.array(grid.half_widths())
@@ -149,6 +154,14 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):
         return out / modes
 
     envelope = bump((u ** 2).sum(axis=-1) / support ** 2)
+    if envelope[grid.boundary_mask()].any():
+        # rounded first: 3 / (1 - 0.8) evaluates to 15.000000000000004
+        need = math.ceil(round((2 * BOUNDARY_LAYER - 1) / (1 - support), 9))
+        raise ValueError(
+            f"grid {'x'.join(map(str, grid.dims))} is too small for support {support}: "
+            f"the envelope reaches the {BOUNDARY_LAYER}-cell boundary layer "
+            f"(need at least {need} cells per axis)"
+        )
 
     raw = band_limited()
     theta = amplitude * envelope * raw / max(np.abs(raw).max(), 1e-12)
@@ -160,12 +173,6 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):
     n[..., 1] = np.sin(theta) * np.sin(chi)
     n[..., 2] = -np.cos(theta)
     return SpinField(grid, n)
-
-
-def rotate_about_k(n, angle):
-    """Apply the uniform internal rotation exp(angle hat(k)) to a spin field."""
-    rot = so3_exp(angle * K_AXIS)
-    return n.with_values(n.values @ rot.T)
 
 
 def make_gauge_bump_alpha(grid, winding=1, support=0.6):

@@ -39,8 +39,10 @@ class Grid:
             raise ValueError("dims, spacing and origin must have equal length")
         if any(d < 8 for d in dims):
             raise ValueError(f"need at least 8 cells per axis, got {dims}")
-        if any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        if not all(np.isfinite(s) and s > 0 for s in spacing):
+            raise ValueError(f"spacing must be finite and positive, got {spacing}")
+        if not np.isfinite(origin).all():
+            raise ValueError(f"origin must be finite, got {origin}")
 
     @classmethod
     def centered(cls, dims, box):
@@ -63,11 +65,6 @@ class Grid:
     def axis_coords(self, axis):
         """1-d array of cell-center coordinates along one axis."""
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
-
-    def cell_center(self, index):
-        """Exact coordinate of the cell with the given integer multi-index."""
-        index = np.asarray(index)
-        return np.asarray(self.origin) + index * np.asarray(self.spacing)
 
     def coords(self):
         """Cell-center coordinates, shape dims + (p,).  Cached and read-only."""
@@ -94,14 +91,14 @@ class Grid:
         """Distance of every cell center from the coordinate origin."""
         return np.sqrt((self.coords() ** 2).sum(axis=-1))
 
-    def boundary_mask(self, thickness=BOUNDARY_LAYER):
-        """Boolean mask of cells within `thickness` cells of any face."""
+    def boundary_mask(self):
+        """Boolean mask of the BOUNDARY_LAYER cells next to any face."""
         mask = np.zeros(self.dims, dtype=bool)
         for axis in range(self.p):
             sl = [slice(None)] * self.p
-            sl[axis] = slice(0, thickness)
+            sl[axis] = slice(0, BOUNDARY_LAYER)
             mask[tuple(sl)] = True
-            sl[axis] = slice(self.dims[axis] - thickness, None)
+            sl[axis] = slice(self.dims[axis] - BOUNDARY_LAYER, None)
             mask[tuple(sl)] = True
         return mask
 

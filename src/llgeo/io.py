@@ -1,4 +1,4 @@
-"""Snapshot persistence and CSV export.
+"""Snapshot persistence and the report CSV.
 
 Binary snapshot layout (all little-endian):
 
@@ -89,6 +89,9 @@ def read_snapshot(path):
         raise SnapshotError("non-finite payload values")
     try:
         grid = Grid(dims, spacing, origin)
+    except ValueError as exc:
+        raise SnapshotError(f"bad grid in header: {exc}") from exc
+    try:
         if kind == KIND_SPIN:
             layer_ok = bool((values[grid.boundary_mask()] == -K_AXIS).all())
             return SpinField(grid, values, decaying=layer_ok)
@@ -97,27 +100,8 @@ def read_snapshot(path):
         raise SnapshotError(f"payload violates field invariants: {exc}") from exc
 
 
-def export_csv(field, path):
-    """Plain-text export: one cell per row, coordinates then components."""
-    grid = field.grid
-    coords = grid.coords().reshape(-1, grid.p)
-    comps = field.values.reshape(coords.shape[0], -1)
-    rows = np.hstack([coords, comps])
-    header = [f"x{i + 1}" for i in range(grid.p)] + [
-        f"c{i + 1}" for i in range(comps.shape[1])
-    ]
-    _write_rows(path, header, rows)
-
-
 def _fmt(x):
     return "%.17g" % x
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def report_header(p):

@@ -1,11 +1,15 @@
 """Conserved quantities and momentum maps for unit-vector fields.
 
-Everything here is a quadrature of first derivatives of the field: the
-topological degree, the rotation charge N, the translation momenta P (in the
-curl form and in the general-dimension form), the rotational momentum, and
-the three routes to the Euclidean momentum of the reduced system (direct
-density, rotation-lift + group gradient, closed-form lift identity), each the
-first moments (integral of x wedge w, integral of w) of one density w.
+Everything here is a quadrature of first derivatives of the field, taken in
+one derivative pass (_gradients) per field.  The winding diagnostics are
+moments of one object, the topological 2-form F_ij = n . (d_i n x d_j n)
+(_two_form): the degree integrates F_xy, the vorticity is F read as a
+vector, and the P-density is sum_j x_j F_ij / (p-1), so the curl form and
+the general-dimension form of P are one moment of F summed in two orders.
+Besides these: the rotation charge N, the rotational momentum, and the three
+routes to the Euclidean momentum of the reduced system (P-density, rotation
+lift + group gradient, closed-form lift identity), each the first moments
+(integral of x wedge w, integral of w) of one density w.
 
 Orientation conventions are pinned in one place:
 
@@ -73,23 +77,27 @@ def _gradients(n):
     return [partial(n.values, n.grid, i) for i in range(n.grid.p)]
 
 
-def _degree_integrand(n, grads):
-    """(1/4pi) n . (d_x n x d_y n) from the derivative list of a p = 2 field."""
-    return triple(n.values, grads[0], grads[1]) / (4.0 * np.pi)
+def _two_form(n, grads):
+    """The topological 2-form F_ij = n . (d_i n x d_j n) from the derivative
+    list, one plane per pair i < j, keyed (i, j).  Every winding diagnostic
+    (deg, vorticity, P, L and the cocycle) is a moment of F."""
+    p = n.grid.p
+    return {(i, j): triple(n.values, grads[i], grads[j])
+            for i in range(p) for j in range(i + 1, p)}
 
 
-def degree_density(n):
-    """Integrand of the degree: (1/4pi) n . (d_x n x d_y n)."""
-    if n.grid.p != 2:
-        raise ValueError("degree is defined for p = 2 only")
-    return _degree_integrand(n, _gradients(n))
+def _degree(F, grid):
+    """deg = integral of F_xy / 4pi for p = 2."""
+    return float(integrate(F[0, 1] / (4.0 * np.pi), grid))
 
 
 def degree(n):
-    """Quadrature of the degree integrand; near-integer for smooth fields.
-    Reported unrounded: the quadrature noise is diagnostic signal."""
+    """Quadrature of (1/4pi) n . (d_x n x d_y n); near-integer for smooth
+    fields.  Reported unrounded: the quadrature noise is diagnostic signal."""
     n.require_decaying("degree")
-    return float(integrate(degree_density(n), n.grid))
+    if n.grid.p != 2:
+        raise ValueError("degree is defined for p = 2 only")
+    return _degree(_two_form(n, _gradients(n)), n.grid)
 
 
 def momentum_N(n):
@@ -98,15 +106,12 @@ def momentum_N(n):
 
 
 def vorticity(n):
-    """Vorticity density for p = 3: Omega_a = (1/4pi) n.(d_b n x d_c n) with
-    (a, b, c) cyclic."""
+    """Vorticity density for p = 3: Omega_a = F_bc / 4pi with (a, b, c)
+    cyclic."""
     if n.grid.p != 3:
         raise ValueError("vorticity is defined for p = 3 only")
-    g = _gradients(n)
-    out = np.empty(n.grid.dims + (3,))
-    for a, (b, c) in enumerate(((1, 2), (2, 0), (0, 1))):
-        out[..., a] = triple(n.values, g[b], g[c]) / (4.0 * np.pi)
-    return out
+    F = _two_form(n, _gradients(n))
+    return np.stack([F[1, 2], -F[0, 2], F[0, 1]], axis=-1) / (4.0 * np.pi)
 
 
 def momentum_P_cross(n):
@@ -117,32 +122,21 @@ def momentum_P_cross(n):
     return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vorticity(n)), n.grid)
 
 
-def _moment_terms(n):
-    """The one derivative pass behind deg, P and L: the axis derivatives
-    a_i = d_i n and the moment s = sum_j x_j d_j n."""
-    grid = n.grid
+def _density_P(F, grid):
+    """P-density P_i = sum_j x_j F_ij / (p-1) from the planes of F."""
     if grid.p < 2:
         raise ValueError("translation momentum needs p >= 2")
-    grads = _gradients(n)
-    s = grid.coord_component(0)[..., None] * grads[0]
-    for j in range(1, grid.p):
-        s += grid.coord_component(j)[..., None] * grads[j]
-    return grads, s
-
-
-def _density_P(n, grads, s):
-    """P-density from the derivative list and the moment s of _moment_terms."""
-    grid = n.grid
-    dens = np.empty(grid.dims + (grid.p,))
-    for k in range(grid.p):
-        dens[..., k] = triple(n.values, grads[k], s)
+    dens = np.zeros(grid.dims + (grid.p,))
+    for (i, j), f in F.items():
+        dens[..., i] += grid.coord_component(j) * f
+        dens[..., j] -= grid.coord_component(i) * f
     return dens / (grid.p - 1)
 
 
 def momentum_density_P(n):
     """Translation momentum density, shape dims + (p,):
     P_i = 1/(p-1) n . (d_i n x sum_j x_j d_j n)."""
-    return _density_P(n, *_moment_terms(n))
+    return _density_P(_two_form(n, _gradients(n)), n.grid)
 
 
 def _moments(w, grid):
@@ -161,26 +155,20 @@ def moments(n):
     lift routes produce (the Hamiltonian-flow test pins it numerically)."""
     n.require_decaying("moments")
     grid = n.grid
-    grads, s = _moment_terms(n)
-    rot, P = _moments(_density_P(n, grads, s), grid)
-    deg = float(integrate(_degree_integrand(n, grads), grid)) if grid.p == 2 else None
+    F = _two_form(n, _gradients(n))
+    rot, P = _moments(_density_P(F, grid), grid)
+    deg = _degree(F, grid) if grid.p == 2 else None
     return deg, P, -(grid.p - 1) / grid.p * rot
 
 
-def momentum_P_derivative(n):
-    """Tangent functional derivatives of every component of
-    momentum_P_general, shape (p,) + dims + (3,), normalised like
-    functional_derivative (per unit cell volume).
-
-    This is the exact adjoint of the quadrature.  With a_k = d_k n and
-    s = sum_j x_j d_j n the integrand f_k = n . (a_k x s)/(p-1) has the
-    partials df/dn = a_k x s, df/da_k = s x n and df/ds = n x a_k; the last
-    two are pulled back to n through partial_T.  The cell volume of the
-    quadrature cancels against the normalisation.
-    """
-    n.require_decaying("momentum_P_derivative")
+def _P_adjoint(n, grads):
+    """momentum_P_derivative from a derivative list (see there)."""
     grid = n.grid
-    grads, s = _moment_terms(n)
+    if grid.p < 2:
+        raise ValueError("translation momentum needs p >= 2")
+    s = grid.coord_component(0)[..., None] * grads[0]
+    for j in range(1, grid.p):
+        s += grid.coord_component(j)[..., None] * grads[j]
     s_x_n = cross3(s, n.values)
     out = np.empty((grid.p,) + n.values.shape)
     for k in range(grid.p):
@@ -190,6 +178,21 @@ def momentum_P_derivative(n):
             total += partial_T(grid.coord_component(j)[..., None] * n_x_a, grid, j)
         out[k] = tangent_project(total, n.values) / (grid.p - 1)
     return out
+
+
+def momentum_P_derivative(n):
+    """Tangent functional derivatives of every component of
+    momentum_P_general, shape (p,) + dims + (3,), normalised per unit cell
+    volume like the finite-difference oracle of the tests.
+
+    This is the exact adjoint of the quadrature.  With a_k = d_k n and
+    s = sum_j x_j d_j n the integrand f_k = n . (a_k x s)/(p-1) has the
+    partials df/dn = a_k x s, df/da_k = s x n and df/ds = n x a_k; the last
+    two are pulled back to n through partial_T.  The cell volume of the
+    quadrature cancels against the normalisation.
+    """
+    n.require_decaying("momentum_P_derivative")
+    return _P_adjoint(n, _gradients(n))
 
 
 def momentum_P_general(n):

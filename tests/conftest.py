@@ -33,6 +33,13 @@ def smooth_scalar(grid, rng, modes=3):
     return out / modes
 
 
+def interior(grid, depth):
+    """Mask of the cells at least `depth` cells away from every face."""
+    mask = np.zeros(grid.dims, dtype=bool)
+    mask[tuple(slice(depth, d - depth) for d in grid.dims)] = True
+    return mask
+
+
 def bump_envelope(grid, support=0.7):
     half = np.array(grid.half_widths())
     u = grid.coords() / half

@@ -18,7 +18,6 @@ from llgeo import (
     check_lift_identity,
     degree,
     energy,
-    functional_derivative,
     gauge_invariance_residual,
     lift_psi,
     make_bp_soliton,
@@ -42,6 +41,7 @@ from llgeo.calculus import partial
 from llgeo.cocycle import check_px_py_bracket, cocycle_direct, cocycle_via_pairing, omega0
 
 from conftest import relative_gap
+from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
 E1 = EuclideanAlgebraElement.translation((1.0, 0.0))

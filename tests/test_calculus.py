@@ -4,7 +4,6 @@ import pytest
 from llgeo import (
     Grid,
     K_AXIS,
-    functional_derivative,
     integrate,
     make_constant,
     make_gauge_field,
@@ -13,7 +12,6 @@ from llgeo import (
     momentum_N,
     partial,
     partial_T,
-    right_gradient,
     right_gradient_axis,
     so3_exp,
     so3_log,
@@ -22,6 +20,7 @@ from llgeo import (
 from llgeo.calculus import cross3, hat, triple, vee
 
 from conftest import random_rotation_field, relative_gap
+from fd_oracle import functional_derivative
 
 
 # ---------- partial ----------
@@ -242,15 +241,6 @@ def test_right_gradient_of_gauge_field_is_grad_alpha_times_k():
         grad = right_gradient_axis(A, axis)
         expected = partial(alpha, g, axis)[..., None] * K_AXIS
         assert np.abs(grad - expected).max() < 1e-9
-
-
-def test_right_gradient_along_vector_is_linear():
-    g = Grid.centered((32, 32), 12.0)
-    psi = random_rotation_field(g, seed=4)
-    gx = right_gradient_axis(psi, 0)
-    gy = right_gradient_axis(psi, 1)
-    b = np.array([0.7, -0.3])
-    assert np.allclose(right_gradient(psi, b), 0.7 * gx - 0.3 * gy, atol=1e-13)
 
 
 def test_right_gradient_product_identity():

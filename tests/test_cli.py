@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -97,6 +98,42 @@ def test_bad_flag_value_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "grid" in err
     assert err.count("grid") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_non_finite_or_non_positive_tol_is_config_error(tmp_path, capsys, tol):
+    path = tmp_path / "vac.llgf"
+    write_snapshot(make_constant(Grid.centered((16, 16), 8.0), (0, 0, -1)), path)
+    code, out, err = run_cli(capsys, "bracket-check", "--in", str(path), "--tol", tol)
+    assert code == 2
+    assert "tol: must be finite and positive" in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+def test_non_finite_box_is_grid_config_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "init", "--box", "nan", "--out", str(tmp_path / "x.llgf"))
+    assert code == 2
+    assert "config error: grid: spacing must be finite" in err
+
+
+def test_random_init_on_too_small_grid_names_the_minimum(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "init", "--kind", "random", "--grid", "10x10",
+                           "--out", str(tmp_path / "x.llgf"))
+    assert code == 2
+    assert "grid 10x10 is too small" in err and "need at least 12 cells per axis" in err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "bracket-check"])
+def test_nan_spacing_snapshot_is_io_error(tmp_path, capsys, command):
+    path = tmp_path / "nan.llgf"
+    write_snapshot(make_bp_soliton(Grid.centered((48, 48), 16.0), 1, 1.5, 6.0), path)
+    blob = bytearray(path.read_bytes())
+    blob[16:24] = struct.pack("<d", float("nan"))  # first spacing entry
+    path.write_bytes(bytes(blob))
+    code, out, err = run_cli(capsys, command, "--in", str(path))
+    assert code == 3
+    assert "bad grid in header" in err
+    assert "BRACKET" not in out
 
 
 def test_missing_input_is_io_error(capsys):

@@ -25,7 +25,7 @@ from llgeo.cocycle import (
 )
 from llgeo.calculus import partial, tangent_project
 
-from conftest import bump_envelope, relative_gap, smooth_scalar
+from conftest import bump_envelope, interior, relative_gap, smooth_scalar
 from test_generators import profile_bump
 
 E1 = lambda: EuclideanAlgebraElement.translation((1.0, 0.0))
@@ -101,7 +101,7 @@ def test_wedge_lift_solves_the_tangency_equation():
         lifted = wedge_lift(mu, e)
         dmu = directional_derivative(mu.values, g, e.velocity_field(g))
         resid = np.cross(lifted.xi, mu.values) - dmu
-        inner = ~g.boundary_mask(4)
+        inner = interior(g, 4)
         maxima.append(np.abs(resid[inner]).max())
     assert maxima[0] < 0.05
     assert maxima[1] < maxima[0] / 3.0
@@ -149,7 +149,7 @@ def test_semidirect_bracket_jacobi_residual_shrinks():
             + semidirect_bracket(v, semidirect_bracket(w, u)).xi
             + semidirect_bracket(w, semidirect_bracket(u, v)).xi
         )
-        inner = ~g.boundary_mask(6)
+        inner = interior(g, 6)
         maxima.append(np.abs(total[inner]).max())
     assert maxima[1] < maxima[0] / 1.5
 

@@ -10,7 +10,6 @@ from llgeo import (
     SimConfig,
     SpinField,
     energy,
-    functional_derivative,
     ll_rhs,
     make_bp_soliton,
     make_constant,
@@ -22,12 +21,13 @@ from llgeo import (
     tangent_project,
     variational_derivative_energy,
 )
-from llgeo import momenta
+from llgeo import EuclideanAlgebraElement, calculus, cocycle, momenta
 from llgeo.calculus import integrate
 from llgeo.dynamics import make_report
 
 import allocating_stepper
 from conftest import relative_gap
+from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
 
@@ -357,11 +357,15 @@ def test_non_decaying_fields_evolve_freely_and_report_partial():
     assert np.abs(final.values[..., 2] - np.cos(theta)).max() < 1e-10
 
 
-@pytest.fixture(params=["soliton_2d", "random_3d"])
-def report_field(request):
-    if request.param == "soliton_2d":
+def _field(kind):
+    if kind == "soliton_2d":
         return make_bp_soliton(Grid.centered((64, 64), 16.0), 1, 1.5, 6.0)
     return make_random_smooth(Grid.centered((20, 22, 24), 12.0), seed=5, amplitude=1.2)
+
+
+@pytest.fixture(params=["soliton_2d", "random_3d"])
+def report_field(request):
+    return _field(request.param)
 
 
 def test_make_report_shares_one_pass_with_the_public_diagnostics(report_field):
@@ -375,14 +379,41 @@ def test_make_report_shares_one_pass_with_the_public_diagnostics(report_field):
     assert np.array_equal(rep.L, momenta.rotational_momentum(n))
 
 
-def test_make_report_differentiates_once_per_axis(report_field, monkeypatch):
+@pytest.fixture
+def partial_calls(monkeypatch):
+    """The axis of every partial call made through momenta or cocycle."""
     calls = []
-    original = momenta.partial
 
     def counted(values, grid, axis):
         calls.append(axis)
-        return original(values, grid, axis)
+        return calculus.partial(values, grid, axis)
 
-    monkeypatch.setattr(momenta, "partial", counted)
+    for module in (momenta, cocycle):
+        monkeypatch.setattr(module, "partial", counted)
+    return calls
+
+
+def test_make_report_differentiates_once_per_axis(report_field, partial_calls):
     make_report(report_field, 0.0)
-    assert sorted(calls) == list(range(report_field.grid.p))
+    assert sorted(partial_calls) == list(range(report_field.grid.p))
+
+
+def _cocycle_with_rotations(n):
+    p = n.grid.p
+    rng = np.random.default_rng(4)
+    e1, e2 = (EuclideanAlgebraElement(p, rng.normal(size=p * (p - 1) // 2), rng.normal(size=p))
+              for _ in range(2))
+    return cocycle.cocycle_direct(n, e1, e2)
+
+
+@pytest.mark.parametrize("diagnostic, kind", [
+    (momenta.degree, "soliton_2d"),
+    (_cocycle_with_rotations, "soliton_2d"),
+    (_cocycle_with_rotations, "random_3d"),
+    (cocycle.check_px_py_bracket, "soliton_2d"),
+], ids=["degree", "cocycle_direct_2d", "cocycle_direct_3d", "check_px_py_bracket"])
+def test_winding_diagnostics_differentiate_once_per_axis(partial_calls, diagnostic, kind):
+    # each reads the one 2-form built from a single derivative pass
+    n = _field(kind)
+    diagnostic(n)
+    assert sorted(partial_calls) == list(range(n.grid.p))

@@ -174,3 +174,15 @@ def test_random_smooth_is_seeded():
     c = make_random_smooth(g, seed=6)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_random_smooth_names_the_grid_it_is_too_small_for():
+    for n in (10, 11):
+        with pytest.raises(ValueError, match=rf"grid {n}x16 is too small for support 0\.75.*"
+                                             r"need at least 12 cells per axis"):
+            make_random_smooth(Grid.centered((n, 16), 8.0), 0)
+    make_random_smooth(Grid.centered((12, 16), 8.0), 0).check_invariants()
+    # 3 / (1 - 0.8) is 15.000000000000004 in floating point; 15 cells suffice
+    with pytest.raises(ValueError, match="need at least 15 cells"):
+        make_random_smooth(Grid.centered((14, 16), 8.0), 0, support=0.8)
+    make_random_smooth(Grid.centered((15, 16), 8.0), 0, support=0.8).check_invariants()

@@ -26,13 +26,23 @@ def test_grid_rejects_small_dims_and_bad_spacing():
         Grid((16, 16), (1,), (0, 0))
 
 
-def test_cell_center_is_exact():
+@pytest.mark.parametrize("spacing, origin", [
+    ((1.0, float("nan")), (0.0, 0.0)),
+    ((float("inf"), 1.0), (0.0, 0.0)),
+    ((1.0, 1.0), (float("nan"), 0.0)),
+    ((1.0, 1.0), (0.0, float("-inf"))),
+])
+def test_grid_rejects_non_finite_geometry(spacing, origin):
+    with pytest.raises(ValueError, match="finite"):
+        Grid((16, 16), spacing, origin)
+
+
+def test_cell_coords_are_exact():
     g = Grid((16, 12), (0.5, 0.25), (-4.0, -1.5))
-    assert np.array_equal(g.cell_center((0, 0)), [-4.0, -1.5])
-    assert np.array_equal(g.cell_center((3, 5)), [-4.0 + 3 * 0.5, -1.5 + 5 * 0.25])
     coords = g.coords()
     assert coords.shape == (16, 12, 2)
-    assert coords[3, 5, 0] == -4.0 + 3 * 0.5
+    assert np.array_equal(coords[0, 0], [-4.0, -1.5])
+    assert np.array_equal(coords[3, 5], [-4.0 + 3 * 0.5, -1.5 + 5 * 0.25])
 
 
 def test_centered_grid_is_symmetric():
@@ -45,7 +55,7 @@ def test_centered_grid_is_symmetric():
 
 def test_boundary_mask_thickness():
     g = Grid.centered((10, 12), 4.0)
-    mask = g.boundary_mask(2)
+    mask = g.boundary_mask()
     assert mask[0, 5] and mask[1, 5] and not mask[2, 5]
     assert mask[5, 0] and mask[5, 11] and not mask[5, 5]
 

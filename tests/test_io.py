@@ -15,7 +15,7 @@ from llgeo import (
     read_snapshot,
     write_snapshot,
 )
-from llgeo.io import export_csv, report_header, write_report_csv
+from llgeo.io import report_header, write_report_csv
 from llgeo.dynamics import EnergyParams, make_report
 
 
@@ -94,6 +94,18 @@ def test_huge_header_dims_report_truncated_payload(tmp_path):
         read_snapshot(path)
 
 
+def test_nan_spacing_header_rejected(tmp_path):
+    g = Grid.centered((16, 16), 8.0)
+    path = tmp_path / "nan.llgf"
+    write_snapshot(make_constant(g, (0, 0, -1)), path)
+    blob = bytearray(path.read_bytes())
+    # magic, version, p and two u32 dims come before the spacing
+    blob[16:24] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotError, match="bad grid in header: spacing"):
+        read_snapshot(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     g = Grid.centered((16, 16), 8.0)
     f = make_constant(g, (0, 0, -1))
@@ -126,19 +138,6 @@ def test_unit_norm_violation_rejected_on_read(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(SnapshotError, match="invariant"):
         read_snapshot(path)
-
-
-def test_csv_export_layout(tmp_path):
-    g = Grid.centered((8, 8), 4.0)
-    f = make_constant(g, (0, 0, -1))
-    path = tmp_path / "f.csv"
-    export_csv(f, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x1,x2,c1,c2,c3"
-    assert len(lines) == 1 + 64
-    first = lines[1].split(",")
-    assert float(first[0]) == g.axis_coords(0)[0]
-    assert float(first[4]) == -1.0
 
 
 def test_report_csv_round_trips_floats(tmp_path):
