@@ -7,12 +7,16 @@ Conventions pinned here once and used everywhere:
   one-sided at the grid edge;
 * integrals are midpoint-rule sums (cell value times cell volume);
 * group-valued differencing uses the group logarithm of one-step motions
-  psi(x+h) psi(x)^-1, never matrix subtraction.
+  psi(x+h) psi(x)^-1, never matrix subtraction;
+* so3_log takes the angle theta = atan2(|vee R|, (tr R - 1)/2) and the axis
+  from vee R up to pi/2, from sym R - cos(theta) I = (1 - cos(theta)) a a^T
+  beyond; its input passes the same SO(3) check as a stored RotationField
+  (fields.check_rotations), with the looser ROTATION_TOL.
 """
 
 import numpy as np
 
-from .fields import RotationField
+from .fields import RotationField, check_rotations
 
 ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
 
@@ -153,56 +157,31 @@ def so3_exp(v):
 def so3_log(r):
     """Rotation vector of R in SO(3), |log| <= pi, vectorized over (..., 3, 3).
 
-    Rejects inputs further than ROTATION_TOL from SO(3).  The branch at angle
-    pi uses the stabilized axis extraction from the symmetric part.
+    Rejects inputs further than ROTATION_TOL from SO(3).  The angle is
+    theta = atan2(|vee R|, (tr R - 1)/2).  Up to pi/2 the log is
+    vee R * theta/|vee R|.  For obtuse angles vee R = sin(theta) a loses the
+    axis a as theta -> pi, so a is read from the identity
+    sym R - cos(theta) I = (1 - cos(theta)) a a^T: its largest-diagonal
+    column, normalised and oriented along vee R.
     """
     r = np.asarray(r, float)
-    if np.abs(np.einsum("...ji,...jk->...ik", r, r) - np.eye(3)).max() > ROTATION_TOL:
-        raise ValueError("input is not orthogonal")
-    if np.abs(np.linalg.det(r) - 1.0).max() > ROTATION_TOL:
-        raise ValueError("input does not have determinant 1")
-
-    trace = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
-    cos_t = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_t)
+    check_rotations(r, ROTATION_TOL, "R")
     anti = vee(r)                      # = sin(theta) * axis
-    sin_t = np.sin(theta)
+    sin_t = np.linalg.norm(anti, axis=-1)
+    cos_t = (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0) / 2.0
+    theta = np.arctan2(sin_t, cos_t)
+    scale = np.divide(theta, sin_t, out=np.ones_like(theta), where=sin_t > 0)
+    out = anti * scale[..., None]
 
-    near_pi = theta > np.pi - 1e-3
-    small = theta < 1e-4
-    generic = ~(near_pi | small)
-
-    out = np.empty(r.shape[:-2] + (3,))
-
-    # small angles: log ~ anti * (1 + t^2/6 + 7 t^4/360)
-    t2 = theta * theta
-    out[...] = anti * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)[..., None]
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(sin_t > 0, theta / np.where(sin_t > 0, sin_t, 1.0), 1.0)
-    out = np.where(generic[..., None], anti * scale[..., None], out)
-
-    if near_pi.any():
-        # axis^2 from the symmetric part: axis axis^T = (sym(R) + I)/2 at pi
-        sym = 0.5 * (r + np.swapaxes(r, -1, -2))
-        diag = np.stack([sym[..., 0, 0], sym[..., 1, 1], sym[..., 2, 2]], axis=-1)
-        axis = np.sqrt(np.clip((diag + 1.0) / 2.0, 0.0, None))
-        # fix relative signs from the largest component's off-diagonal row
-        imax = np.argmax(axis, axis=-1)
-        for i in range(3):
-            pick = imax == i
-            if not pick.any():
-                continue
-            row = sym[..., i, :]
-            sign = np.where(row < 0, -1.0, 1.0)
-            sign[..., i] = 1.0
-            axis = np.where(pick[..., None], axis * sign, axis)
-        # orient along the antisymmetric part when it is not degenerate
-        orient = np.sign(np.einsum("...i,...i->...", axis, anti))
-        orient = np.where(orient == 0, 1.0, orient)
-        pi_log = axis * (orient * theta)[..., None]
-        out = np.where(near_pi[..., None], pi_log, out)
-
+    obtuse = cos_t < 0.0
+    if obtuse.any():
+        ro, co = r[obtuse], cos_t[obtuse]
+        outer = 0.5 * (ro + np.swapaxes(ro, -1, -2)) - co[:, None, None] * np.eye(3)
+        col = np.argmax(np.diagonal(outer, axis1=-2, axis2=-1), axis=-1)
+        axis = outer[np.arange(col.size), :, col]
+        axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+        axis[np.einsum("...i,...i->...", axis, anti[obtuse]) < 0.0] *= -1.0
+        out[obtuse] = axis * theta[obtuse][:, None]
     return out
 
 

@@ -30,7 +30,7 @@ from .generators import (
     make_random_smooth,
 )
 from .dynamics import EnergyParams, SimConfig, make_report, simulate
-from .momenta import check_lift_identity, lift_singular_mask
+from .momenta import check_lift_identity, degree, lift_singular_mask
 from .cocycle import check_px_py_bracket, cocycle_direct, cocycle_via_pairing, omega0
 from . import io as snapio
 
@@ -53,14 +53,17 @@ def _echo(value):
     return "x".join(map(str, value)) if isinstance(value, tuple) else value
 
 
-def _parse_algebra(text, p):
-    vals = [float(tok) for tok in str(text).split(",")]
-    n_upper = p * (p - 1) // 2
-    if len(vals) != n_upper + p:
-        raise ConfigError(
-            f"algebra element needs {n_upper} upper-triangle entries plus {p} translation entries"
-        )
-    return EuclideanAlgebraElement(p, vals[:n_upper], vals[n_upper:])
+def _parse_algebra(key, text, p):
+    try:
+        vals = [float(tok) for tok in str(text).split(",")]
+        n_upper = p * (p - 1) // 2
+        if len(vals) != n_upper + p:
+            raise ValueError(
+                f"algebra element needs {n_upper} upper-triangle entries plus {p} translation entries"
+            )
+        return EuclideanAlgebraElement(p, vals[:n_upper], vals[n_upper:])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 # option name -> (converter from string, default)
@@ -194,6 +197,8 @@ def _validate(cfg):
             raise ConfigError("out: init needs an output path")
         if opt["kind"] == "bp" and opt["m"] != 0 and not 0 < opt["lambda"] < opt["cutoff"]:
             raise ConfigError("lambda: need 0 < lambda < cutoff")
+        if opt["kind"] == "radial" and not (np.isfinite(opt["cutoff"]) and opt["cutoff"] > 0):
+            raise ConfigError(f"cutoff: must be finite and positive, got {opt['cutoff']}")
     else:
         if opt.get("in") is None:
             raise ConfigError("in: this command needs an input snapshot")
@@ -264,8 +269,6 @@ def run(cfg):
         print(f"SNAPSHOT={cfg['out']}")
         print(f"CELLS={int(np.prod(field.grid.dims))}")
         if field.grid.p == 2 and field.decaying:
-            from .momenta import degree
-
             print(f"DEG={_fmt(degree(field))}")
         return 0
 
@@ -316,8 +319,8 @@ def run(cfg):
         return _verdict(rel, cfg["tol"])
 
     if command == "cocycle":
-        e1 = _parse_algebra(cfg["e1"], n.grid.p)
-        e2 = _parse_algebra(cfg["e2"], n.grid.p)
+        e1 = _parse_algebra("e1", cfg["e1"], n.grid.p)
+        e2 = _parse_algebra("e2", cfg["e2"], n.grid.p)
         direct = cocycle_direct(n, e1, e2)
         paired = cocycle_via_pairing(n, e1, e2)
         # 2D floor: a unit-degree field's cocycle, since a degree-0 one is ~0

@@ -15,6 +15,21 @@ ORTHO_TOL = 1e-10
 K_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def check_rotations(r, tol, name):
+    """Raise ValueError unless every matrix of r (..., 3, 3) lies within tol
+    of SO(3): |R^T R - I| <= tol entrywise and |det R - 1| <= tol, with det R
+    the row triple product.  The comparisons are written so that NaN fails."""
+    with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails
+        ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
+    if not ortho <= tol:
+        raise ValueError(f"{name}^T {name} deviates from I by {ortho:.3e} (> {tol:g})")
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(r, (-2, -1), (0, 1))
+    det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+    dev = np.abs(det - 1.0).max()
+    if not dev <= tol:
+        raise ValueError(f"det {name} deviates from 1 by {dev:.3e} (> {tol:g})")
+
+
 def _frozen(values):
     out = np.array(values, dtype=float)
     out.setflags(write=False)
@@ -88,21 +103,10 @@ class RotationField:
             self.check_invariants()
 
     def check_invariants(self):
-        v = self.values
-        eye = np.eye(3)
-        ortho = np.abs(np.einsum("...ji,...jk->...ik", v, v) - eye).max()
-        if ortho > ORTHO_TOL:
-            raise ValueError(f"psi^T psi deviates from I by {ortho:.3e}")
-        det = np.linalg.det(v)
-        if np.abs(det - 1.0).max() > ORTHO_TOL:
-            raise ValueError("det psi deviates from 1")
+        check_rotations(self.values, ORTHO_TOL, "psi")
         mask = self.grid.boundary_mask()
-        if np.abs(v[mask] - eye).max() > ORTHO_TOL:
+        if np.abs(self.values[mask] - np.eye(3)).max() > ORTHO_TOL:
             raise ValueError("rotation field must be the identity on the boundary layer")
-
-    def apply_to_axis(self):
-        """Pointwise psi(x) k, a 3-vector field."""
-        return self.values @ K_AXIS
 
     def compose(self, other, check=True):
         """Pointwise matrix product psi(x) other(x)."""
@@ -136,10 +140,14 @@ class EuclideanAlgebraElement:
         upper = np.asarray(omega_upper, dtype=float).reshape(-1)
         if upper.size != n_upper:
             raise ValueError(f"expected {n_upper} upper-triangle entries, got {upper.size}")
+        if not np.isfinite(upper).all():
+            raise ValueError(f"omega_upper must be finite, got {upper}")
         self.omega_upper = _frozen(upper)
         adot = np.zeros(self.p) if adot is None else np.asarray(adot, dtype=float)
         if adot.shape != (self.p,):
             raise ValueError(f"adot must have shape ({self.p},)")
+        if not np.isfinite(adot).all():
+            raise ValueError(f"adot must be finite, got {adot}")
         self.adot = _frozen(adot)
 
     @classmethod

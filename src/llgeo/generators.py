@@ -33,6 +33,30 @@ def bump(r2):
     return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.clip(1.0 - r2, 1e-12, None)), 0.0)
 
 
+def bump_envelope(grid, support):
+    """bump(|u|^2 / support^2) in the box coordinates u = x / half-widths:
+    1 at the centre, identically 0 where |u| >= support."""
+    u = grid.coords() / np.array(grid.half_widths())
+    return bump((u ** 2).sum(axis=-1) / support ** 2)
+
+
+def band_limited(grid, rng, modes):
+    """Seeded low-mode scalar field in the box coordinates u = x / half-widths:
+    the mean of `modes` weighted products of cosines, each mode drawing its
+    wave numbers (1-3), phases and weight (in [0.3, 1)) from rng in that
+    order."""
+    u = grid.coords() / np.array(grid.half_widths())
+    out = np.zeros(grid.dims)
+    for _ in range(modes):
+        kvec = rng.integers(1, 4, size=grid.p)
+        phase = rng.uniform(0, 2 * np.pi, size=grid.p)
+        term = np.ones(grid.dims)
+        for i in range(grid.p):
+            term = term * np.cos(np.pi * kvec[i] * u[..., i] + phase[i])
+        out += rng.uniform(0.3, 1.0) * term
+    return out / modes
+
+
 def make_bp_soliton(grid, m, lam, cutoff_radius, center=None):
     """Degree-m soliton: inverse stereographic image of w = ((x+iy)/lam)^m,
     blended to the constant -k over [cutoff-lam, cutoff].
@@ -137,23 +161,7 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):
     """
     if not 0 < support < 1:
         raise ValueError(f"support must lie in (0, 1), got {support}")
-    rng = np.random.default_rng(seed)
-    x = grid.coords()
-    half = np.array(grid.half_widths())
-    u = x / half  # normalized to [-1, 1] per axis
-
-    def band_limited():
-        out = np.zeros(grid.dims)
-        for _ in range(modes):
-            kvec = rng.integers(1, 4, size=grid.p)
-            phase = rng.uniform(0, 2 * np.pi, size=grid.p)
-            term = np.ones(grid.dims)
-            for i in range(grid.p):
-                term = term * np.cos(np.pi * kvec[i] * u[..., i] + phase[i])
-            out += rng.uniform(0.3, 1.0) * term
-        return out / modes
-
-    envelope = bump((u ** 2).sum(axis=-1) / support ** 2)
+    envelope = bump_envelope(grid, support)
     if envelope[grid.boundary_mask()].any():
         # rounded first: 3 / (1 - 0.8) evaluates to 15.000000000000004
         need = math.ceil(round((2 * BOUNDARY_LAYER - 1) / (1 - support), 9))
@@ -163,10 +171,11 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):
             f"(need at least {need} cells per axis)"
         )
 
-    raw = band_limited()
+    rng = np.random.default_rng(seed)
+    raw = band_limited(grid, rng, modes)
     theta = amplitude * envelope * raw / max(np.abs(raw).max(), 1e-12)
     theta = np.clip(theta, -2.6, 2.6)
-    chi = np.pi * band_limited()
+    chi = np.pi * band_limited(grid, rng, modes)
 
     n = np.zeros(grid.dims + (3,))
     n[..., 0] = np.sin(theta) * np.cos(chi)
@@ -181,9 +190,8 @@ def make_gauge_bump_alpha(grid, winding=1, support=0.6):
     p = 1: a smooth ramp from 0 to winding * 2*pi across the line, flat near
     both ends.  p >= 2: a compactly supported 2*pi * winding bump.
     """
-    x = grid.coords()
-    half = np.array(grid.half_widths())
     if grid.p == 1:
-        t = np.clip((x[..., 0] / half[0] + support) / (2 * support), 0.0, 1.0)
+        u = grid.coords()[..., 0] / grid.half_widths()[0]
+        t = np.clip((u + support) / (2 * support), 0.0, 1.0)
         return 2.0 * np.pi * winding * _cutoff_blend(t)
-    return 2.0 * np.pi * winding * bump(((x / half) ** 2).sum(axis=-1) / support ** 2)
+    return 2.0 * np.pi * winding * bump_envelope(grid, support)

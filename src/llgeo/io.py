@@ -16,7 +16,6 @@ import numpy as np
 from .errors import SnapshotError
 from .fields import K_AXIS, RotationField, SpinField
 from .grid import Grid
-from .momenta import MomentumReport
 
 MAGIC = b"LLGF"
 VERSION = 1

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import SingularLiftError
 from .fields import K_AXIS, RotationField
+from .generators import make_gauge_field
 from .calculus import (
     cross3,
     integrate,
@@ -289,8 +290,6 @@ def gauge_invariance_residual(n, alpha):
     and boundary-constant alpha this vanishes in the continuum; for p = 1
     with winding alpha it equals 2*pi times the winding.
     """
-    from .generators import make_gauge_field
-
     psi = lift_psi(n)
     gauge = make_gauge_field(n.grid, alpha)
     psi_moved = psi.compose(gauge.inverse(), check=False)

@@ -8,7 +8,7 @@ from llgeo import (
     make_random_smooth,
     so3_exp,
 )
-from llgeo.generators import bump
+from llgeo.generators import band_limited, bump_envelope
 
 
 def relative_gap(a, b):
@@ -18,21 +18,6 @@ def relative_gap(a, b):
     return float(np.linalg.norm((a - b).ravel()) / scale)
 
 
-def smooth_scalar(grid, rng, modes=3):
-    """Band-limited scalar test field on [-1,1]^p coordinates."""
-    half = np.array(grid.half_widths())
-    u = grid.coords() / half
-    out = np.zeros(grid.dims)
-    for _ in range(modes):
-        k = rng.integers(1, 4, size=grid.p)
-        phase = rng.uniform(0, 2 * np.pi, size=grid.p)
-        term = np.ones(grid.dims)
-        for i in range(grid.p):
-            term = term * np.cos(np.pi * k[i] * u[..., i] + phase[i])
-        out += rng.uniform(0.3, 1.0) * term
-    return out / modes
-
-
 def interior(grid, depth):
     """Mask of the cells at least `depth` cells away from every face."""
     mask = np.zeros(grid.dims, dtype=bool)
@@ -40,18 +25,12 @@ def interior(grid, depth):
     return mask
 
 
-def bump_envelope(grid, support=0.7):
-    half = np.array(grid.half_widths())
-    u = grid.coords() / half
-    return bump((u ** 2).sum(axis=-1) / support ** 2)
-
-
 def random_rotation_field(grid, seed, amplitude=0.8):
     """Smooth rotation field, identity on the boundary layer."""
     rng = np.random.default_rng(seed)
-    env = bump_envelope(grid)
+    env = bump_envelope(grid, 0.7)
     vec = np.stack(
-        [amplitude * env * smooth_scalar(grid, rng) for _ in range(3)], axis=-1
+        [amplitude * env * band_limited(grid, rng, 3) for _ in range(3)], axis=-1
     )
     return RotationField(grid, so3_exp(vec))
 

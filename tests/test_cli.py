@@ -123,6 +123,16 @@ def test_random_init_on_too_small_grid_names_the_minimum(tmp_path, capsys):
     assert "grid 10x10 is too small" in err and "need at least 12 cells per axis" in err
 
 
+@pytest.mark.parametrize("cutoff", ["nan", "0", "-3"])
+def test_radial_init_bad_cutoff_is_config_error(tmp_path, capsys, cutoff):
+    out_path = tmp_path / "r.llgf"
+    code, out, err = run_cli(capsys, "init", "--kind", "radial", "--grid", "32x32",
+                             "--cutoff", cutoff, "--out", str(out_path))
+    assert code == 2
+    assert "cutoff: must be finite and positive" in err
+    assert "DEG" not in out and not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["diagnose", "bracket-check"])
 def test_nan_spacing_snapshot_is_io_error(tmp_path, capsys, command):
     path = tmp_path / "nan.llgf"
@@ -290,6 +300,17 @@ def test_cocycle_requires_elements(tmp_path, capsys):
     write_snapshot(make_constant(Grid.centered((32, 32), 8.0), (0, 0, -1)), snap)
     code, _, err = run_cli(capsys, "cocycle", "--in", str(snap))
     assert code == 2 and "e1" in err
+
+
+@pytest.mark.parametrize("e1", ["nan,1,0", "0,inf,0"])
+def test_cocycle_non_finite_element_is_config_error(tmp_path, capsys, e1):
+    snap = tmp_path / "bp.llgf"
+    write_snapshot(make_constant(Grid.centered((32, 32), 8.0), (0, 0, -1)), snap)
+    code, out, err = run_cli(capsys, "cocycle", "--in", str(snap), "--e1", e1,
+                             "--e2", "0,0,1")
+    assert code == 2
+    assert "config error: e1:" in err and "must be finite" in err
+    assert "SIGMA" not in out
 
 
 def test_lift_check_on_smooth_field(tmp_path, capsys):

@@ -24,8 +24,9 @@ from llgeo.cocycle import (
     wedge_lift,
 )
 from llgeo.calculus import partial, tangent_project
+from llgeo.generators import band_limited, bump_envelope
 
-from conftest import bump_envelope, interior, relative_gap, smooth_scalar
+from conftest import interior, relative_gap
 from test_generators import profile_bump
 
 E1 = lambda: EuclideanAlgebraElement.translation((1.0, 0.0))
@@ -41,9 +42,9 @@ def random_element(p, rng, scale=1.0):
 
 def random_tangent(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    env = bump_envelope(n.grid)
+    env = bump_envelope(n.grid, 0.7)
     raw = np.stack(
-        [scale * env * smooth_scalar(n.grid, rng) for _ in range(3)], axis=-1
+        [scale * env * band_limited(n.grid, rng, 3) for _ in range(3)], axis=-1
     )
     return tangent_project(raw, n.values)
 
@@ -236,7 +237,7 @@ def test_bracket_consistent_with_dynamics():
     n0 = make_random_smooth(g, seed=13, amplitude=1.4)
     params = EnergyParams(a=0.6)
     rng = np.random.default_rng(5)
-    v = np.stack([smooth_scalar(g, rng) for _ in range(3)], axis=-1)
+    v = np.stack([band_limited(g, rng, 3) for _ in range(3)], axis=-1)
     vol = g.cell_volume
 
     def F(field):

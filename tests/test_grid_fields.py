@@ -105,6 +105,14 @@ def test_rotationfield_validation():
         RotationField(g, rot)
 
 
+def test_rotationfield_rejects_nan_interior_cell():
+    g = Grid.centered((10, 10), 4.0)
+    values = np.broadcast_to(np.eye(3), (10, 10, 3, 3)).copy()
+    values[5, 5, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="deviates from I by nan"):
+        RotationField(g, values)
+
+
 def test_reflection_is_rejected():
     g = Grid.centered((10, 10), 4.0)
     refl = np.broadcast_to(np.diag([1.0, 1.0, -1.0]), (10, 10, 3, 3)).copy()
@@ -122,6 +130,12 @@ def test_euclidean_algebra_element_exact_skewness():
         EuclideanAlgebraElement(2, (0.1, 0.2), (1.0, 0.0))
     with pytest.raises(ValueError):
         EuclideanAlgebraElement.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 0))
+
+
+@pytest.mark.parametrize("upper, adot", [((np.nan,), (1.0, 0.0)), ((0.0,), (0.0, np.inf))])
+def test_euclidean_algebra_element_rejects_non_finite_entries(upper, adot):
+    with pytest.raises(ValueError, match="must be finite"):
+        EuclideanAlgebraElement(2, upper, adot)
 
 
 def test_velocity_field_is_affine():

@@ -233,7 +233,7 @@ def test_lift_defining_property_and_identity_at_vacuum():
     g = Grid.centered((64, 64), 16.0)
     n = make_random_smooth(g, seed=7, amplitude=1.8)
     psi = lift_psi(n)
-    image = psi.apply_to_axis()
+    image = psi.values @ K_AXIS
     assert np.abs(image + n.values).max() < 1e-10
     mask = g.boundary_mask()
     assert np.abs(psi.values[mask] - np.eye(3)).max() == 0.0
@@ -259,7 +259,7 @@ def test_lift_singular_cells_reported():
     # profile == pi inside r<4: the field sits at +k there
     assert lift_singular_mask(f).sum() > 0
     psi = lift_psi(f)  # singular cells take the deterministic half-turn
-    image = psi.apply_to_axis()
+    image = psi.values @ K_AXIS
     good = ~lift_singular_mask(f)
     assert np.abs(image[good] + f.values[good]).max() < 1e-10
 
