@@ -138,20 +138,15 @@ def vee(m):
 
 
 def so3_exp(v):
-    """Rodrigues exponential, vectorized over leading axes of v (..., 3)."""
+    """Rodrigues exponential, vectorized over leading axes of v (..., 3):
+    I + sinc(theta) hat(v) + 1/2 sinc(theta/2)^2 (v v^T - theta^2 I), with
+    sinc(x) = sin(x)/x smooth through 0 (np.sinc), so there is no small-angle
+    branch and so3_exp(0) is I exactly."""
     v = np.asarray(v, float)
-    theta = np.linalg.norm(v, axis=-1)
-    small = theta < 1e-4
-    t2 = theta * theta
-    # sin(t)/t and (1-cos t)/t^2 with series fallbacks near zero
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / theta)
-        b = np.where(
-            small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(theta)) / t2
-        )
-    vh = hat(v)
-    vh2 = vh @ vh
-    return np.eye(3) + a[..., None, None] * vh + b[..., None, None] * vh2
+    theta = np.linalg.norm(v, axis=-1)[..., None, None]
+    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    return (np.sinc(theta / np.pi) * hat(v) + b * (v[..., :, None] * v[..., None, :])
+            + (1.0 - b * theta ** 2) * np.eye(3))
 
 
 def so3_log(r):
@@ -187,7 +182,7 @@ def so3_log(r):
 
 def _motion(later, earlier):
     """later @ earlier^T: the rotation carrying earlier to later."""
-    return np.einsum("...ij,...kj->...ik", later, earlier)
+    return later @ np.swapaxes(earlier, -1, -2)
 
 
 def right_gradient_axis(psi, axis):

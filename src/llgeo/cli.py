@@ -14,6 +14,7 @@ Exit codes: 0 ok / PASS, 1 FAIL verdict, 2 config error, 3 io error,
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, SnapshotError
 from .grid import Grid
-from .fields import EuclideanAlgebraElement, SpinField
+from .fields import K_AXIS, EuclideanAlgebraElement, SpinField
 from .generators import (
     bump,
     make_bp_soliton,
@@ -209,8 +210,9 @@ def _validate(cfg):
             raise ConfigError(f"dt: must be finite and positive, got {opt['dt']}")
         if opt["steps"] < 0:
             raise ConfigError(f"steps: must be nonnegative, got {opt['steps']}")
-        if opt["in"] == opt["out"]:
-            raise ConfigError("out: input and output paths must differ")
+        outputs = (opt["out"] + ".csv", opt["out"] + ".llgf")
+        if os.path.realpath(opt["in"]) in map(os.path.realpath, outputs):
+            raise ConfigError("out: an output path would overwrite the input snapshot")
     if cfg.command == "cocycle" and (opt["e1"] is None or opt["e2"] is None):
         raise ConfigError("e1/e2: cocycle needs two algebra elements")
     tol = opt.get("tol")
@@ -229,13 +231,17 @@ def _make_field(cfg):
             return make_constant(grid, (0.0, 0.0, -1.0))
         if kind == "bp":
             return make_bp_soliton(grid, cfg["m"], cfg["lambda"], cfg["cutoff"])
-        if kind == "radial":
-            amp, radius = cfg["lambda"], cfg["cutoff"]
-
-            return make_radial_profile(grid, lambda r: amp * bump((r / radius) ** 2))
-        return make_random_smooth(grid, seed=cfg["seed"])
+        if kind == "random":
+            return make_random_smooth(grid, seed=cfg["seed"])
+        amp, radius = cfg["lambda"], cfg["cutoff"]
+        field = make_radial_profile(
+            grid, lambda r: amp * bump(np.minimum(r / radius, 1.0) ** 2))
     except ValueError as exc:
         raise ConfigError(f"{kind}: {exc}") from exc
+    if (field.values == -K_AXIS).all():
+        raise ConfigError(f"cutoff: the radial texture is -k on every cell "
+                          f"(cutoff {radius:g}, lambda {amp:g})")
+    return field
 
 
 def _read_spin(path):
@@ -308,8 +314,6 @@ def run(cfg):
         return 0
 
     if command == "bracket-check":
-        if n.grid.p != 2:
-            raise ConfigError("bracket-check needs a p = 2 snapshot")
         bracket, fourpi_deg = check_px_py_bracket(n)
         # floor: a unit-degree field's 4*pi, since a degree-0 one is ~0
         rel = abs(bracket - fourpi_deg) / max(abs(fourpi_deg), 4.0 * np.pi)
@@ -347,9 +351,6 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse usage errors and --print-config funnel through here
         return 0 if exc.code is None else int(exc.code)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (SnapshotError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -110,10 +110,7 @@ class RotationField:
 
     def compose(self, other, check=True):
         """Pointwise matrix product psi(x) other(x)."""
-        return RotationField(
-            self.grid, np.einsum("...ij,...jk->...ik", self.values, other.values),
-            check=check,
-        )
+        return RotationField(self.grid, self.values @ other.values, check=check)
 
     def inverse(self):
         return RotationField(

@@ -9,7 +9,8 @@ the general-dimension form of P are one moment of F summed in two orders.
 Besides these: the rotation charge N, the rotational momentum, and the three
 routes to the Euclidean momentum of the reduced system (P-density, rotation
 lift + group gradient, closed-form lift identity), each the first moments
-(integral of x wedge w, integral of w) of one density w.
+(integral of x wedge w, integral of w) of one density w; every lift route
+starts from _lift_frame, which refuses a fat singular set n -> +k.
 
 Orientation conventions are pinned in one place:
 
@@ -206,34 +207,45 @@ def rotational_momentum(n):
     return moments(n)[2]
 
 
+def lift_singular_mask(n):
+    """Cells where the lift is singular (n within 1e-8 of +k); never refuses."""
+    return n.values @ K_AXIS > SINGULAR_KDOT
+
+
+def _lift_frame(n):
+    """(k.n, k x n, singular mask), which every lift route starts from; raises
+    SingularLiftError above MAX_SINGULAR_FRACTION singular cells."""
+    singular = lift_singular_mask(n)
+    fraction = singular.mean()
+    if fraction > MAX_SINGULAR_FRACTION:
+        raise SingularLiftError(f"{100 * fraction:.2f}% of cells are singular "
+                                f"(limit {100 * MAX_SINGULAR_FRACTION:g}%)")
+    return n.values @ K_AXIS, cross3(K_AXIS, n.values), singular
+
+
 def lift_psi(n):
     """Rotation field with psi(x) k = -n(x).
 
     The rotation vector is -arccos(-k.n)/|k x n| * (k x n); its magnitude
-    goes to zero smoothly at n = -k (psi = I there), and cells within
-    SINGULAR_KDOT of +k get the deterministic fallback of a half turn about
-    the x axis.  The singular count is available via lift_singular_mask.
+    goes to zero smoothly at n = -k (psi = I there, exactly on the boundary
+    layer), and the few cells within SINGULAR_KDOT of +k get the
+    deterministic fallback of a half turn about the x axis.  Refuses on a
+    fat singular set (see _lift_frame).
     """
     n.require_decaying("lift_psi")
-    kdot = n.values @ K_AXIS
-    cross = cross3(K_AXIS, n.values)
+    kdot, cross, singular = _lift_frame(n)
     s = np.linalg.norm(cross, axis=-1)
     # arctan2 keeps the rotation angle accurate where kdot rounds to -1 and
     # the tilt survives only in the transverse components
-    angle = np.arctan2(s, -kdot)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(s > 1e-14, angle / np.where(s > 1e-14, s, 1.0), 1.0)
+    ratio = np.divide(np.arctan2(s, -kdot), s, out=np.ones_like(s), where=s > 1e-14)
     rotvec = -ratio[..., None] * cross
-    singular = kdot > SINGULAR_KDOT
-    if singular.any():
-        rotvec[singular] = np.array([np.pi, 0.0, 0.0])
-    values = so3_exp(rotvec)
-    return RotationField(n.grid, values, check=False)
+    rotvec[singular] = (np.pi, 0.0, 0.0)
+    return RotationField(n.grid, so3_exp(rotvec), check=False)
 
 
-def lift_singular_mask(n):
-    """Cells where the lift formula is singular (n within 1e-8 of +k)."""
-    return n.values @ K_AXIS > SINGULAR_KDOT
+def _JH_density(psi, mu):
+    """w_i = mu . rgrad_i psi, shape dims + (p,)."""
+    return np.einsum("...i,...ki->...k", mu.values, right_gradient_stack(psi))
 
 
 def momentum_JH(psi, mu):
@@ -245,9 +257,7 @@ def momentum_JH(psi, mu):
     """
     if psi.grid is not mu.grid and psi.grid != mu.grid:
         raise ValueError("psi and mu must share a grid")
-    stack = right_gradient_stack(psi)  # dims + (p, 3)
-    w = np.einsum("...i,...ki->...k", mu.values, stack)
-    rot, total = _moments(w, psi.grid)
+    rot, total = _moments(_JH_density(psi, mu), psi.grid)
     return rot, -total
 
 
@@ -256,14 +266,9 @@ def _lift_integrand(n):
 
     Returns (wbar, singular_mask).  The singular cells are dropped from the
     quadrature: the singularities of the lift are tame and do not contribute.
-    Above MAX_SINGULAR_FRACTION singular cells it raises SingularLiftError.
+    Refuses on a fat singular set (see _lift_frame).
     """
-    kdot = n.values @ K_AXIS
-    singular = kdot > SINGULAR_KDOT
-    if singular.mean() > MAX_SINGULAR_FRACTION:
-        raise SingularLiftError(f"{100 * singular.mean():.2f}% of cells are singular "
-                                f"(limit {100 * MAX_SINGULAR_FRACTION:g}%)")
-    cross = cross3(K_AXIS, n.values)
+    kdot, cross, singular = _lift_frame(n)
     num = np.stack([np.einsum("...i,...i->...", cross, g) for g in _gradients(n)],
                    axis=-1)
     denom = np.where(singular, 1.0, 1.0 - kdot)
@@ -304,10 +309,7 @@ def lift_identity_residual_field(n):
     """Cellwise |n . rgrad_i psi_n - wbar_i| over axes i, with wbar the
     closed form; zero on singular cells.  Shape dims."""
     wbar, singular = _lift_integrand(n)
-    psi = lift_psi(n)
-    stack = right_gradient_stack(psi)
-    lhs = np.einsum("...i,...ki->...k", n.values, stack)
-    resid = np.abs(lhs - wbar).max(axis=-1)
+    resid = np.abs(_JH_density(lift_psi(n), n) - wbar).max(axis=-1)
     resid[singular] = 0.0
     return resid
 

@@ -117,9 +117,21 @@ def test_hat_vee_convention():
 
 
 def test_so3_exp_identity_and_quarter_turn():
+    # exactly I at 0: the lift is exactly I on the boundary layer
     assert np.array_equal(so3_exp(np.zeros(3)), np.eye(3))
+    assert np.array_equal(so3_exp(np.zeros((4, 3))), np.broadcast_to(np.eye(3), (4, 3, 3)))
     rot = so3_exp(np.pi / 2 * K_AXIS)
     assert np.allclose(rot @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-15)
+    # the one sinc expression against the trigonometric Rodrigues formula
+    rng = np.random.default_rng(5)
+    axis = rng.normal(size=(400, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    angles = np.concatenate([np.geomspace(1e-12, 1.0, 200),
+                             np.linspace(1.0, np.pi - 1e-9, 200)])
+    k = hat(axis)
+    expected = (np.eye(3) + np.sin(angles)[:, None, None] * k
+                + (1.0 - np.cos(angles))[:, None, None] * (k @ k))
+    assert np.abs(so3_exp(axis * angles[:, None]) - expected).max() <= 2e-15
 
 
 def test_so3_exp_inverse_pairs():

@@ -133,6 +133,18 @@ def test_radial_init_bad_cutoff_is_config_error(tmp_path, capsys, cutoff):
     assert "DEG" not in out and not out_path.exists()
 
 
+@pytest.mark.parametrize("cutoff", ["0.01", "1e-300"])
+def test_radial_init_unresolved_cutoff_is_config_error(tmp_path, capsys, cutoff):
+    # the support sits between cell centres (h = 0.5): the texture would be
+    # -k everywhere; 1e-300 also overflowed (r / cutoff)**2
+    out_path = tmp_path / "r.llgf"
+    code, out, err = run_cli(capsys, "init", "--kind", "radial", "--grid", "32x32",
+                             "--cutoff", cutoff, "--out", str(out_path))
+    assert code == 2
+    assert "config error: cutoff:" in err and "-k on every cell" in err
+    assert "DEG" not in out and not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["diagnose", "bracket-check"])
 def test_nan_spacing_snapshot_is_io_error(tmp_path, capsys, command):
     path = tmp_path / "nan.llgf"
@@ -192,6 +204,29 @@ def test_simulate_outputs_are_deterministic(tmp_path, capsys):
             ((tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.llgf").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_refuses_to_overwrite_its_input(tmp_path, capsys):
+    snap = tmp_path / "run.llgf"
+    write_snapshot(make_bp_soliton(Grid.centered((32, 32), 12.0), 1, 1.0, 4.0), snap)
+    before = snap.read_bytes()
+    code, out, err = run_cli(capsys, "simulate", "--in", str(snap),
+                             "--out", str(tmp_path / "run"), "--steps", "2")
+    assert code == 2 and "out:" in err and "overwrite the input" in err
+    assert out == "" and snap.read_bytes() == before
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_simulate_output_prefix_may_equal_input_path(tmp_path, capsys):
+    # the outputs are a.csv and a.llgf, so neither touches the input a
+    snap = tmp_path / "a"
+    write_snapshot(make_bp_soliton(Grid.centered((32, 32), 12.0), 1, 1.0, 4.0), snap)
+    before = snap.read_bytes()
+    code, out, _ = run_cli(capsys, "simulate", "--in", str(snap), "--out", str(snap),
+                           "--steps", "2")
+    assert code == 0 and kv(out)["REPORTS"] == "2"
+    assert snap.read_bytes() == before
+    assert (tmp_path / "a.csv").exists() and (tmp_path / "a.llgf").exists()
 
 
 def test_simulate_midpoint_blowup_is_numeric_error(tmp_path, capsys):
@@ -261,6 +296,17 @@ def test_bracket_check_verdicts(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "bracket-check", "--in", str(snap), "--tol", "1e-6")
     assert code == 1 and out.strip().endswith("FAIL")
+
+
+def test_bracket_check_on_3d_snapshot_is_config_error(tmp_path, capsys):
+    from llgeo import make_random_smooth
+
+    snap = tmp_path / "s3.llgf"
+    write_snapshot(make_random_smooth(Grid.centered((16, 16, 16), 12.0), seed=1), snap)
+    code, out, err = run_cli(capsys, "bracket-check", "--in", str(snap))
+    assert code == 2
+    assert "config error:" in err and "p = 2" in err
+    assert "BRACKET" not in out
 
 
 def test_cocycle_subcommand(tmp_path, capsys):
