@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, SnapshotError
 from .grid import Grid
-from .fields import K_AXIS, EuclideanAlgebraElement, SpinField
+from .fields import K_AXIS, EuclideanAlgebraElement, SpinField, plane_pairs
 from .generators import (
     bump,
     make_bp_soliton,
@@ -34,12 +34,6 @@ from .dynamics import EnergyParams, SimConfig, make_report, simulate
 from .momenta import check_lift_identity, degree, lift_singular_mask
 from .cocycle import check_px_py_bracket, cocycle_direct, cocycle_via_pairing, omega0
 from . import io as snapio
-
-_FMT = "%.17g"
-
-
-def _fmt(x):
-    return _FMT % x
 
 
 def _parse_grid(text):
@@ -57,7 +51,7 @@ def _echo(value):
 def _parse_algebra(key, text, p):
     try:
         vals = [float(tok) for tok in str(text).split(",")]
-        n_upper = p * (p - 1) // 2
+        n_upper = len(plane_pairs(p))
         if len(vals) != n_upper + p:
             raise ValueError(
                 f"algebra element needs {n_upper} upper-triangle entries plus {p} translation entries"
@@ -101,6 +95,10 @@ _COMMANDS = {
 }
 
 
+_HELP = {key: f"so(p) entries of the planes i < j in row order, then the p translation "
+              f"entries, comma-separated; write --{key}=-0.2,0,1 if the first is negative"
+         for key in ("e1", "e2")}
+
 _CHOICES = {
     "kind": ("constant", "bp", "radial", "random"),
     "scheme": ("rk4", "midpoint"),
@@ -130,7 +128,7 @@ def _build_parser():
                         help="echo the resolved configuration and exit")
         for key in keys:
             cp.add_argument(f"--{key}", dest=key.replace("-", "_"),
-                            choices=_CHOICES.get(key))
+                            choices=_CHOICES.get(key), help=_HELP.get(key))
     return parser
 
 
@@ -255,7 +253,7 @@ def _read_spin(path):
 
 
 def _verdict(value, tol):
-    print(f"TOL={_fmt(tol)}")
+    print(f"TOL={snapio.format_float(tol)}")
     if value <= tol:
         print("PASS")
         return 0
@@ -275,7 +273,7 @@ def run(cfg):
         print(f"SNAPSHOT={cfg['out']}")
         print(f"CELLS={int(np.prod(field.grid.dims))}")
         if field.grid.p == 2 and field.decaying:
-            print(f"DEG={_fmt(degree(field))}")
+            print(f"DEG={snapio.format_float(degree(field))}")
         return 0
 
     n = _read_spin(cfg["in"])
@@ -317,9 +315,9 @@ def run(cfg):
         bracket, fourpi_deg = check_px_py_bracket(n)
         # floor: a unit-degree field's 4*pi, since a degree-0 one is ~0
         rel = abs(bracket - fourpi_deg) / max(abs(fourpi_deg), 4.0 * np.pi)
-        print(f"BRACKET={_fmt(bracket)}")
-        print(f"FOURPI_DEG={_fmt(fourpi_deg)}")
-        print(f"REL_ERR={_fmt(rel)}")
+        print(f"BRACKET={snapio.format_float(bracket)}")
+        print(f"FOURPI_DEG={snapio.format_float(fourpi_deg)}")
+        print(f"REL_ERR={snapio.format_float(rel)}")
         return _verdict(rel, cfg["tol"])
 
     if command == "cocycle":
@@ -331,14 +329,14 @@ def run(cfg):
         floor = 4.0 * np.pi * abs(omega0(e1.adot, e2.adot)) if n.grid.p == 2 else 0.0
         scale = max(abs(direct), abs(paired), floor, 1e-300)
         gap = abs(direct - paired) / scale
-        print(f"SIGMA_DIRECT={_fmt(direct)}")
-        print(f"SIGMA_PAIRING={_fmt(paired)}")
-        print(f"REL_GAP={_fmt(gap)}")
+        print(f"SIGMA_DIRECT={snapio.format_float(direct)}")
+        print(f"SIGMA_PAIRING={snapio.format_float(paired)}")
+        print(f"REL_GAP={snapio.format_float(gap)}")
         return _verdict(gap, cfg["tol"])
 
     # lift-check
     residual = check_lift_identity(n)
-    print(f"RESIDUAL={_fmt(residual)}")
+    print(f"RESIDUAL={snapio.format_float(residual)}")
     print(f"SINGULAR_CELLS={int(lift_singular_mask(n).sum())}")
     return _verdict(residual, cfg["tol"])
 

@@ -35,13 +35,22 @@ def omega0(a1, a2):
     return float(np.asarray(a1) @ OMEGA0_J @ np.asarray(a2))
 
 
+def _along(velocity, derivs):
+    """sum_i velocity_i d_i from the per-axis derivatives d_i (any iterable)."""
+    return sum(velocity[..., i, None] * d for i, d in enumerate(derivs))
+
+
 def directional_derivative(values, grid, velocity):
     """Derivative of a field along the spatial vector field `velocity`
     (shape dims + (p,)): sum_i velocity_i d_i values."""
-    out = np.zeros_like(np.asarray(values, float))
-    for i in range(grid.p):
-        out += velocity[..., i, None] * partial(values, grid, i)
-    return out
+    return _along(velocity, (partial(values, grid, i) for i in range(grid.p)))
+
+
+def _wedge_lift(mu, grads, e):
+    """wedge_lift from the derivative list of mu (see there)."""
+    xi = cross3(mu.values, _along(e.velocity_field(mu.grid), grads))
+    xi[mu.grid.boundary_mask()] = 0.0
+    return SemidirectAlgebraElement(mu.grid, xi, e)
 
 
 def wedge_lift(mu, e):
@@ -52,20 +61,7 @@ def wedge_lift(mu, e):
     tangent to mu, which |mu| = 1 forces up to discretization error.  xi is
     zeroed on the boundary layer, the discrete model of vanishing at infinity.
     """
-    if e.p != mu.grid.p:
-        raise ValueError("algebra element dimension must match the grid")
-    vel = e.velocity_field(mu.grid)
-    dmu = sum(vel[..., i, None] * g for i, g in enumerate(_gradients(mu)))
-    xi = cross3(mu.values, dmu)
-    xi[mu.grid.boundary_mask()] = 0.0
-    return SemidirectAlgebraElement(mu.grid, xi, e)
-
-
-def _euclid_bracket(e1, e2):
-    o1, o2 = e1.omega, e2.omega
-    m = o1 @ o2 - o2 @ o1
-    upper = [m[i, j] for i in range(e1.p) for j in range(i + 1, e1.p)]
-    return EuclideanAlgebraElement(e1.p, upper, o1 @ e2.adot - o2 @ e1.adot)
+    return _wedge_lift(mu, _gradients(mu), e)
 
 
 def semidirect_bracket(u, v):
@@ -83,7 +79,11 @@ def semidirect_bracket(u, v):
         + directional_derivative(u.xi, grid, c2)
     )
     xi[grid.boundary_mask()] = 0.0
-    return SemidirectAlgebraElement(grid, xi, _euclid_bracket(u.euclid, v.euclid))
+    # [e1, e2] = (O1 O2 - O2 O1, O1 adot2 - O2 adot1); A - A^T is exactly skew
+    o1, o2 = u.euclid.omega, v.euclid.omega
+    a = o1 @ o2
+    adot = o1 @ v.euclid.adot - o2 @ u.euclid.adot
+    return SemidirectAlgebraElement(grid, xi, EuclideanAlgebraElement.from_matrix(a - a.T, adot))
 
 
 def cocycle_direct(mu, e1, e2):
@@ -91,6 +91,7 @@ def cocycle_direct(mu, e1, e2):
     Sigma(e1, e2) = -int mu . (grad_{c1} mu x grad_{c2} mu)
                   = -int sum_{i<j} (c1_i c2_j - c1_j c2_i) F_ij,
     with c_a the affine velocity field of e_a and F the 2-form of mu."""
+    mu.require_decaying("cocycle_direct")
     c1 = e1.velocity_field(mu.grid)
     c2 = e2.velocity_field(mu.grid)
     dens = np.zeros(mu.grid.dims)
@@ -101,8 +102,10 @@ def cocycle_direct(mu, e1, e2):
 
 def cocycle_via_pairing(mu, e1, e2):
     """The same cocycle through the algebra: pair mu with the field part of
-    the bracket of the two wedge lifts."""
-    lifted = semidirect_bracket(wedge_lift(mu, e1), wedge_lift(mu, e2))
+    the bracket of the two wedge lifts, both built from one derivative pass."""
+    mu.require_decaying("cocycle_via_pairing")
+    grads = _gradients(mu)
+    lifted = semidirect_bracket(_wedge_lift(mu, grads, e1), _wedge_lift(mu, grads, e2))
     dens = np.einsum("...i,...i->...", mu.values, lifted.xi)
     return float(integrate(dens, mu.grid))
 

@@ -1,10 +1,13 @@
 """Field containers: unit-vector fields, rotation-matrix fields and the
 Euclidean / semidirect-product algebra elements they pair with.
 
-All containers are value types: the payload array is copied in and frozen,
-and a spin field "mutates" only through with_values(), which re-validates.
+All containers are value types: a checked payload is copied in and frozen,
+a spin field "mutates" only through with_values(), which re-validates, and
+check=False adopts a trusted array as it is.
 Boundary conditions hold on the grid.BOUNDARY_LAYER cells next to each face.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -98,7 +101,8 @@ class RotationField:
                 f"values shape {values.shape} does not match grid {grid.dims + (3, 3)}"
             )
         self.grid = grid
-        self.values = _frozen(values)
+        # check=False is the trusted internal fast path: no copy, no freeze
+        self.values = _frozen(values) if check else values
         if check:
             self.check_invariants()
 
@@ -118,25 +122,31 @@ class RotationField:
         )
 
 
-def _upper_indices(p):
-    return [(i, j) for i in range(p) for j in range(i + 1, p)]
+def plane_pairs(p):
+    """The so(p) basis, planes (i, j) with i < j in row order: (0, 1), (0, 2),
+    (1, 2) for p = 3.  omega_upper, the planes of the 2-form, the CSV's L_ij
+    columns and the CLI's upper-triangle entries all follow it."""
+    return tuple(combinations(range(p), 2))
 
 
 class EuclideanAlgebraElement:
     """Element (Omega, adot) of so(p) x R^p.
 
-    Omega is stored as its independent upper-triangle entries, so skewness
-    is exact by construction.
+    Omega is given by its upper-triangle entries in plane_pairs order (none
+    means zero rotation) and stored as a frozen skew matrix, exactly skew by
+    construction.
     """
 
-    def __init__(self, p, omega_upper=(), adot=None):
+    def __init__(self, p, omega_upper=None, adot=None):
         self.p = int(p)
         if self.p not in (1, 2, 3):
             raise ValueError("p must be 1, 2 or 3")
-        n_upper = self.p * (self.p - 1) // 2
+        pairs = plane_pairs(self.p)
+        if omega_upper is None:
+            omega_upper = np.zeros(len(pairs))
         upper = np.asarray(omega_upper, dtype=float).reshape(-1)
-        if upper.size != n_upper:
-            raise ValueError(f"expected {n_upper} upper-triangle entries, got {upper.size}")
+        if upper.size != len(pairs):
+            raise ValueError(f"expected {len(pairs)} upper-triangle entries, got {upper.size}")
         if not np.isfinite(upper).all():
             raise ValueError(f"omega_upper must be finite, got {upper}")
         self.omega_upper = _frozen(upper)
@@ -146,6 +156,10 @@ class EuclideanAlgebraElement:
         if not np.isfinite(adot).all():
             raise ValueError(f"adot must be finite, got {adot}")
         self.adot = _frozen(adot)
+        omega = np.zeros((self.p, self.p))
+        for entry, (i, j) in zip(upper, pairs):
+            omega[i, j], omega[j, i] = entry, -entry
+        self.omega = _frozen(omega)
 
     @classmethod
     def from_matrix(cls, omega, adot):
@@ -153,27 +167,19 @@ class EuclideanAlgebraElement:
         p = omega.shape[0]
         if omega.shape != (p, p) or np.abs(omega + omega.T).max() > 0:
             raise ValueError("omega must be exactly skew-symmetric")
-        upper = [omega[i, j] for i, j in _upper_indices(p)]
-        return cls(p, upper, adot)
+        return cls(p, [omega[i, j] for i, j in plane_pairs(p)], adot)
 
     @classmethod
     def translation(cls, adot):
-        adot = np.asarray(adot, float)
-        return cls(len(adot), [0.0] * (len(adot) * (len(adot) - 1) // 2), adot)
-
-    @property
-    def omega(self):
-        m = np.zeros((self.p, self.p))
-        for entry, (i, j) in zip(self.omega_upper, _upper_indices(self.p)):
-            m[i, j] = entry
-            m[j, i] = -entry
-        return m
+        return cls(len(adot), adot=adot)
 
     def scaled(self, c):
         return EuclideanAlgebraElement(self.p, c * self.omega_upper, c * self.adot)
 
     def velocity_field(self, grid):
         """The affine spatial vector field x -> Omega x + adot, shape dims + (p,)."""
+        if grid.p != self.p:
+            raise ValueError("algebra element dimension must match the grid")
         x = grid.coords()
         return x @ self.omega.T + self.adot
 

@@ -1,6 +1,6 @@
 """Snapshot persistence and the report CSV.
 
-Binary snapshot layout (all little-endian):
+Binary snapshot layout (little-endian; MAGIC, _PREAMBLE, _geometry_layout(p)):
 
   magic "LLGF" | version u16 | p u16 | dims p*u32 | spacing p*f64 |
   origin p*f64 | payload kind u8 (0 spin, 1 rotation) | payload f64 row-major
@@ -14,13 +14,25 @@ import struct
 import numpy as np
 
 from .errors import SnapshotError
-from .fields import K_AXIS, RotationField, SpinField
+from .fields import K_AXIS, RotationField, SpinField, plane_pairs
 from .grid import Grid
 
 MAGIC = b"LLGF"
 VERSION = 1
 KIND_SPIN = 0
 KIND_ROTATION = 1
+_PREAMBLE = struct.Struct("<HH")
+
+
+def _geometry_layout(p):
+    """The header after _PREAMBLE: dims, spacing, origin and payload kind."""
+    return struct.Struct(f"<{p}I{p}d{p}dB")
+
+
+def format_float(x):
+    """17 significant digits, which read back exactly: the text form of every
+    float in the report CSV and the CLI's result lines."""
+    return "%.17g" % x
 
 
 def write_snapshot(field, path):
@@ -32,12 +44,8 @@ def write_snapshot(field, path):
     else:
         raise TypeError("field must be a SpinField or RotationField")
     grid = field.grid
-    p = grid.p
-    header = MAGIC + struct.pack("<HH", VERSION, p)
-    header += struct.pack(f"<{p}I", *grid.dims)
-    header += struct.pack(f"<{p}d", *grid.spacing)
-    header += struct.pack(f"<{p}d", *grid.origin)
-    header += struct.pack("<B", kind)
+    header = MAGIC + _PREAMBLE.pack(VERSION, grid.p) + _geometry_layout(grid.p).pack(
+        *grid.dims, *grid.spacing, *grid.origin, kind)
     payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
@@ -64,17 +72,16 @@ def read_snapshot(path):
         return out
 
     offset = 0
-    if take(4, "header") != MAGIC:
+    if take(len(MAGIC), "header") != MAGIC:
         raise SnapshotError(f"bad magic: not a {MAGIC.decode()} snapshot")
-    version, p = struct.unpack("<HH", take(4, "header"))
+    version, p = _PREAMBLE.unpack(take(_PREAMBLE.size, "header"))
     if version != VERSION:
         raise SnapshotError(f"unsupported version {version} (expected {VERSION})")
     if p not in (1, 2, 3):
         raise SnapshotError(f"invalid dimension {p}")
-    dims = struct.unpack(f"<{p}I", take(4 * p, "header"))
-    spacing = struct.unpack(f"<{p}d", take(8 * p, "header"))
-    origin = struct.unpack(f"<{p}d", take(8 * p, "header"))
-    (kind,) = struct.unpack("<B", take(1, "header"))
+    layout = _geometry_layout(p)
+    entries = layout.unpack(take(layout.size, "header"))
+    dims, spacing, origin, kind = entries[:p], entries[p:2 * p], entries[2 * p:3 * p], entries[-1]
     if kind not in (KIND_SPIN, KIND_ROTATION):
         raise SnapshotError(f"unknown payload kind {kind}")
     comp = (3,) if kind == KIND_SPIN else (3, 3)
@@ -99,15 +106,11 @@ def read_snapshot(path):
         raise SnapshotError(f"payload violates field invariants: {exc}") from exc
 
 
-def _fmt(x):
-    return "%.17g" % x
-
-
 def report_header(p):
     cols = ["t", "E", "N"]
     if p >= 2:
         cols += [f"P_{i + 1}" for i in range(p)]
-        cols += [f"L_{i + 1}{j + 1}" for i in range(p) for j in range(i + 1, p)]
+        cols += [f"L_{i + 1}{j + 1}" for i, j in plane_pairs(p)]
     if p == 2:
         cols.append("deg")
     cols.append("norm_dev")
@@ -115,24 +118,15 @@ def report_header(p):
 
 
 def report_row(report, p):
-    def opt(x):
-        return "" if x is None else _fmt(x)
-
-    row = [_fmt(report.t), opt(report.energy), _fmt(report.N)]
+    """The report_header columns: format_float, or empty where there is no value."""
+    values = [report.t, report.energy, report.N]
     if p >= 2:
-        if report.P is None:
-            row += [""] * p
-        else:
-            row += [_fmt(v) for v in report.P]
-        n_upper = p * (p - 1) // 2
-        if report.L is None:
-            row += [""] * n_upper
-        else:
-            row += [_fmt(report.L[i, j]) for i in range(p) for j in range(i + 1, p)]
+        values += [None] * p if report.P is None else list(report.P)
+        values += [None if report.L is None else report.L[i, j] for i, j in plane_pairs(p)]
     if p == 2:
-        row.append(opt(report.deg))
-    row.append(_fmt(report.norm_dev))
-    return row
+        values.append(report.deg)
+    values.append(report.norm_dev)
+    return ["" if x is None else format_float(x) for x in values]
 
 
 def write_report_csv(reports, p, path):

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLiftError
-from .fields import K_AXIS, RotationField
+from .fields import K_AXIS, RotationField, plane_pairs
 from .generators import make_gauge_field
 from .calculus import (
     cross3,
@@ -81,11 +81,9 @@ def _gradients(n):
 
 def _two_form(n, grads):
     """The topological 2-form F_ij = n . (d_i n x d_j n) from the derivative
-    list, one plane per pair i < j, keyed (i, j).  Every winding diagnostic
-    (deg, vorticity, P, L and the cocycle) is a moment of F."""
-    p = n.grid.p
-    return {(i, j): triple(n.values, grads[i], grads[j])
-            for i in range(p) for j in range(i + 1, p)}
+    list, one plane per entry of plane_pairs, keyed (i, j).  Every winding
+    diagnostic (deg, vorticity, P, L and the cocycle) is a moment of F."""
+    return {(i, j): triple(n.values, grads[i], grads[j]) for i, j in plane_pairs(n.grid.p)}
 
 
 def _degree(F, grid):

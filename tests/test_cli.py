@@ -4,8 +4,19 @@ import struct
 import numpy as np
 import pytest
 
-from llgeo import Grid, make_bp_soliton, make_constant, read_snapshot, write_snapshot
+from llgeo import (
+    EuclideanAlgebraElement,
+    Grid,
+    make_bp_soliton,
+    make_constant,
+    read_snapshot,
+    write_snapshot,
+)
 from llgeo.cli import main
+from llgeo.cocycle import cocycle_direct
+from llgeo.io import format_float
+
+from conftest import off_axis_texture
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +332,28 @@ def test_cocycle_subcommand(tmp_path, capsys):
     assert float(pairs["SIGMA_DIRECT"]) == pytest.approx(-4.0 * np.pi, rel=0.05)
     assert float(pairs["REL_GAP"]) < 0.01
     assert out.strip().endswith("PASS")
+
+
+def test_cocycle_element_with_a_leading_minus_in_the_equals_form(tmp_path, capsys):
+    f = make_bp_soliton(Grid.centered((64, 64), 16.0), 1, 1.5, 6.0)
+    snap = tmp_path / "bp.llgf"
+    write_snapshot(f, snap)
+    code, out, _ = run_cli(capsys, "cocycle", "--in", str(snap), "--e1", "0.3,1,0",
+                           "--e2=-0.2,0,1")
+    assert code == 0 and out.strip().endswith("PASS")
+    e1 = EuclideanAlgebraElement(2, (0.3,), (1.0, 0.0))
+    e2 = EuclideanAlgebraElement(2, (-0.2,), (0.0, 1.0))
+    assert kv(out)["SIGMA_DIRECT"] == format_float(cocycle_direct(f, e1, e2))
+
+
+def test_cocycle_refuses_a_non_decaying_field(tmp_path, capsys):
+    snap = tmp_path / "off.llgf"
+    write_snapshot(off_axis_texture(Grid.centered((48, 48), 16.0)), snap)
+    code, out, err = run_cli(capsys, "cocycle", "--in", str(snap), "--e1", "0,1,0",
+                             "--e2", "0,0,1")
+    assert code == 2
+    assert "config error:" in err and "requires a field decaying" in err
+    assert "SIGMA_" not in out
 
 
 def test_cocycle_degree_zero_field_is_judged_on_the_unit_degree_scale(tmp_path, capsys):

@@ -26,7 +26,7 @@ from llgeo.cocycle import (
 from llgeo.calculus import partial, tangent_project
 from llgeo.generators import band_limited, bump_envelope
 
-from conftest import interior, relative_gap
+from conftest import interior, off_axis_texture, relative_gap
 from test_generators import profile_bump
 
 E1 = lambda: EuclideanAlgebraElement.translation((1.0, 0.0))
@@ -156,6 +156,23 @@ def test_semidirect_bracket_jacobi_residual_shrinks():
 
 
 # ---------- cocycle ----------
+
+@pytest.mark.parametrize("route", [cocycle_direct, cocycle_via_pairing])
+def test_cocycle_routes_refuse_non_decaying_fields(route):
+    mu = off_axis_texture(Grid.centered((48, 48), 16.0))
+    with pytest.raises(ValueError, match=f"{route.__name__} requires a field decaying"):
+        route(mu, E1(), E2())
+
+
+@pytest.mark.parametrize("route", [cocycle_direct, cocycle_via_pairing,
+                                   lambda mu, e1, e2: wedge_lift(mu, e1)],
+                         ids=["cocycle_direct", "cocycle_via_pairing", "wedge_lift"])
+def test_element_of_the_wrong_dimension_is_refused(route):
+    mu = make_constant(Grid.centered((32, 32), 12.0), (0, 0, -1))
+    e3 = EuclideanAlgebraElement.translation((1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="algebra element dimension must match the grid"):
+        route(mu, e3, E2())
+
 
 def test_cocycle_zero_for_constant_mu():
     g = Grid.centered((48, 48), 16.0)

@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from llgeo import (
+    K_AXIS,
     EuclideanAlgebraElement,
     Grid,
     RotationField,
     SemidirectAlgebraElement,
     SpinField,
     make_constant,
+    make_random_smooth,
     so3_exp,
 )
+from llgeo.cli import _parse_algebra
+from llgeo.dynamics import make_report
+from llgeo.fields import plane_pairs
+from llgeo.io import report_header, report_row
+from llgeo.momenta import _gradients, _two_form
 
 
 def test_grid_rejects_bad_dimension():
@@ -86,6 +93,18 @@ def test_spinfield_values_are_frozen():
         f.values[0, 0, 0] = 1.0
 
 
+@pytest.mark.parametrize("cls, cell", [(SpinField, -K_AXIS), (RotationField, np.eye(3))],
+                         ids=["spin", "rotation"])
+def test_check_false_adopts_the_array_and_a_checked_field_is_frozen(cls, cell):
+    g = Grid.centered((10, 10), 4.0)
+    values = np.broadcast_to(cell, g.dims + cell.shape).copy()
+    assert np.shares_memory(cls(g, values, check=False).values, values)
+    checked = cls(g, values)
+    assert not np.shares_memory(checked.values, values)
+    with pytest.raises(ValueError, match="read-only"):
+        checked.values[(0,) * values.ndim] = 0.0
+
+
 def test_rotationfield_validation():
     g = Grid.centered((10, 10), 4.0)
     eye = np.broadcast_to(np.eye(3), (10, 10, 3, 3)).copy()
@@ -130,6 +149,33 @@ def test_euclidean_algebra_element_exact_skewness():
         EuclideanAlgebraElement(2, (0.1, 0.2), (1.0, 0.0))
     with pytest.raises(ValueError):
         EuclideanAlgebraElement.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 0))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_euclidean_algebra_element_default_rotation_is_zero(p):
+    e = EuclideanAlgebraElement(p, adot=np.arange(1.0, p + 1))
+    assert np.array_equal(e.omega, np.zeros((p, p)))
+    assert np.array_equal(e.omega_upper, np.zeros(len(plane_pairs(p))))
+    assert np.array_equal(EuclideanAlgebraElement.translation(e.adot).omega, e.omega)
+    with pytest.raises(ValueError, match="read-only"):
+        e.omega[0, 0] = 1.0
+
+
+def test_so_p_coordinates_follow_plane_pairs():
+    # the CLI's upper entries, omega_upper, the 2-form's planes and the CSV's
+    # L_ij columns all read the one plane order
+    pairs = plane_pairs(3)
+    assert pairs == ((0, 1), (0, 2), (1, 2))
+    e = _parse_algebra("e1", "1,2,3,4,5,6", 3)
+    assert e.omega_upper.tolist() == [1.0, 2.0, 3.0] and e.adot.tolist() == [4.0, 5.0, 6.0]
+    assert [e.omega[0, 1], e.omega[0, 2], e.omega[1, 2]] == [1.0, 2.0, 3.0]
+    n = make_random_smooth(Grid.centered((16, 16, 16), 12.0), seed=1)
+    assert tuple(_two_form(n, _gradients(n))) == pairs
+    rep = make_report(n, 0.0)
+    row = dict(zip(report_header(3), report_row(rep, 3)))
+    assert [key for key in row if key.startswith("L_")] == ["L_12", "L_13", "L_23"]
+    assert [float(row[key]) for key in ("L_12", "L_13", "L_23")] == [
+        rep.L[0, 1], rep.L[0, 2], rep.L[1, 2]]
 
 
 @pytest.mark.parametrize("upper, adot", [((np.nan,), (1.0, 0.0)), ((0.0,), (0.0, np.inf))])

@@ -32,6 +32,20 @@ def test_spin_snapshot_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("kind", [0, 1], ids=["spin", "rotation"])
+def test_snapshot_header_is_the_documented_layout(tmp_path, kind):
+    # magic | version u16 | p u16 | dims p*u32 | spacing p*f64 | origin p*f64
+    # | payload kind u8, little-endian, then the f64 payload
+    g = Grid((20, 22, 24), (0.5, 0.25, 0.125), (-5.0, -2.75, -1.5))
+    f = make_constant(g, (0, 0, -1)) if kind == 0 else make_gauge_field(g, np.zeros(g.dims))
+    path = tmp_path / "h.llgf"
+    write_snapshot(f, path)
+    header = struct.pack("<4sHH3I3d3dB", b"LLGF", 1, 3, *g.dims, *g.spacing, *g.origin, kind)
+    blob = path.read_bytes()
+    assert blob[:len(header)] == header
+    assert blob[len(header):] == np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+
+
 def test_rotation_snapshot_round_trip(tmp_path):
     g = Grid.centered((24, 24), 8.0)
     A = make_gauge_field(g, make_gauge_bump_alpha(g, winding=1))
