@@ -33,7 +33,6 @@ from .dynamics import (
     SimConfig,
     energy,
     variational_derivative_energy,
-    ll_rhs,
     step,
     simulate,
 )

@@ -10,13 +10,18 @@ decaying fields frozen; two steppers are provided: projected classical RK4
 fixed-point implicit midpoint, which preserves the unit norm to solver
 tolerance by construction.
 
-Stepping writes in place.  Each step call allocates its stage buffers, a
-dE/dn buffer and two scratch planes once, and every right-hand side, the
-cross product and the renormalization write into them; each
-variational_derivative_energy call adds one flat difference scratch.
-Nothing is shared between calls.  Every value is computed with the
-operation order of the textbook allocating formulas (np.diff plus np.pad,
-cross3, np.linalg.norm), so the results are bit-identical to them.
+Stepping writes in place into a workspace: a pool of spare field arrays
+for the stages, a dE/dn buffer, the Laplacian scratch, two scratch planes
+and the frozen boundary slabs.  step builds one per call unless it is given
+one; simulate builds one per run and hands each old field's array back to
+its pool.  Every buffer is laid out like the field being stepped
+(np.empty_like), and simulate steps a component-major copy of n0 (n_x, n_y
+and n_z each contiguous, seen through a (..., 3) view), so the
+per-component passes of the cross product and the renormalization stream
+contiguous planes.  Reports and the returned field are read from C-order
+copies.  Every value is computed elementwise with the operation order of
+the textbook allocating formulas (np.diff plus np.pad, cross3,
+np.linalg.norm), so the results are bit-identical to them in either layout.
 """
 
 from dataclasses import dataclass, field
@@ -86,10 +91,19 @@ def energy(n, params=EnergyParams()):
     return exch + aniso
 
 
+def _flat(a):
+    """The memory-order flat view of a; ValueError if only a copy exists."""
+    flat = a.ravel(order="K")
+    if not np.may_share_memory(flat, a):
+        raise ValueError("n.values, out and work must be dense (no gaps or reversed axes)")
+    return flat
+
+
 def _free_laplacian(values, grid, out, work):
     """Sum over axes of second differences with missing neighbors dropped,
     written into out; exactly the gradient of the neighbor-difference
-    exchange sum.
+    exchange sum.  values, out and the scratch work are dense arrays with
+    the same strides, walked in memory order.
 
     Per axis the arithmetic is np.diff's over the zero-padded differences
     d[i] = (v[i+1]-v[i])/h: (d[i] - d[i-1])/h, with (d[0] - 0)/h and
@@ -98,14 +112,15 @@ def _free_laplacian(values, grid, out, work):
     buffer (out for axis 0, the scratch `work` after it) by whole-array
     passes whose neighbor is one axis stride s ahead: buf[i] = d[i-1] with
     buf[0] = 0, then buf[i] = buf[i+1] - buf[i], which takes the last d of a
-    line against the zero that starts the next line.  Only the final line
+    line against the zero that starts the next line in memory (dense
+    arrays have no gaps, whatever their axis order).  Only the final line
     needs its own 0 - d[-1].
     """
-    vflat = values.reshape(-1)
+    vflat = _flat(values)
     for axis in range(grid.p):
         h = grid.spacing[axis]
-        buf = out if axis == 0 else work.reshape(values.shape)
-        flat = buf.reshape(-1)
+        buf = out if axis == 0 else work
+        flat = _flat(buf)
         s = buf.strides[axis] // buf.itemsize
         np.subtract(vflat[s:], vflat[:-s], out=flat[s:])
         buf[(slice(None),) * axis + (0,)] = 0.0
@@ -118,9 +133,12 @@ def _free_laplacian(values, grid, out, work):
     return out
 
 
-def variational_derivative_energy(n, params=EnergyParams(), out=None):
+def variational_derivative_energy(n, params=EnergyParams(), out=None, work=None):
     """dE/dn = -(discrete Laplacian of n) + a (n - (n.k) k), unprojected,
-    written into out (allocated when None) and returned.
+    written into out and returned; work is the Laplacian's scratch.  Both
+    are allocated laid out like n.values when None, and must share its
+    strides when given (ValueError otherwise, or for a values array with
+    gaps).
 
     The normal component is irrelevant to the dynamics: the cross product in
     the evolution law annihilates it.  K_AXIS is e_z, so the anisotropy
@@ -128,14 +146,15 @@ def variational_derivative_energy(n, params=EnergyParams(), out=None):
     components subtract an exact zero.
     """
     values = n.values
-    if out is None:
-        out = np.empty_like(values)
-    elif out.shape != values.shape or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float array shaped like n.values")
-    work = np.empty(values.size)
+    out = np.empty_like(values) if out is None else out
+    work = np.empty_like(values) if work is None else work
+    for buf in (out, work):
+        if buf.dtype != float or buf.shape != values.shape or buf.strides != values.strides:
+            raise ValueError("n.values must be dense, and out and work float arrays laid "
+                             "out like it (same shape and strides)")
     _free_laplacian(values, n.grid, out, work)
     np.negative(out, out=out)
-    t = work[: values.size // 3].reshape(values.shape[:-1])
+    t = _flat(work)[: values.size // 3].reshape(values.shape[:-1])
     for c in (0, 1):
         np.multiply(values[..., c], params.a, out=t)
         np.add(out[..., c], t, out=out[..., c])
@@ -154,22 +173,6 @@ def _minus_cross(a, b, out, planes):
     return out
 
 
-def ll_rhs(n, params=EnergyParams()):
-    """Right-hand side -n x dE/dn; tangent to n cellwise."""
-    values = n.values
-    return _minus_cross(values, variational_derivative_energy(n, params),
-                        np.empty_like(values), np.empty((2,) + values.shape[:-1]))
-
-
-def _frozen_cells(n):
-    """Indices of the cells held fixed during stepping: the boundary layer
-    of decaying fields (the reduction's boundary condition).  Non-decaying
-    fields evolve everywhere (None)."""
-    if n.decaying:
-        return np.nonzero(n.grid.boundary_mask())
-    return None
-
-
 def _renormalize(values, planes):
     """Divide each vector in place by sqrt(v0*v0 + v1*v1 + v2*v2), summed in
     that order (np.linalg.norm's), so the result is bit-identical to it."""
@@ -185,32 +188,48 @@ def _renormalize(values, planes):
     return values
 
 
-def step(n, cfg):
-    """Advance one time step and return the new field; an RK4 dt beyond
-    dt*rho = 2*sqrt(2) raises ValueError.
+class _Workspace:
+    """Stepping buffers for fields on one grid, laid out like the field it
+    is built from: dE/dn, the Laplacian scratch, two scratch planes, the
+    frozen boundary slabs (the boundary layer of decaying fields, the
+    reduction's boundary condition; none for non-decaying fields) and a
+    pool of spare field arrays."""
 
-    The stage buffers, a dE/dn buffer and two scratch planes are allocated
-    once per call, and every right-hand side, cross product and
-    renormalization writes into them (variational_derivative_energy adds
-    its flat difference scratch per evaluation).  Nothing is shared between
-    calls: the returned field owns its array, and n.values is only read.
-    Every stage keeps the operation order of the allocating formulas, so the
-    result is bit-identical to them.
+    def __init__(self, n):
+        self.de, self.lap = np.empty_like(n.values), np.empty_like(n.values)
+        self.planes = np.empty((2,) + n.values.shape[:-1])
+        self.frozen = n.grid.boundary_slabs() if n.decaying else ()
+        self.pool = []
+
+    def take(self):
+        """A spare field array from the pool, allocated if the pool is empty."""
+        return self.pool.pop() if self.pool else np.empty_like(self.de)
+
+
+def step(n, cfg, work=None):
+    """Advance one time step and return the new field, laid out like
+    n.values; an RK4 dt beyond dt*rho = 2*sqrt(2) raises ValueError.
+
+    Every right-hand side, cross product and renormalization writes into
+    work, a _Workspace for fields with n's grid, decay and layout, built
+    for this call when None.  Stage arrays come from its pool and go back,
+    except the new field's, which the field owns; n.values is only read.
+    Every stage keeps the operation order of the allocating formulas, so
+    the result is bit-identical to them.
     """
     y = n.values
     dt = cfg.dt
     params = cfg.params
-    frozen = _frozen_cells(n)
-    de = np.empty_like(y)
-    planes = np.empty((2,) + y.shape[:-1])
+    work = _Workspace(n) if work is None else work
+    planes = work.planes
 
     def rhs(values, out):
         """out = -values x dE/dn, zero on the frozen cells."""
         g = variational_derivative_energy(n.with_values(values, check=False), params,
-                                          out=de)
+                                          out=work.de, work=work.lap)
         _minus_cross(values, g, out, planes)
-        if frozen is not None:
-            out[frozen] = 0.0
+        for slab in work.frozen:
+            out[slab] = 0.0
         return out
 
     if cfg.scheme == "rk4_project":
@@ -219,7 +238,7 @@ def step(n, cfg):
             raise ValueError(f"dt*rho = {dt * rho:.4g} exceeds the RK4 stability limit "
                              f"2*sqrt(2); use dt <= {2.0 * np.sqrt(2.0) / rho:.4g}")
         # acc = k1 + 2 k2 + 2 k3 + k4; stage holds 2 k_i, then the next stage
-        acc, k, stage = (np.empty_like(y) for _ in range(3))
+        acc, k, stage = work.take(), work.take(), work.take()
         rhs(y, acc)
         np.multiply(acc, 0.5 * dt, out=stage)
         np.add(y, stage, out=stage)
@@ -233,8 +252,10 @@ def step(n, cfg):
         np.add(acc, k, out=acc)
         np.multiply(acc, dt / 6.0, out=acc)
         out = _renormalize(np.add(y, acc, out=acc), planes)
+        work.pool += [k, stage]
     else:
-        out, mid, f = np.array(y), np.empty_like(y), np.empty_like(y)
+        out, mid, f = work.take(), work.take(), work.take()
+        np.copyto(out, y)
         for iteration in range(50):
             np.add(y, out, out=mid)
             _renormalize(np.multiply(mid, 0.5, out=mid), planes)
@@ -251,6 +272,7 @@ def step(n, cfg):
                 f"(last update {delta:.3e})",
                 iterations=50,
             )
+        work.pool += [mid, f]
     return n.with_values(out, check=False)
 
 
@@ -270,26 +292,56 @@ def make_report(n, t, params=EnergyParams()):
     )
 
 
+def _component_major(values):
+    """A copy of values (..., 3) whose components are each contiguous, seen
+    through a (..., 3) view."""
+    out = np.moveaxis(np.empty((3,) + values.shape[:-1]), 0, -1)
+    out[...] = values
+    return out
+
+
 def simulate(n0, cfg, report_sink=None, snapshot_sink=None):
-    """Run cfg.steps steps from n0.
+    """Run cfg.steps steps from n0 (which is only read).
 
     Reports are emitted at t=0, every cfg.report_every steps, and at the end;
-    each is passed to report_sink as it appears.  The final field goes to
-    snapshot_sink.  Aborts with the step index if any value goes non-finite.
+    each is passed to report_sink as it appears.  The final field, whose
+    array is C-contiguous, goes to snapshot_sink.  Aborts with the step
+    index if any value goes non-finite.
+
+    The steps run on a component-major copy of n0 in one workspace, and
+    each old field's array goes back to the workspace's pool.  Each report
+    reads a C-order copy of the field in one reused row buffer, so reports
+    match those of a C-ordered run bit for bit; the workspace is dropped
+    before the final report.
     """
-    reports = [make_report(n0, 0.0, cfg.params)]
-    if report_sink is not None:
-        report_sink(reports[0])
+    reports = []
+
+    def report(n, t):
+        reports.append(make_report(n, t, cfg.params))
+        if report_sink is not None:
+            report_sink(reports[-1])
+
+    def in_row(n):
+        np.copyto(row, n.values)
+        return n.with_values(row, check=False)
+
+    report(n0, 0.0)
     n = n0
+    if cfg.steps:
+        n = n0.with_values(_component_major(n0.values), check=False)
+        work, row = _Workspace(n), np.empty(n0.values.shape)
     for i in range(1, cfg.steps + 1):
-        n = step(n, cfg)
+        new = step(n, cfg, work)
+        work.pool.append(n.values)
+        n = new
         if not np.isfinite(n.values).all():
             raise NumericsError(f"non-finite field values at step {i}")
-        if i % cfg.report_every == 0 or i == cfg.steps:
-            rep = make_report(n, i * cfg.dt, cfg.params)
-            reports.append(rep)
-            if report_sink is not None:
-                report_sink(rep)
+        if i == cfg.steps:
+            work = None  # frees the stepping buffers before the final report
+            n = in_row(n)
+            report(n, i * cfg.dt)
+        elif i % cfg.report_every == 0:
+            report(in_row(n), i * cfg.dt)
     if snapshot_sink is not None:
         snapshot_sink(n)
     return reports, n

@@ -91,15 +91,18 @@ class Grid:
         """Distance of every cell center from the coordinate origin."""
         return np.sqrt((self.coords() ** 2).sum(axis=-1))
 
+    def boundary_slabs(self):
+        """The 2p index tuples of the BOUNDARY_LAYER slabs, the first and the
+        last along each axis; together they cover the boundary layer."""
+        return tuple((slice(None),) * axis + (sl,)
+                     for axis, d in enumerate(self.dims)
+                     for sl in (slice(0, BOUNDARY_LAYER), slice(d - BOUNDARY_LAYER, None)))
+
     def boundary_mask(self):
         """Boolean mask of the BOUNDARY_LAYER cells next to any face."""
         mask = np.zeros(self.dims, dtype=bool)
-        for axis in range(self.p):
-            sl = [slice(None)] * self.p
-            sl[axis] = slice(0, BOUNDARY_LAYER)
-            mask[tuple(sl)] = True
-            sl[axis] = slice(self.dims[axis] - BOUNDARY_LAYER, None)
-            mask[tuple(sl)] = True
+        for slab in self.boundary_slabs():
+            mask[slab] = True
         return mask
 
     def half_widths(self):

@@ -3,7 +3,8 @@ one in llgeo.dynamics.
 
 It builds every stage from fresh arrays: the np.diff plus np.pad Laplacian,
 cross3, np.linalg.norm renormalisation and the textbook stage formulas.
-llgeo.dynamics.step must reproduce it exactly (np.array_equal).
+llgeo.dynamics.step and llgeo.dynamics.simulate must reproduce it exactly
+(np.array_equal).  Its ll_rhs is the reference right-hand side the tests use.
 """
 
 import numpy as np

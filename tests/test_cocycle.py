@@ -271,7 +271,8 @@ def test_bracket_consistent_with_dynamics():
 def test_bracket_consistent_for_conserved_N():
     # both sides are ~0 for the rotation charge: compare at the scale of the
     # raw rates, not against zero
-    from llgeo import K_AXIS, ll_rhs, momentum_N
+    from llgeo import K_AXIS, momentum_N
+    from allocating_stepper import ll_rhs
 
     g = Grid.centered((48, 48), 16.0)
     n0 = make_random_smooth(g, seed=13, amplitude=1.4)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from llgeo import (
     SimConfig,
     SpinField,
     energy,
-    ll_rhs,
     make_bp_soliton,
     make_constant,
     make_radial_profile,
@@ -23,7 +24,7 @@ from llgeo import (
 )
 from llgeo import EuclideanAlgebraElement, calculus, cocycle, momenta
 from llgeo.calculus import integrate
-from llgeo.dynamics import make_report
+from llgeo.dynamics import _component_major, _minus_cross, make_report
 
 import allocating_stepper
 from conftest import relative_gap
@@ -111,13 +112,21 @@ def test_variational_derivative_matches_functional_oracle():
 def test_ll_rhs_vacuum_equilibrium():
     g = Grid.centered((24, 24), 8.0)
     n = make_constant(g, (0, 0, -1))
-    assert np.abs(ll_rhs(n, EnergyParams(a=1.0))).max() == 0.0
+    params = EnergyParams(a=1.0)
+    assert np.abs(allocating_stepper.ll_rhs(n, params)).max() == 0.0
+    for scheme in ("rk4_project", "midpoint"):
+        cfg = SimConfig(dt=1e-2, steps=1, scheme=scheme, params=params)
+        assert np.array_equal(step(n, cfg).values, n.values)
 
 
 def test_ll_rhs_constant_is_fixed_point_without_anisotropy():
     g = Grid.centered((24, 24), 8.0)
     n = make_constant(g, (1.0, 0.0, 0.0))
-    assert np.abs(ll_rhs(n, EnergyParams(a=0.0))).max() == 0.0
+    params = EnergyParams(a=0.0)
+    assert np.abs(allocating_stepper.ll_rhs(n, params)).max() == 0.0
+    for scheme in ("rk4_project", "midpoint"):
+        cfg = SimConfig(dt=1e-2, steps=1, scheme=scheme, params=params)
+        assert np.array_equal(step(n, cfg).values, n.values)
 
 
 def test_ll_rhs_uniform_precession_rate():
@@ -125,16 +134,25 @@ def test_ll_rhs_uniform_precession_rate():
     theta = 0.7
     a = 1.3
     n = make_constant(g, (np.sin(theta), 0.0, np.cos(theta)))
-    rhs = ll_rhs(n, EnergyParams(a=a))
+    rhs = allocating_stepper.ll_rhs(n, EnergyParams(a=a))
     speed = np.linalg.norm(rhs, axis=-1)
     assert np.abs(speed - abs(a * np.cos(theta) * np.sin(theta))).max() < 1e-13
+    # one step turns every vector about k by -a cos(theta) dt at fixed
+    # latitude, up to the local errors O((a dt)^5) of RK4 and O((a dt)^3) of
+    # the midpoint rule
+    dt = 1e-3
+    for scheme, tol in (("rk4_project", 1e-13), ("midpoint", 1e-10)):
+        out = step(n, SimConfig(dt=dt, steps=1, scheme=scheme, params=EnergyParams(a=a))).values
+        turn = np.arctan2(out[..., 1], out[..., 0])
+        assert np.abs(turn + a * np.cos(theta) * dt).max() < tol
+        assert np.abs(out[..., 2] - np.cos(theta)).max() < 1e-15
 
 
 def test_ll_rhs_tangency_and_energy_orthogonality():
     g = Grid.centered((48, 48), 16.0)
     n = make_random_smooth(g, seed=8, amplitude=1.6)
     params = EnergyParams(a=0.5)
-    rhs = ll_rhs(n, params)
+    rhs = allocating_stepper.ll_rhs(n, params)
     ncells = float(np.prod(g.dims))
     assert integrate(np.abs(np.einsum("...i,...i->...", n.values, rhs)), g) < 1e-10 * ncells
     de = variational_derivative_energy(n, params)
@@ -247,6 +265,31 @@ def test_step_equals_the_allocating_stepper_bitwise(case):
     assert np.abs(new.values - n.values).max() > 1e-6  # the field moved
 
 
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_simulate_equals_the_allocating_stepper_bitwise(case):
+    make, scheme = _ORACLE_CASES[case]
+    n0 = make()
+    before = n0.values.copy()
+    cfg = dataclasses.replace(_stable_cfg(n0, scheme), steps=11, report_every=3)
+    seen = []
+    reports, final = simulate(n0, cfg, report_sink=seen.append)
+
+    old, expected = n0, [make_report(n0, 0.0, cfg.params)]
+    for i in range(1, cfg.steps + 1):
+        old = allocating_stepper.step(old, cfg)
+        if i % cfg.report_every == 0 or i == cfg.steps:
+            expected.append(make_report(old, i * cfg.dt, cfg.params))
+    assert np.array_equal(final.values, old.values)
+    assert final.values.flags.c_contiguous
+    assert np.array_equal(n0.values, before)
+    assert len(seen) == len(reports) and all(a is b for a, b in zip(seen, reports))
+    assert [r.t for r in reports] == [r.t for r in expected]
+    for got, want in zip(reports, expected):
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), (got.t, f.name)
+
+
 @pytest.mark.parametrize("case", ["2d_decaying_rk4", "3d_rk4", "2d_non_decaying_rk4"])
 def test_variational_derivative_fills_and_returns_out(case):
     n = _ORACLE_CASES[case][0]()
@@ -256,9 +299,40 @@ def test_variational_derivative_fills_and_returns_out(case):
     assert got is buf
     assert np.array_equal(buf, variational_derivative_energy(n, params))
     assert np.array_equal(buf, allocating_stepper.variational_derivative_energy(n, params))
-    assert np.array_equal(ll_rhs(n, params), allocating_stepper.ll_rhs(n, params))
-    with pytest.raises(ValueError, match="C-contiguous"):
+    rhs = _minus_cross(n.values, buf, np.empty_like(buf), np.empty((2,) + n.grid.dims))
+    assert np.array_equal(rhs, allocating_stepper.ll_rhs(n, params))
+    with pytest.raises(ValueError, match="laid out like it"):
         variational_derivative_energy(n, params, out=np.empty(n.values.shape[::-1]).T)
+
+
+@pytest.mark.parametrize("case", ["2d_decaying_rk4", "3d_rk4", "2d_non_decaying_rk4"])
+def test_variational_derivative_of_a_component_major_field_is_bitwise_equal(case):
+    n = _ORACLE_CASES[case][0]()
+    params = EnergyParams(a=0.7)
+    planar = n.with_values(_component_major(n.values), check=False)
+    assert all(planar.values[..., c].flags.c_contiguous for c in range(3))
+    got = variational_derivative_energy(planar, params)
+    assert got.strides == planar.values.strides
+    assert np.array_equal(got, variational_derivative_energy(n, params))
+    work = np.empty_like(planar.values)
+    assert np.array_equal(variational_derivative_energy(planar, params, work=work), got)
+
+
+def test_variational_derivative_refuses_mismatched_or_gapped_layouts():
+    n = _ORACLE_CASES["2d_decaying_rk4"][0]()
+    planar = n.with_values(_component_major(n.values), check=False)
+    c_order = np.empty(n.values.shape)
+    for kwargs in ({"out": c_order}, {"work": c_order}):
+        with pytest.raises(ValueError, match="same shape and strides"):
+            variational_derivative_energy(planar, **kwargs)
+    with pytest.raises(ValueError, match="same shape and strides"):
+        variational_derivative_energy(n, work=np.empty(n.values.shape, dtype=np.float32))
+    gapped, out, work = (np.empty(n.grid.dims + (4,))[..., :3] for _ in range(3))
+    gapped[...] = n.values  # a flat pass would copy it, and lose its writes
+    with pytest.raises(ValueError, match="must be dense, and out"):
+        variational_derivative_energy(n.with_values(gapped, check=False))
+    with pytest.raises(ValueError, match=r"must be dense \(no gaps"):
+        variational_derivative_energy(n.with_values(gapped, check=False), out=out, work=work)
 
 
 @pytest.mark.parametrize("scheme", ["rk4_project", "midpoint"])
@@ -329,9 +403,9 @@ def test_simulate_aborts_on_nan_with_step_index(monkeypatch):
 
     true_vde = dyn.variational_derivative_energy
 
-    def poisoned(field, params, out=None):
+    def poisoned(field, params, out=None, work=None):
         calls["count"] += 1
-        out = true_vde(field, params, out=out)
+        out = true_vde(field, params, out=out, work=work)
         if calls["count"] > 10:
             out = np.array(out)
             out[5, 5] = np.nan

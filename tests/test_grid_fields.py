@@ -15,6 +15,7 @@ from llgeo import (
 from llgeo.cli import _parse_algebra
 from llgeo.dynamics import make_report
 from llgeo.fields import plane_pairs
+from llgeo.grid import BOUNDARY_LAYER
 from llgeo.io import report_header, report_row
 from llgeo.momenta import _gradients, _two_form
 
@@ -65,6 +66,22 @@ def test_boundary_mask_thickness():
     mask = g.boundary_mask()
     assert mask[0, 5] and mask[1, 5] and not mask[2, 5]
     assert mask[5, 0] and mask[5, 11] and not mask[5, 5]
+
+
+@pytest.mark.parametrize("dims", [(9,), (10, 12), (8, 11, 9)])
+def test_boundary_slabs_cover_exactly_the_boundary_layer(dims):
+    g = Grid(dims, (0.5,) * len(dims), (0.0,) * len(dims))
+    index = np.indices(dims)
+    layer = np.zeros(dims, dtype=bool)
+    for axis, d in enumerate(dims):
+        layer |= (index[axis] < BOUNDARY_LAYER) | (index[axis] >= d - BOUNDARY_LAYER)
+    assert np.array_equal(g.boundary_mask(), layer)
+    slabs = g.boundary_slabs()
+    assert len(slabs) == 2 * len(dims)
+    values = np.ones(dims + (3,))
+    for slab in slabs:
+        values[slab] = 0.0
+    assert np.array_equal(values == 0.0, np.broadcast_to(layer[..., None], values.shape))
 
 
 def test_spinfield_validates_norm_and_boundary():
