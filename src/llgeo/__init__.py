@@ -40,10 +40,8 @@ from .momenta import (
     MomentumReport,
     degree,
     momentum_N,
-    vorticity,
     momentum_P_cross,
     momentum_P_general,
-    momentum_density_P,
     moments,
     momentum_P_derivative,
     rotational_momentum,
@@ -53,7 +51,6 @@ from .momenta import (
     reduced_momentum_lift,
     gauge_invariance_residual,
     check_lift_identity,
-    lift_identity_residual_field,
 )
 from .cocycle import (
     wedge_lift,

@@ -58,13 +58,13 @@ class SimConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0:
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+            raise ValueError(f"dt: must be finite and positive, got {self.dt}")
         if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+            raise ValueError(f"steps: must be nonnegative, got {self.steps}")
         if self.scheme not in ("rk4_project", "midpoint"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.report_every < 1:
-            raise ValueError("report_every must be at least 1")
+            raise ValueError(f"report_every: must be at least 1, got {self.report_every}")
 
 
 def _neighbor_diffs(values, grid, axis):
@@ -278,7 +278,12 @@ def step(n, cfg, work=None):
 
 def make_report(n, t, params=EnergyParams()):
     """Assemble the diagnostics bundle; entries that need decay or a
-    particular dimension are None when unavailable."""
+    particular dimension are None when unavailable.
+
+    Bit-reproducible reports need a C-order field: the energy's sums follow
+    numpy's pairwise summation in the memory order of n.values, so another
+    layout of the same field can change its last bits.  This is why
+    simulate reports from a C-order row copy."""
     e_val = energy(n, params) if n.decaying else None
     deg, P, L = momenta.moments(n) if n.grid.p >= 2 and n.decaying else (None,) * 3
     return momenta.MomentumReport(
@@ -300,13 +305,13 @@ def _component_major(values):
     return out
 
 
-def simulate(n0, cfg, report_sink=None, snapshot_sink=None):
-    """Run cfg.steps steps from n0 (which is only read).
+def simulate(n0, cfg, report_sink=None):
+    """Run cfg.steps steps from n0 (which is only read); returns the reports
+    and the final field, whose array is C-contiguous.
 
     Reports are emitted at t=0, every cfg.report_every steps, and at the end;
-    each is passed to report_sink as it appears.  The final field, whose
-    array is C-contiguous, goes to snapshot_sink.  Aborts with the step
-    index if any value goes non-finite.
+    each is passed to report_sink as it appears.  Aborts with the step index
+    if any value goes non-finite.
 
     The steps run on a component-major copy of n0 in one workspace, and
     each old field's array goes back to the workspace's pool.  Each report
@@ -342,6 +347,4 @@ def simulate(n0, cfg, report_sink=None, snapshot_sink=None):
             report(n, i * cfg.dt)
         elif i % cfg.report_every == 0:
             report(in_row(n), i * cfg.dt)
-    if snapshot_sink is not None:
-        snapshot_sink(n)
     return reports, n

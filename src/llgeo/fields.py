@@ -21,8 +21,10 @@ K_AXIS = np.array([0.0, 0.0, 1.0])
 def check_rotations(r, tol, name):
     """Raise ValueError unless every matrix of r (..., 3, 3) lies within tol
     of SO(3): |R^T R - I| <= tol entrywise and |det R - 1| <= tol, with det R
-    the row triple product.  The comparisons are written so that NaN fails."""
-    with np.errstate(invalid="ignore"):  # an inf entry gives NaN, which fails
+    the row triple product.  The comparisons are written so that NaN fails;
+    a huge entry overflows R^T R to inf (or NaN), which fails without a
+    warning, and past that check every entry is bounded."""
+    with np.errstate(over="ignore", invalid="ignore"):
         ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
     if not ortho <= tol:
         raise ValueError(f"{name}^T {name} deviates from I by {ortho:.3e} (> {tol:g})")
@@ -64,11 +66,10 @@ class SpinField:
             self.check_invariants()
 
     def check_invariants(self):
-        norms = np.linalg.norm(self.values, axis=-1)
-        worst = float(np.abs(norms - 1.0).max())
         if not np.isfinite(self.values).all():
             raise ValueError("spin field contains non-finite values")
-        if worst > UNIT_TOL:
+        worst = self.norm_deviation()
+        if not worst <= UNIT_TOL:
             raise ValueError(f"|n| deviates from 1 by {worst:.3e} (> {UNIT_TOL:g})")
         if self.decaying:
             mask = self.grid.boundary_mask()
@@ -81,8 +82,11 @@ class SpinField:
         return SpinField(self.grid, values, self.decaying, check=check)
 
     def norm_deviation(self):
-        """Max deviation of |n| from 1 over all cells."""
-        return float(np.abs(np.linalg.norm(self.values, axis=-1) - 1.0).max())
+        """Max deviation of |n| from 1 over all cells: inf, without a
+        warning, where a huge entry overflows the norm, and NaN if any
+        value is NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.abs(np.linalg.norm(self.values, axis=-1) - 1.0).max())
 
     def require_decaying(self, what):
         if not self.decaying:

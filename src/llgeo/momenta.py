@@ -3,9 +3,10 @@
 Everything here is a quadrature of first derivatives of the field, taken in
 one derivative pass (_gradients) per field.  The winding diagnostics are
 moments of one object, the topological 2-form F_ij = n . (d_i n x d_j n)
-(_two_form): the degree integrates F_xy, the vorticity is F read as a
-vector, and the P-density is sum_j x_j F_ij / (p-1), so the curl form and
-the general-dimension form of P are one moment of F summed in two orders.
+(_two_form): the degree integrates F_xy, the curl form of P reads F as a
+vector (the vorticity), and the P-density is sum_j x_j F_ij / (p-1), so
+the curl form and the general-dimension form of P are one moment of F
+summed in two orders.
 Besides these: the rotation charge N, the rotational momentum, and the three
 routes to the Euclidean momentum of the reduced system (P-density, rotation
 lift + group gradient, closed-form lift identity), each the first moments
@@ -82,7 +83,7 @@ def _gradients(n):
 def _two_form(n, grads):
     """The topological 2-form F_ij = n . (d_i n x d_j n) from the derivative
     list, one plane per entry of plane_pairs, keyed (i, j).  Every winding
-    diagnostic (deg, vorticity, P, L and the cocycle) is a moment of F."""
+    diagnostic (deg, P in either form, L and the cocycle) is a moment of F."""
     return {(i, j): triple(n.values, grads[i], grads[j]) for i, j in plane_pairs(n.grid.p)}
 
 
@@ -105,25 +106,20 @@ def momentum_N(n):
     return float(integrate(1.0 + n.values @ K_AXIS, n.grid))
 
 
-def vorticity(n):
-    """Vorticity density for p = 3: Omega_a = F_bc / 4pi with (a, b, c)
-    cyclic."""
-    if n.grid.p != 3:
-        raise ValueError("vorticity is defined for p = 3 only")
-    F = _two_form(n, _gradients(n))
-    return np.stack([F[1, 2], -F[0, 2], F[0, 1]], axis=-1) / (4.0 * np.pi)
-
-
 def momentum_P_cross(n):
-    """Translation momentum for p = 3 in the curl form 2pi * integral of x x Omega."""
+    """Translation momentum for p = 3 in the curl form 2pi * integral of
+    x x Omega, with the vorticity Omega_a = F_bc / 4pi, (a, b, c) cyclic."""
     if n.grid.p != 3:
         raise ValueError("the cross form needs p = 3")
     n.require_decaying("momentum_P_cross")
-    return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vorticity(n)), n.grid)
+    F = _two_form(n, _gradients(n))
+    vort = np.stack([F[1, 2], -F[0, 2], F[0, 1]], axis=-1) / (4.0 * np.pi)
+    return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vort), n.grid)
 
 
 def _density_P(F, grid):
-    """P-density P_i = sum_j x_j F_ij / (p-1) from the planes of F."""
+    """P-density, shape dims + (p,), from the planes of F:
+    P_i = n . (d_i n x sum_j x_j d_j n) / (p-1) = sum_j x_j F_ij / (p-1)."""
     if grid.p < 2:
         raise ValueError("translation momentum needs p >= 2")
     dens = np.zeros(grid.dims + (grid.p,))
@@ -131,12 +127,6 @@ def _density_P(F, grid):
         dens[..., i] += grid.coord_component(j) * f
         dens[..., j] -= grid.coord_component(i) * f
     return dens / (grid.p - 1)
-
-
-def momentum_density_P(n):
-    """Translation momentum density, shape dims + (p,):
-    P_i = 1/(p-1) n . (d_i n x sum_j x_j d_j n)."""
-    return _density_P(_two_form(n, _gradients(n)), n.grid)
 
 
 def _moments(w, grid):
@@ -303,7 +293,7 @@ def gauge_invariance_residual(n, alpha):
     )
 
 
-def lift_identity_residual_field(n):
+def _lift_identity_residual(n):
     """Cellwise |n . rgrad_i psi_n - wbar_i| over axes i, with wbar the
     closed form; zero on singular cells.  Shape dims."""
     wbar, singular = _lift_integrand(n)
@@ -316,4 +306,4 @@ def check_lift_identity(n):
     """Max residual of the lift derivative identity over non-singular cells;
     refuses on a fat singular set (see _lift_integrand)."""
     n.require_decaying("check_lift_identity")
-    return float(lift_identity_residual_field(n).max())
+    return float(_lift_identity_residual(n).max())

@@ -369,19 +369,15 @@ def test_simulate_zero_steps_single_report():
     assert np.array_equal(final.values, n.values)
 
 
-def test_simulate_report_cadence_and_sinks():
+def test_simulate_report_cadence_and_sink():
     g = Grid.centered((32, 32), 12.0)
     n = make_bp_soliton(g, 1, 1.0, 4.0)
     seen = []
-    reps, final = simulate(
-        n,
-        SimConfig(dt=1e-3, steps=10, report_every=4),
-        report_sink=seen.append,
-        snapshot_sink=lambda f: seen.append("snap"),
-    )
+    reps, final = simulate(n, SimConfig(dt=1e-3, steps=10, report_every=4),
+                           report_sink=seen.append)
     # t = 0, 4, 8, 10
     assert [r.t for r in reps] == pytest.approx([0.0, 4e-3, 8e-3, 10e-3])
-    assert len(seen) == len(reps) + 1 and seen[-1] == "snap"
+    assert len(seen) == len(reps) and all(s is r for s, r in zip(seen, reps))
 
 
 def test_simulate_is_deterministic():
@@ -489,11 +485,16 @@ def _with_rotations(route):
     (cocycle.check_px_py_bracket, "soliton_2d", 1),
     (_with_rotations(cocycle.cocycle_via_pairing), "soliton_2d", 3),
     (_with_rotations(cocycle.cocycle_via_pairing), "random_3d", 3),
+    (momenta.momentum_P_cross, "random_3d", 1),
+    (momenta.reduced_momentum_lift, "soliton_2d", 1),
+    (momenta.check_lift_identity, "soliton_2d", 1),
 ], ids=["degree", "cocycle_direct_2d", "cocycle_direct_3d", "check_px_py_bracket",
-        "cocycle_via_pairing_2d", "cocycle_via_pairing_3d"])
+        "cocycle_via_pairing_2d", "cocycle_via_pairing_3d", "momentum_P_cross_3d",
+        "reduced_momentum_lift", "check_lift_identity"])
 def test_winding_diagnostics_differentiate_once_per_axis(partial_calls, diagnostic, kind,
                                                          passes):
-    # each reads the one 2-form built from a single derivative pass; the
+    # each reads one derivative pass of n (the 2-form, or the closed-form
+    # lift integrand; the lift's right gradient takes no partial); the
     # pairing route differentiates mu once for both wedge lifts, and the
     # bracket then differentiates each lift once
     n = _field(kind)

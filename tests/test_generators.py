@@ -12,8 +12,9 @@ from llgeo import (
     make_radial_profile,
     make_random_smooth,
     momentum_P_general,
-    momentum_density_P,
 )
+
+from conftest import density_P
 
 
 def test_constant_vacuum():
@@ -114,7 +115,7 @@ def test_radial_field_has_no_momentum_or_degree():
     # fixed-plane construction: the triple products vanish to roundoff
     assert abs(degree(f)) < 1e-8
     assert np.abs(momentum_P_general(f)).max() < 1e-8
-    assert np.abs(momentum_density_P(f)).max() < 1e-10
+    assert np.abs(density_P(f)).max() < 1e-10
 
 
 def test_radial_rejects_non_finite_profile():

@@ -1,7 +1,10 @@
+import functools
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from llgeo import (
     Grid,
@@ -12,6 +15,7 @@ from llgeo import (
     make_constant,
     make_gauge_bump_alpha,
     make_gauge_field,
+    make_random_smooth,
     read_snapshot,
     write_snapshot,
 )
@@ -142,16 +146,73 @@ def test_non_finite_payload_rejected(tmp_path):
         read_snapshot(path)
 
 
-def test_unit_norm_violation_rejected_on_read(tmp_path):
-    g = Grid.centered((16, 16), 8.0)
-    f = make_constant(g, (0, 0, -1))
-    path = tmp_path / "u.llgf"
-    write_snapshot(f, path)
+def _with_last_entry(field, value, path):
+    """Write field to path with its last payload entry replaced by value."""
+    write_snapshot(field, path)
     blob = bytearray(path.read_bytes())
-    blob[-8:] = np.float64(-3.0).tobytes()
+    blob[-8:] = np.float64(value).tobytes()
     path.write_bytes(bytes(blob))
-    with pytest.raises(SnapshotError, match="invariant"):
+    return path
+
+
+def test_unit_norm_violation_rejected_on_read(tmp_path):
+    # 1e200 is finite, but its square overflows |n| to inf: the check must
+    # refuse it without a RuntimeWarning
+    f = make_constant(Grid.centered((16, 16), 8.0), (0, 0, -1))
+    for value, dev in ((-3.0, r"2\.000e\+00"), (1e200, "inf")):
+        path = _with_last_entry(f, value, tmp_path / "u.llgf")
+        with pytest.raises(SnapshotError, match=f"invariant.*deviates from 1 by {dev}"):
+            read_snapshot(path)
+
+
+def test_rotation_overflow_rejected_on_read(tmp_path):
+    g = Grid.centered((16, 16), 8.0)
+    path = _with_last_entry(make_gauge_field(g, np.zeros(g.dims)), 1e200, tmp_path / "r.llgf")
+    with pytest.raises(SnapshotError, match="invariant.*deviates from I by inf"):
         read_snapshot(path)
+
+
+@functools.cache
+def _fuzz_bases(path):
+    """The valid snapshots to corrupt, each as (bytes, header length): a 2D
+    spin, a 3D spin and a rotation field, each written once through path."""
+    g2, g3 = Grid.centered((12, 12), 8.0), Grid.centered((12, 12, 12), 8.0)
+    fields = (make_random_smooth(g2, seed=1), make_random_smooth(g3, seed=2),
+              make_gauge_field(g2, make_gauge_bump_alpha(g2, winding=1)))
+    bases = []
+    for f in fields:
+        write_snapshot(f, path)
+        blob = path.read_bytes()
+        bases.append((blob, len(blob) - 8 * f.values.size))
+    return bases
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.integers(0, 2), mode=st.sampled_from(["truncate", "header", "payload"]),
+       spots=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+def test_read_snapshot_fuzz_yields_a_field_or_snapshot_error(tmp_path_factory, base, mode,
+                                                             spots):
+    # a truncation at any offset, 1-3 corrupt header bytes or one corrupt
+    # payload byte, each spot a fraction of the span it falls in; any
+    # warning is an error too
+    path = tmp_path_factory.getbasetemp() / "fuzz.llgf"
+    blob, header = _fuzz_bases(path)[base]
+    blob = bytearray(blob)
+    if mode == "truncate":
+        del blob[int(spots[0][0] * len(blob)):]
+    else:
+        lo, hi = (0, header) if mode == "header" else (header, len(blob))
+        for where, value in spots if mode == "header" else spots[:1]:
+            blob[lo + int(where * (hi - lo))] = value
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            field = read_snapshot(path)
+        except SnapshotError:
+            return
+    assert isinstance(field, (SpinField, RotationField))
 
 
 def test_report_csv_round_trips_floats(tmp_path):

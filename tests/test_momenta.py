@@ -9,7 +9,6 @@ from llgeo import (
     degree,
     gauge_invariance_residual,
     check_lift_identity,
-    lift_identity_residual_field,
     lift_psi,
     lift_singular_mask,
     make_bp_soliton,
@@ -22,15 +21,19 @@ from llgeo import (
     momentum_P_cross,
     momentum_P_derivative,
     momentum_P_general,
-    momentum_density_P,
     reduced_momentum_lift,
     rotational_momentum,
-    vorticity,
 )
-from llgeo.momenta import MAX_SINGULAR_FRACTION, MomentumReport
+from llgeo.momenta import (
+    MAX_SINGULAR_FRACTION,
+    MomentumReport,
+    _gradients,
+    _lift_identity_residual,
+    _two_form,
+)
 from llgeo.calculus import integrate, partial, so3_exp
 
-from conftest import relative_gap
+from conftest import density_P, relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
@@ -89,11 +92,13 @@ def test_momentum_N_invariant_under_rotation_about_k():
     assert abs(momentum_N(f) - momentum_N(rotated)) < 1e-12
 
 
-# ---------- vorticity and P (p = 3) ----------
+# ---------- the 2-form and P (p = 3) ----------
 
-def test_vorticity_zero_for_constant_and_1d_variation():
+def test_two_form_zero_for_constant_and_1d_variation():
+    # the vorticity of the curl form of P is F read as a vector
     g = Grid.centered((16, 16, 16), 8.0)
-    assert np.abs(vorticity(make_constant(g, (0, 0, -1)))).max() == 0.0
+    vacuum = make_constant(g, (0, 0, -1))
+    assert all(np.abs(f).max() == 0.0 for f in _two_form(vacuum, _gradients(vacuum)).values())
 
     x = g.coords()[..., 0]
     theta = 0.6 * np.exp(-(x ** 2))
@@ -103,11 +108,11 @@ def test_vorticity_zero_for_constant_and_1d_variation():
     from llgeo import SpinField
 
     f = SpinField(g, vals, decaying=False)
-    assert np.abs(vorticity(f)).max() < 1e-12
+    assert all(np.abs(F).max() < 1e-12 for F in _two_form(f, _gradients(f)).values())
 
     g2 = Grid.centered((16, 16), 8.0)
-    with pytest.raises(ValueError):
-        vorticity(make_constant(g2, (0, 0, -1)))
+    with pytest.raises(ValueError, match="p = 3"):
+        momentum_P_cross(make_constant(g2, (0, 0, -1)))
 
 
 def test_p3_cross_form_equals_general_form():
@@ -139,13 +144,13 @@ def test_momentum_P_radial_zero():
     g = Grid.centered((96, 96), 16.0)
     f = make_radial_profile(g, profile_bump(1.1, 5.0))
     assert np.abs(momentum_P_general(f)).max() < 1e-8
-    assert np.abs(momentum_density_P(f)).max() < 1e-10
+    assert np.abs(density_P(f)).max() < 1e-10
 
 
 def test_momentum_P_integral_of_density_exactly():
     g = Grid.centered((64, 64), 16.0)
     f = make_bp_soliton(g, 1, 1.5, 5.0, center=(0.8, -0.4))
-    assert np.array_equal(momentum_P_general(f), integrate(momentum_density_P(f), g))
+    assert np.array_equal(momentum_P_general(f), integrate(density_P(f), g))
 
 
 def test_momentum_P_shift_identity():
@@ -220,7 +225,7 @@ def test_rotational_momentum_normalization_factor():
     # the raw wedge moment is p/(p-1) times the generator-normalized charge
     g = Grid.centered((64, 64), 16.0)
     f = make_bp_soliton(g, 1, 1.5, 5.0)
-    dens = momentum_density_P(f)
+    dens = density_P(f)
     x = g.coords()
     wedge = x[..., :, None] * dens[..., None, :] - dens[..., :, None] * x[..., None, :]
     raw = integrate(wedge, g)
@@ -389,7 +394,7 @@ def test_lift_identity_near_singular_zone_localized():
     # identity residual blows up there and stays moderate elsewhere
     g = Grid.centered((96, 96), 16.0)
     n = make_bp_soliton(g, 1, 2.0, 6.0)
-    resid = lift_identity_residual_field(n)
+    resid = _lift_identity_residual(n)
     kdot = n.values @ K_AXIS
     near = kdot > 0.8
     assert near.any() and (~near).any()
