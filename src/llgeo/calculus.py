@@ -11,12 +11,18 @@ Conventions pinned here once and used everywhere:
 * so3_log takes the angle theta = atan2(|vee R|, (tr R - 1)/2) and the axis
   from vee R up to pi/2, from sym R - cos(theta) I = (1 - cos(theta)) a a^T
   beyond; its input passes the same SO(3) check as a stored RotationField
-  (fields.check_rotations), with the looser ROTATION_TOL.
+  (fields.check_rotations), with the looser ROTATION_TOL;
+* rotation arrays are component-major: so3_exp and the one-step motions
+  write each entry R[..., i, j] into its own contiguous plane of one
+  (3, 3) + dims buffer and return its (..., 3, 3) view.  The SO(3) kernels
+  (so3_exp, so3_log, _motion and fields.check_rotations) are entrywise sums
+  on the nine entry planes, so they take any layout and give the same bits
+  for every layout.
 """
 
 import numpy as np
 
-from .fields import RotationField, check_rotations
+from .fields import RotationField, _matmul3, _matrices, _planes, check_rotations
 
 ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
 
@@ -141,12 +147,25 @@ def so3_exp(v):
     """Rodrigues exponential, vectorized over leading axes of v (..., 3):
     I + sinc(theta) hat(v) + 1/2 sinc(theta/2)^2 (v v^T - theta^2 I), with
     sinc(x) = sin(x)/x smooth through 0 (np.sinc), so there is no small-angle
-    branch and so3_exp(0) is I exactly."""
+    branch and so3_exp(0) is I exactly.  The nine entries are written on
+    planes, b v_i v_j + c on the diagonal and b v_i v_j -+ s v_k off it, and
+    returned as a component-major (..., 3, 3) array."""
     v = np.asarray(v, float)
-    theta = np.linalg.norm(v, axis=-1)[..., None, None]
+    comps = np.moveaxis(v, -1, 0)
+    x, y, z = comps
+    theta = np.sqrt(x * x + y * y + z * z)
+    s = np.sinc(theta / np.pi)
     b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
-    return (np.sinc(theta / np.pi) * hat(v) + b * (v[..., :, None] * v[..., None, :])
-            + (1.0 - b * theta ** 2) * np.eye(3))
+    c = 1.0 - b * theta ** 2
+    m = np.empty((3, 3) + theta.shape)
+    for i in range(3):
+        np.multiply(b, comps[i] * comps[i], out=m[i, i, ...])
+        m[i, i, ...] += c
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        sym, turn = b * (comps[i] * comps[j]), s * comps[k]
+        np.subtract(sym, turn, out=m[i, j, ...])
+        np.add(sym, turn, out=m[j, i, ...])
+    return _matrices(m)
 
 
 def so3_log(r):
@@ -157,16 +176,20 @@ def so3_log(r):
     vee R * theta/|vee R|.  For obtuse angles vee R = sin(theta) a loses the
     axis a as theta -> pi, so a is read from the identity
     sym R - cos(theta) I = (1 - cos(theta)) a a^T: its largest-diagonal
-    column, normalised and oriented along vee R.
+    column, normalised and oriented along vee R.  vee R and the trace are
+    read from the entry planes, and the result is component-major.
     """
     r = np.asarray(r, float)
     check_rotations(r, ROTATION_TOL, "R")
-    anti = vee(r)                      # = sin(theta) * axis
-    sin_t = np.linalg.norm(anti, axis=-1)
-    cos_t = (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0) / 2.0
+    m = _planes(r)
+    anti = np.stack([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    anti *= 0.5                        # = sin(theta) * axis, component-major
+    ax, ay, az = anti
+    sin_t = np.sqrt(ax * ax + ay * ay + az * az)
+    cos_t = (m[0, 0] + m[1, 1] + m[2, 2] - 1.0) / 2.0
     theta = np.arctan2(sin_t, cos_t)
     scale = np.divide(theta, sin_t, out=np.ones_like(theta), where=sin_t > 0)
-    out = anti * scale[..., None]
+    out = np.moveaxis(anti * scale, 0, -1)
 
     obtuse = cos_t < 0.0
     if obtuse.any():
@@ -175,14 +198,15 @@ def so3_log(r):
         col = np.argmax(np.diagonal(outer, axis1=-2, axis2=-1), axis=-1)
         axis = outer[np.arange(col.size), :, col]
         axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
-        axis[np.einsum("...i,...i->...", axis, anti[obtuse]) < 0.0] *= -1.0
+        along = np.einsum("...i,...i->...", axis, np.moveaxis(anti, 0, -1)[obtuse])
+        axis[along < 0.0] *= -1.0
         out[obtuse] = axis * theta[obtuse][:, None]
     return out
 
 
 def _motion(later, earlier):
     """later @ earlier^T: the rotation carrying earlier to later."""
-    return later @ np.swapaxes(earlier, -1, -2)
+    return _matmul3(later, np.swapaxes(earlier, -1, -2))
 
 
 def right_gradient_axis(psi, axis):
@@ -197,15 +221,20 @@ def right_gradient_axis(psi, axis):
         raise TypeError("psi must be a RotationField")
     if not 0 <= axis < psi.grid.p:
         raise ValueError(f"axis {axis} out of range for p={psi.grid.p}")
-    values = np.moveaxis(psi.values, axis, 0)
-    fwd = so3_log(_motion(values[1:], values[:-1]))
+    values = psi.values
+
+    def sl(s):
+        # indexes along axis without moving it, so slices keep the planes' layout
+        return (slice(None),) * axis + (s,)
+
+    fwd = so3_log(_motion(values[sl(slice(1, None))], values[sl(slice(None, -1))]))
     # the two-step motions enter only the one-sided edge stencils
-    two = so3_log(_motion(values[[2, -3]], values[[0, -1]]))
+    two = so3_log(_motion(values[sl([2, -3])], values[sl([0, -1])]))
     out = np.empty(values.shape[:-1])
-    out[1:-1] = fwd[1:] + fwd[:-1]
-    out[0] = 4.0 * fwd[0] - two[0]
-    out[-1] = 4.0 * fwd[-1] + two[1]
-    return np.moveaxis(out / (2.0 * psi.grid.spacing[axis]), 0, axis)
+    out[sl(slice(1, -1))] = fwd[sl(slice(1, None))] + fwd[sl(slice(None, -1))]
+    out[sl(0)] = 4.0 * fwd[sl(0)] - two[sl(0)]
+    out[sl(-1)] = 4.0 * fwd[sl(-1)] + two[sl(1)]
+    return out / (2.0 * psi.grid.spacing[axis])
 
 
 def right_gradient_stack(psi):

@@ -81,12 +81,16 @@ def energy(n, params=EnergyParams()):
     """
     n.require_decaying("energy")
     grid = n.grid
+    # the sums below follow numpy's pairwise summation in memory order, so
+    # they read a C-order array (no copy for a C-order field) to give the
+    # same bits for every layout of the same field
+    values = np.ascontiguousarray(n.values)
     exch = 0.0
     for axis in range(grid.p):
-        d = _neighbor_diffs(n.values, grid, axis)
+        d = _neighbor_diffs(values, grid, axis)
         exch += 0.5 * float((d * d).sum()) * grid.cell_volume
-    kdot = n.values @ K_AXIS
-    aniso_dens = (n.values * n.values).sum(axis=-1) - kdot * kdot
+    kdot = values @ K_AXIS
+    aniso_dens = (values * values).sum(axis=-1) - kdot * kdot
     aniso = 0.5 * params.a * float(integrate(aniso_dens, grid))
     return exch + aniso
 
@@ -278,12 +282,7 @@ def step(n, cfg, work=None):
 
 def make_report(n, t, params=EnergyParams()):
     """Assemble the diagnostics bundle; entries that need decay or a
-    particular dimension are None when unavailable.
-
-    Bit-reproducible reports need a C-order field: the energy's sums follow
-    numpy's pairwise summation in the memory order of n.values, so another
-    layout of the same field can change its last bits.  This is why
-    simulate reports from a C-order row copy."""
+    particular dimension are None when unavailable."""
     e_val = energy(n, params) if n.decaying else None
     deg, P, L = momenta.moments(n) if n.grid.p >= 2 and n.decaying else (None,) * 3
     return momenta.MomentumReport(

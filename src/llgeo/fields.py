@@ -7,7 +7,7 @@ check=False adopts a trusted array as it is.
 Boundary conditions hold on the grid.BOUNDARY_LAYER cells next to each face.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -18,17 +18,57 @@ ORTHO_TOL = 1e-10
 K_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def _planes(m):
+    """The nine entry planes of a stack of 3x3 matrices (..., 3, 3), as the
+    (3, 3) + dims view whose [i, j] is m[..., i, j]; the planes are
+    contiguous exactly when m is component-major."""
+    return np.moveaxis(m, (-2, -1), (0, 1))
+
+
+def _matrices(m):
+    """Inverse of _planes: the (..., 3, 3) view of a (3, 3) + dims buffer."""
+    return np.moveaxis(m, (0, 1), (-2, -1))
+
+
+def _matmul3(a, b):
+    """Pointwise a @ b of two stacks of 3x3 matrices (any memory layout):
+    each entry a[i, 0] b[0, j] + a[i, 1] b[1, j] + a[i, 2] b[2, j] is summed on
+    its own plane of one component-major buffer, so the bits do not depend
+    on the layout of a and b."""
+    a, b = _planes(a), _planes(b)
+    out = np.empty((3, 3) + np.broadcast_shapes(a.shape[2:], b.shape[2:]))
+    term = np.empty(out.shape[2:])
+    for i in range(3):
+        for j in range(3):
+            entry = out[i, j, ...]
+            np.multiply(a[i, 0], b[0, j], out=entry)
+            for k in (1, 2):
+                np.multiply(a[i, k], b[k, j], out=term)
+                entry += term
+    return _matrices(out)
+
+
 def check_rotations(r, tol, name):
     """Raise ValueError unless every matrix of r (..., 3, 3) lies within tol
     of SO(3): |R^T R - I| <= tol entrywise and |det R - 1| <= tol, with det R
-    the row triple product.  The comparisons are written so that NaN fails;
-    a huge entry overflows R^T R to inf (or NaN), which fails without a
-    warning, and past that check every entry is bounded."""
+    the row triple product.  Both are written entrywise from the nine entry
+    planes: the six distinct entries of the symmetric R^T R are column dot
+    products.  The comparisons are written so that NaN fails (np.max keeps a
+    NaN wherever it is); a huge entry overflows R^T R to inf (or NaN), which
+    fails without a warning, and past that check every entry is bounded."""
+    (a, b, c), (d, e, f), (g, h, i) = _planes(r)
+    cols = (a, d, g), (b, e, h), (c, f, i)
+    worst = []
     with np.errstate(over="ignore", invalid="ignore"):
-        ortho = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
+        for j, k in combinations_with_replacement(range(3), 2):
+            (x0, x1, x2), (y0, y1, y2) = cols[j], cols[k]
+            gram = x0 * y0 + x1 * y1 + x2 * y2
+            if j == k:
+                gram -= 1.0
+            worst.append(np.abs(gram).max())
+    ortho = np.max(worst)
     if not ortho <= tol:
         raise ValueError(f"{name}^T {name} deviates from I by {ortho:.3e} (> {tol:g})")
-    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(r, (-2, -1), (0, 1))
     det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
     dev = np.abs(det - 1.0).max()
     if not dev <= tol:
@@ -36,6 +76,8 @@ def check_rotations(r, tol, name):
 
 
 def _frozen(values):
+    # np.array copies in memory order ("K"), so a component-major payload
+    # stays component-major
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
@@ -118,7 +160,7 @@ class RotationField:
 
     def compose(self, other, check=True):
         """Pointwise matrix product psi(x) other(x)."""
-        return RotationField(self.grid, self.values @ other.values, check=check)
+        return RotationField(self.grid, _matmul3(self.values, other.values), check=check)
 
     def inverse(self):
         return RotationField(
