@@ -23,6 +23,7 @@ Conventions pinned here once and used everywhere:
 import numpy as np
 
 from .fields import RotationField, _matmul3, _matrices, _planes, check_rotations
+from .grid import _along
 
 ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
 
@@ -30,17 +31,10 @@ ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
 def partial(values, grid, axis):
     """d(values)/dx_axis with second-order stencils (central in the interior,
     one-sided at the edges).  Works for any trailing component shape."""
-    if not 0 <= axis < grid.p:
-        raise ValueError(f"axis {axis} out of range for p={grid.p}")
+    sl = _along(axis, grid.p)
     values = np.asarray(values, float)
     h = grid.spacing[axis]
     out = np.empty_like(values)
-
-    def sl(s):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = s
-        return tuple(idx)
-
     out[sl(slice(1, -1))] = (values[sl(slice(2, None))] - values[sl(slice(None, -2))]) / (2.0 * h)
     # one-sided second order, written in difference form so constants map to
     # exactly zero
@@ -60,16 +54,9 @@ def partial_T(cot, grid, axis):
     Pulls a cotangent of d(values)/dx_axis back to a cotangent of values,
     which is how the adjoint gradients of quadrature functionals are built.
     """
-    if not 0 <= axis < grid.p:
-        raise ValueError(f"axis {axis} out of range for p={grid.p}")
+    sl = _along(axis, grid.p)
     cot = np.asarray(cot, float)
     out = np.zeros_like(cot)
-
-    def sl(s):
-        idx = [slice(None)] * cot.ndim
-        idx[axis] = s
-        return tuple(idx)
-
     inner = cot[sl(slice(1, -1))]
     out[sl(slice(2, None))] += inner
     out[sl(slice(None, -2))] -= inner
@@ -219,14 +206,8 @@ def right_gradient_axis(psi, axis):
     """
     if not isinstance(psi, RotationField):
         raise TypeError("psi must be a RotationField")
-    if not 0 <= axis < psi.grid.p:
-        raise ValueError(f"axis {axis} out of range for p={psi.grid.p}")
+    sl = _along(axis, psi.grid.p)  # slices keep the planes' layout
     values = psi.values
-
-    def sl(s):
-        # indexes along axis without moving it, so slices keep the planes' layout
-        return (slice(None),) * axis + (s,)
-
     fwd = so3_log(_motion(values[sl(slice(1, None))], values[sl(slice(None, -1))]))
     # the two-step motions enter only the one-sided edge stencils
     two = so3_log(_motion(values[sl([2, -3])], values[sl([0, -1])]))

@@ -18,10 +18,11 @@ its pool.  Every buffer is laid out like the field being stepped
 (np.empty_like), and simulate steps a component-major copy of n0 (n_x, n_y
 and n_z each contiguous, seen through a (..., 3) view), so the
 per-component passes of the cross product and the renormalization stream
-contiguous planes.  Reports and the returned field are read from C-order
-copies.  Every value is computed elementwise with the operation order of
-the textbook allocating formulas (np.diff plus np.pad, cross3,
+contiguous planes.  Every value is computed elementwise with the operation
+order of the textbook allocating formulas (np.diff plus np.pad, cross3,
 np.linalg.norm), so the results are bit-identical to them in either layout.
+make_report gives the same bits for every layout too, so simulate reports
+the field it steps and copies only the field it returns into C order.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericsError
 from .fields import K_AXIS, SpinField
 from .calculus import integrate
+from .grid import _along
 from . import momenta
 
 
@@ -127,7 +129,7 @@ def _free_laplacian(values, grid, out, work):
         flat = _flat(buf)
         s = buf.strides[axis] // buf.itemsize
         np.subtract(vflat[s:], vflat[:-s], out=flat[s:])
-        buf[(slice(None),) * axis + (0,)] = 0.0
+        buf[_along(axis, grid.p)(0)] = 0.0
         np.divide(flat, h, out=flat)
         np.subtract(flat[s:], flat[:-s], out=flat[:-s])  # reads run ahead of writes
         np.subtract(0.0, flat[-s:], out=flat[-s:])
@@ -314,9 +316,8 @@ def simulate(n0, cfg, report_sink=None):
 
     The steps run on a component-major copy of n0 in one workspace, and
     each old field's array goes back to the workspace's pool.  Each report
-    reads a C-order copy of the field in one reused row buffer, so reports
-    match those of a C-ordered run bit for bit; the workspace is dropped
-    before the final report.
+    reads the field being stepped; the workspace is dropped before the
+    final report.
     """
     reports = []
 
@@ -325,15 +326,11 @@ def simulate(n0, cfg, report_sink=None):
         if report_sink is not None:
             report_sink(reports[-1])
 
-    def in_row(n):
-        np.copyto(row, n.values)
-        return n.with_values(row, check=False)
-
     report(n0, 0.0)
-    n = n0
-    if cfg.steps:
-        n = n0.with_values(_component_major(n0.values), check=False)
-        work, row = _Workspace(n), np.empty(n0.values.shape)
+    if not cfg.steps:
+        return reports, n0
+    n = n0.with_values(_component_major(n0.values), check=False)
+    work = _Workspace(n)
     for i in range(1, cfg.steps + 1):
         new = step(n, cfg, work)
         work.pool.append(n.values)
@@ -342,8 +339,6 @@ def simulate(n0, cfg, report_sink=None):
             raise NumericsError(f"non-finite field values at step {i}")
         if i == cfg.steps:
             work = None  # frees the stepping buffers before the final report
-            n = in_row(n)
+        if i % cfg.report_every == 0 or i == cfg.steps:
             report(n, i * cfg.dt)
-        elif i % cfg.report_every == 0:
-            report(in_row(n), i * cfg.dt)
-    return reports, n
+    return reports, n.with_values(np.ascontiguousarray(n.values), check=False)

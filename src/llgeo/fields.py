@@ -83,6 +83,18 @@ def _frozen(values):
     return out
 
 
+def _payload(grid, values, comp, check):
+    """The float values of a field on grid with per-cell shape comp: a
+    frozen copy when check is set, else the array as it is (the trusted
+    internal fast path: no copy, no freeze)."""
+    if not isinstance(grid, Grid):
+        raise TypeError("grid must be a Grid")
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.dims + comp:
+        raise ValueError(f"values shape {values.shape} does not match grid {grid.dims + comp}")
+    return _frozen(values) if check else values
+
+
 class SpinField:
     """Unit 3-vector field n(x) on a Grid.
 
@@ -93,16 +105,8 @@ class SpinField:
     """
 
     def __init__(self, grid, values, decaying=True, check=True):
-        if not isinstance(grid, Grid):
-            raise TypeError("grid must be a Grid")
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.dims + (3,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {grid.dims + (3,)}"
-            )
+        self.values = _payload(grid, values, (3,), check)
         self.grid = grid
-        # check=False is the trusted internal fast path: no copy, no freeze
-        self.values = _frozen(values) if check else values
         self.decaying = bool(decaying)
         if check:
             self.check_invariants()
@@ -139,16 +143,8 @@ class RotationField:
     """SO(3)-matrix field psi(x) on a Grid; identity on the boundary layer."""
 
     def __init__(self, grid, values, check=True):
-        if not isinstance(grid, Grid):
-            raise TypeError("grid must be a Grid")
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.dims + (3, 3):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {grid.dims + (3, 3)}"
-            )
+        self.values = _payload(grid, values, (3, 3), check)
         self.grid = grid
-        # check=False is the trusted internal fast path: no copy, no freeze
-        self.values = _frozen(values) if check else values
         if check:
             self.check_invariants()
 
@@ -211,7 +207,7 @@ class EuclideanAlgebraElement:
     def from_matrix(cls, omega, adot):
         omega = np.asarray(omega, float)
         p = omega.shape[0]
-        if omega.shape != (p, p) or np.abs(omega + omega.T).max() > 0:
+        if omega.shape != (p, p) or not (omega == -omega.T).all():  # NaN fails
             raise ValueError("omega must be exactly skew-symmetric")
         return cls(p, [omega[i, j] for i, j in plane_pairs(p)], adot)
 

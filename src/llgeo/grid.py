@@ -12,6 +12,16 @@ import numpy as np
 BOUNDARY_LAYER = 2  # cells per face that stand in for "vanishing at infinity"
 
 
+def _along(axis, p):
+    """The indexer s -> (slice(None),) * axis + (s,), which indexes along
+    one axis of an array whose leading axes are a p-dimensional grid's and
+    keeps every other axis (and so the array's layout); ValueError unless
+    0 <= axis < p."""
+    if not 0 <= axis < p:
+        raise ValueError(f"axis {axis} out of range for p={p}")
+    return lambda s: (slice(None),) * axis + (s,)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered lattice descriptor.
@@ -94,7 +104,7 @@ class Grid:
     def boundary_slabs(self):
         """The 2p index tuples of the BOUNDARY_LAYER slabs, the first and the
         last along each axis; together they cover the boundary layer."""
-        return tuple((slice(None),) * axis + (sl,)
+        return tuple(_along(axis, self.p)(sl)
                      for axis, d in enumerate(self.dims)
                      for sl in (slice(0, BOUNDARY_LAYER), slice(d - BOUNDARY_LAYER, None)))
 

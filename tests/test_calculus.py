@@ -4,6 +4,7 @@ import pytest
 from llgeo import (
     Grid,
     K_AXIS,
+    RotationField,
     integrate,
     make_constant,
     make_gauge_field,
@@ -39,10 +40,20 @@ def test_partial_exact_on_linear():
     assert np.abs(partial(f, g, 0)).max() < 1e-13
 
 
-def test_partial_axis_out_of_range():
-    g = Grid.centered((16, 16), 8.0)
-    with pytest.raises(ValueError):
-        partial(np.zeros(g.dims), g, 2)
+@pytest.mark.parametrize("beyond", [False, True], ids=["below_0", "at_p"])
+@pytest.mark.parametrize("dims", [(8, 8), (8, 8, 8)], ids=["2d", "3d"])
+@pytest.mark.parametrize("op", [partial, partial_T, right_gradient_axis],
+                         ids=lambda op: op.__name__)
+def test_axis_out_of_range(op, dims, beyond):
+    # every stencil goes through one axis rule, with one message
+    g = Grid.centered(dims, 4.0)
+    axis = g.p if beyond else -1
+    with pytest.raises(ValueError, match=rf"^axis {axis} out of range for p={g.p}$"):
+        if op is right_gradient_axis:
+            eye = np.broadcast_to(np.eye(3), g.dims + (3, 3))
+            op(RotationField(g, eye, check=False), axis)
+        else:
+            op(np.zeros(g.dims), g, axis)
 
 
 def test_partial_second_order_convergence():
@@ -68,12 +79,6 @@ def test_partial_T_is_exact_transpose(dims):
         lhs = np.sum(partial(v, g, axis) * c)
         rhs = np.sum(v * partial_T(c, g, axis))
         assert abs(lhs - rhs) <= 1e-12 * np.abs(partial(v, g, axis) * c).sum()
-
-
-def test_partial_T_axis_out_of_range():
-    g = Grid.centered((8, 8), 4.0)
-    with pytest.raises(ValueError):
-        partial_T(np.zeros(g.dims), g, 2)
 
 
 # ---------- integrate ----------
@@ -204,13 +209,6 @@ def test_right_gradient_exponential_field():
     psi = RotationField(g, so3_exp(alpha[..., None] * K_AXIS), check=False)
     grad = right_gradient_axis(psi, 0)
     assert np.abs(grad - c * K_AXIS).max() < 1e-10
-
-
-def test_right_gradient_axis_out_of_range():
-    psi = random_rotation_field(Grid.centered((16, 16), 8.0), seed=1)
-    for axis in (-1, 2):
-        with pytest.raises(ValueError):
-            right_gradient_axis(psi, axis)
 
 
 def _exp_field(g, c, v):

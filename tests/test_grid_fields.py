@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -113,13 +115,35 @@ def test_spinfield_values_are_frozen():
 @pytest.mark.parametrize("cls, cell", [(SpinField, -K_AXIS), (RotationField, np.eye(3))],
                          ids=["spin", "rotation"])
 def test_check_false_adopts_the_array_and_a_checked_field_is_frozen(cls, cell):
+    # both containers go through one payload rule
     g = Grid.centered((10, 10), 4.0)
-    values = np.broadcast_to(cell, g.dims + cell.shape).copy()
-    assert np.shares_memory(cls(g, values, check=False).values, values)
+    # component-major: each per-cell component in its own contiguous plane
+    planes = np.empty(cell.shape + g.dims)
+    values = np.moveaxis(planes, range(cell.ndim), range(-cell.ndim, 0))
+    values[...] = cell
+    with pytest.raises(TypeError, match="grid must be a Grid"):
+        cls(g.dims, values)
+    wrong = np.broadcast_to(cell, (10, 9) + cell.shape)
+    shape = re.escape(f"values shape {wrong.shape} does not match grid {values.shape}")
+    with pytest.raises(ValueError, match=shape):
+        cls(g, wrong)
+    assert cls(g, values, check=False).values is values
     checked = cls(g, values)
     assert not np.shares_memory(checked.values, values)
+    assert np.array_equal(checked.values, values)
+    assert checked.values.strides == values.strides  # still component-major
     with pytest.raises(ValueError, match="read-only"):
         checked.values[(0,) * values.ndim] = 0.0
+
+
+def test_from_matrix_rejects_non_finite_asymmetry():
+    # NaN fails every comparison, so a max-based skewness test lets these pass
+    for omega in ([[0.0, 1.0], [np.nan, 0.0]], [[np.nan, 1.0], [-1.0, 0.0]],
+                  [[0.0, 1.0], [-1.0, np.inf]], [[0.0, np.inf], [-1.0, 0.0]]):
+        with pytest.raises(ValueError, match="exactly skew-symmetric"):
+            EuclideanAlgebraElement.from_matrix(omega, (0, 0))
+    with pytest.raises(ValueError, match="must be finite"):  # skew, but not finite
+        EuclideanAlgebraElement.from_matrix([[0.0, np.inf], [-np.inf, 0.0]], (0, 0))
 
 
 def test_rotationfield_validation():
