@@ -35,7 +35,7 @@ def omega0(a1, a2):
     return float(np.asarray(a1) @ OMEGA0_J @ np.asarray(a2))
 
 
-def _along(velocity, derivs):
+def _directional(velocity, derivs):
     """sum_i velocity_i d_i from the per-axis derivatives d_i (any iterable)."""
     return sum(velocity[..., i, None] * d for i, d in enumerate(derivs))
 
@@ -43,12 +43,12 @@ def _along(velocity, derivs):
 def directional_derivative(values, grid, velocity):
     """Derivative of a field along the spatial vector field `velocity`
     (shape dims + (p,)): sum_i velocity_i d_i values."""
-    return _along(velocity, (partial(values, grid, i) for i in range(grid.p)))
+    return _directional(velocity, (partial(values, grid, i) for i in range(grid.p)))
 
 
 def _wedge_lift(mu, grads, e):
     """wedge_lift from the derivative list of mu (see there)."""
-    xi = cross3(mu.values, _along(e.velocity_field(mu.grid), grads))
+    xi = cross3(mu.values, _directional(e.velocity_field(mu.grid), grads))
     xi[mu.grid.boundary_mask()] = 0.0
     return SemidirectAlgebraElement(mu.grid, xi, e)
 

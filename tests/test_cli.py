@@ -96,6 +96,66 @@ def test_print_config_echo_replays(tmp_path, capsys, argv):
     assert replay == echo
 
 
+@pytest.mark.parametrize("argv, echo", [
+    (["init", "--out", "x.llgf"],
+     "BOX=16.0\nCUTOFF=6.0\nGRID=96x96\nKIND=bp\nLAMBDA=1.5\nM=1\nOUT=x.llgf\nSEED=0\n"),
+    (["simulate", "--in", "a.llgf", "--out", "b"],
+     "A=0.0\nDT=0.001\nIN=a.llgf\nOUT=b\nREPORT_EVERY=50\nSCHEME=rk4\nSTEPS=100\n"),
+    (["diagnose", "--in", "a.llgf"], "A=0.0\nFORMAT=csv\nIN=a.llgf\n"),
+    (["bracket-check", "--in", "a.llgf"], "IN=a.llgf\nTOL=0.03\n"),
+    (["cocycle", "--in", "a.llgf", "--e1", "0,1,0", "--e2", "0,0,1"],
+     "E1=0,1,0\nE2=0,0,1\nIN=a.llgf\nTOL=0.01\n"),
+    (["lift-check", "--in", "a.llgf"], "IN=a.llgf\nTOL=0.02\n"),
+])
+def test_print_config_echoes_every_default(capsys, argv, echo):
+    # only the required options are given, so every other line is a default
+    code, out, err = run_cli(capsys, *argv, "--print-config")
+    assert code == 0, err
+    assert out == echo
+
+
+@pytest.mark.parametrize("values, argv", [
+    ({"m": 1.7}, ["init", "--out", "o.llgf"]),
+    ({"steps": 2.5}, ["simulate", "--in", "in.llgf", "--out", "o"]),
+    ({"steps": True}, ["simulate", "--in", "in.llgf", "--out", "o"]),
+    ({"out": None}, ["init"]),
+    ({"in": None}, ["simulate", "--out", "o"]),
+], ids=["m-1.7", "steps-2.5", "steps-true", "out-null", "in-null"])
+def test_config_value_is_read_like_the_flag_text(tmp_path, capsys, monkeypatch, values, argv):
+    # a file value is a JSON string or number, read as its flag's text would be:
+    # --m 1.7 and --steps 2.5 are refused, so 1.7 and 2.5 are too
+    monkeypatch.chdir(tmp_path)
+    write_snapshot(make_bp_soliton(Grid.centered((32, 32), 12.0), 1, 1.0, 4.0), "in.llgf")
+    (tmp_path / "cfg.json").write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, *argv, "--config", "cfg.json")
+    key = next(iter(values))
+    assert code == 2 and out == ""
+    assert f"config error: {key}: bad value" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.llgf"]
+
+
+@pytest.mark.parametrize("command", ["init", "simulate"])
+def test_output_in_a_missing_directory_is_refused_before_any_field_work(
+        tmp_path, capsys, monkeypatch, command):
+    import llgeo.cli
+
+    snap = tmp_path / "in.llgf"
+    write_snapshot(make_bp_soliton(Grid.centered((48, 48), 16.0), 1, 1.5, 6.0), snap)
+
+    def no_field_work(*args, **kwargs):
+        raise AssertionError("a field was built or stepped before the output check")
+
+    monkeypatch.setattr(llgeo.cli, "make_bp_soliton", no_field_work)
+    monkeypatch.setattr(llgeo.cli, "simulate", no_field_work)
+    out_path = tmp_path / "missing_dir" / "run"
+    argv = (["init", "--out", str(out_path)] if command == "init" else
+            ["simulate", "--in", str(snap), "--out", str(out_path), "--steps", "3000"])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("io error: out: directory") and "does not exist" in err
+    assert not out_path.parent.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
