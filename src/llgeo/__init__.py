@@ -32,7 +32,6 @@ from .dynamics import (
     EnergyParams,
     SimConfig,
     energy,
-    variational_derivative_energy,
     step,
     simulate,
 )

@@ -1,28 +1,33 @@
 """Energy functional, Landau-Lifshitz vector field and time stepping.
 
-The exchange term is discretized with nearest-neighbor differences, so that
-variational_derivative_energy is the *exact* gradient of the discrete energy
-(the finite-difference functional oracle checks this to 1e-5).  The evolution
-is the conservative flow dn/dt = -n x dE/dn, with the boundary layer of
-decaying fields frozen; two steppers are provided: projected classical RK4
-(default), stable only for dt*rho <= 2*sqrt(2) with rho = 4 sum 1/h_i^2 + |a|
-(beyond it renormalization hides a blow-up, so step refuses such a dt), and
-fixed-point implicit midpoint, which preserves the unit norm to solver
-tolerance by construction.
+The exchange term is discretized with nearest-neighbor differences.  The
+evolution is the conservative precession dn/dt = n x H about the effective
+field H = sum over axes of (n[i+1] + n[i-1]) / h^2 + a n_z k, a missing
+neighbor left out; H is -dE/dn of the discrete energy up to a multiple of
+n, which n x annihilates, so n x H is its flow -n x dE/dn.  The boundary
+layer of decaying fields is frozen.  Two steppers are provided: projected
+classical RK4 (default), stable only for dt*rho <= 2*sqrt(2) with
+rho = 4 sum 1/h_i^2 + |a| (beyond it renormalization hides a blow-up, so
+step refuses such a dt), and the spherical midpoint rule, the implicit
+midpoint taken at the renormalized average and solved by fixed-point
+iteration (McLachlan, Modin & Verdier, Phys. Rev. E 89 (2014) 061301): it
+is symplectic on the product of spheres, keeps |n| and N exact to solver
+tolerance, and conserves E nearly.
 
 Stepping writes in place into a workspace: a pool of spare field arrays
-for the stages, a dE/dn buffer, the Laplacian scratch, two scratch planes
-and the frozen boundary slabs.  step builds one per call unless it is given
-one; simulate builds one per run and hands each old field's array back to
-its pool.  Every buffer is laid out like the field being stepped
-(np.empty_like), and simulate steps a component-major copy of n0 (n_x, n_y
-and n_z each contiguous, seen through a (..., 3) view), so the
-per-component passes of the cross product and the renormalization stream
+for the stages, the effective field, two scratch planes and the frozen
+boundary slabs.  step builds one per call unless it is given one; simulate
+builds one per run and hands each old field's array back to its pool.
+Every buffer is laid out like the field being stepped (np.empty_like), and
+simulate steps a component-major copy of n0 (n_x, n_y and n_z each
+contiguous, seen through a (..., 3) view), so the per-component passes of
+the effective field, the cross product and the renormalization stream
 contiguous planes.  Every value is computed elementwise with the operation
-order of the textbook allocating formulas (np.diff plus np.pad, cross3,
-np.linalg.norm), so the results are bit-identical to them in either layout.
-make_report gives the same bits for every layout too, so simulate reports
-the field it steps and copies only the field it returns into C order.
+order of the textbook allocating formulas (np.pad neighbor sums, cross3,
+np.linalg.norm), so the results are bit-identical to them in either
+layout.  make_report gives the same bits for every layout too, so simulate
+reports the field it steps and copies only the field it returns into C
+order.
 """
 
 from dataclasses import dataclass, field
@@ -69,11 +74,6 @@ class SimConfig:
             raise ValueError(f"report_every: must be at least 1, got {self.report_every}")
 
 
-def _neighbor_diffs(values, grid, axis):
-    """Forward differences along one axis divided by the spacing."""
-    return np.diff(values, axis=axis) / grid.spacing[axis]
-
-
 def energy(n, params=EnergyParams()):
     """E = 1/2 int |grad n|^2 + a/2 int (n.n - (n.k)^2).
 
@@ -89,7 +89,7 @@ def energy(n, params=EnergyParams()):
     values = np.ascontiguousarray(n.values)
     exch = 0.0
     for axis in range(grid.p):
-        d = _neighbor_diffs(values, grid, axis)
+        d = np.diff(values, axis=axis) / grid.spacing[axis]
         exch += 0.5 * float((d * d).sum()) * grid.cell_volume
     kdot = values @ K_AXIS
     aniso_dens = (values * values).sum(axis=-1) - kdot * kdot
@@ -97,73 +97,31 @@ def energy(n, params=EnergyParams()):
     return exch + aniso
 
 
-def _flat(a):
-    """The memory-order flat view of a; ValueError if only a copy exists."""
-    flat = a.ravel(order="K")
-    if not np.may_share_memory(flat, a):
-        raise ValueError("n.values, out and work must be dense (no gaps or reversed axes)")
-    return flat
+def _effective_field(values, grid, a, out, scratch):
+    """out = H = sum over axes of (n[i+1] + n[i-1]) / h^2 + a n_z k, a
+    missing neighbor left out, built in place and returned; scratch is a
+    field array it overwrites.  K_AXIS is e_z, so the anisotropy term adds
+    to the z component only.
 
-
-def _free_laplacian(values, grid, out, work):
-    """Sum over axes of second differences with missing neighbors dropped,
-    written into out; exactly the gradient of the neighbor-difference
-    exchange sum.  values, out and the scratch work are dense arrays with
-    the same strides, walked in memory order.
-
-    Per axis the arithmetic is np.diff's over the zero-padded differences
-    d[i] = (v[i+1]-v[i])/h: (d[i] - d[i-1])/h, with (d[0] - 0)/h and
-    (0 - d[-1])/h at the edges; the axes are added in order.  So the result
-    is bit-identical to that allocating form.  Each axis is built in a flat
-    buffer (out for axis 0, the scratch `work` after it) by whole-array
-    passes whose neighbor is one axis stride s ahead: buf[i] = d[i-1] with
-    buf[0] = 0, then buf[i] = buf[i+1] - buf[i], which takes the last d of a
-    line against the zero that starts the next line in memory (dense
-    arrays have no gaps, whatever their axis order).  Only the final line
-    needs its own 0 - d[-1].
+    Per axis the neighbor sum is built on _along slices (in out for the
+    first axis, in scratch after it; each end cell takes its one present
+    neighbor), divided by h^2 and added, so the result is bit-identical to
+    the allocating np.pad form.  -dE/dn of the discrete energy is
+    H - (D + a) n, D the sum of 1/h^2 over the present neighbors (the
+    Laplacian's diagonal and its free-edge rule), and n x n = 0, so n x H
+    is the Landau-Lifshitz field -n x dE/dn up to rounding.
     """
-    vflat = _flat(values)
-    for axis in range(grid.p):
-        h = grid.spacing[axis]
-        buf = out if axis == 0 else work
-        flat = _flat(buf)
-        s = buf.strides[axis] // buf.itemsize
-        np.subtract(vflat[s:], vflat[:-s], out=flat[s:])
-        buf[_along(axis, grid.p)(0)] = 0.0
-        np.divide(flat, h, out=flat)
-        np.subtract(flat[s:], flat[:-s], out=flat[:-s])  # reads run ahead of writes
-        np.subtract(0.0, flat[-s:], out=flat[-s:])
-        np.divide(flat, h, out=flat)
+    for axis, h in enumerate(grid.spacing):
+        at = _along(axis, grid.p)
+        buf = out if axis == 0 else scratch
+        np.add(values[at(slice(2, None))], values[at(slice(None, -2))],
+               out=buf[at(slice(1, -1))])
+        buf[at(0)], buf[at(-1)] = values[at(1)], values[at(-2)]
+        np.divide(buf, h ** 2, out=buf)
         if axis:
             np.add(out, buf, out=out)
-    return out
-
-
-def variational_derivative_energy(n, params=EnergyParams(), out=None, work=None):
-    """dE/dn = -(discrete Laplacian of n) + a (n - (n.k) k), unprojected,
-    written into out and returned; work is the Laplacian's scratch.  Both
-    are allocated laid out like n.values when None, and must share its
-    strides when given (ValueError otherwise, or for a values array with
-    gaps).
-
-    The normal component is irrelevant to the dynamics: the cross product in
-    the evolution law annihilates it.  K_AXIS is e_z, so the anisotropy
-    term is a (n_x, n_y, 0): n_z - n_z is exactly 0 and the other
-    components subtract an exact zero.
-    """
-    values = n.values
-    out = np.empty_like(values) if out is None else out
-    work = np.empty_like(values) if work is None else work
-    for buf in (out, work):
-        if buf.dtype != float or buf.shape != values.shape or buf.strides != values.strides:
-            raise ValueError("n.values must be dense, and out and work float arrays laid "
-                             "out like it (same shape and strides)")
-    _free_laplacian(values, n.grid, out, work)
-    np.negative(out, out=out)
-    t = _flat(work)[: values.size // 3].reshape(values.shape[:-1])
-    for c in (0, 1):
-        np.multiply(values[..., c], params.a, out=t)
-        np.add(out[..., c], t, out=out[..., c])
+    np.multiply(values[..., 2], a, out=scratch[..., 2])
+    np.add(out[..., 2], scratch[..., 2], out=out[..., 2])
     return out
 
 
@@ -196,27 +154,28 @@ def _renormalize(values, planes):
 
 class _Workspace:
     """Stepping buffers for fields on one grid, laid out like the field it
-    is built from: dE/dn, the Laplacian scratch, two scratch planes, the
-    frozen boundary slabs (the boundary layer of decaying fields, the
-    reduction's boundary condition; none for non-decaying fields) and a
-    pool of spare field arrays."""
+    is built from: the effective field H, two scratch planes, the frozen
+    boundary slabs (the boundary layer of decaying fields, the reduction's
+    boundary condition; none for non-decaying fields) and a pool of spare
+    field arrays."""
 
     def __init__(self, n):
-        self.de, self.lap = np.empty_like(n.values), np.empty_like(n.values)
+        self.H = np.empty_like(n.values)
         self.planes = np.empty((2,) + n.values.shape[:-1])
         self.frozen = n.grid.boundary_slabs() if n.decaying else ()
         self.pool = []
 
     def take(self):
         """A spare field array from the pool, allocated if the pool is empty."""
-        return self.pool.pop() if self.pool else np.empty_like(self.de)
+        return self.pool.pop() if self.pool else np.empty_like(self.H)
 
 
 def step(n, cfg, work=None):
-    """Advance one time step and return the new field, laid out like
-    n.values; an RK4 dt beyond dt*rho = 2*sqrt(2) raises ValueError.
+    """Advance dn/dt = n x H one time step and return the new field, laid
+    out like n.values; an RK4 dt beyond dt*rho = 2*sqrt(2) raises
+    ValueError.
 
-    Every right-hand side, cross product and renormalization writes into
+    Every effective field, cross product and renormalization writes into
     work, a _Workspace for fields with n's grid, decay and layout, built
     for this call when None.  Stage arrays come from its pool and go back,
     except the new field's, which the field owns; n.values is only read.
@@ -230,10 +189,10 @@ def step(n, cfg, work=None):
     planes = work.planes
 
     def rhs(values, out):
-        """out = -values x dE/dn, zero on the frozen cells."""
-        g = variational_derivative_energy(n.with_values(values, check=False), params,
-                                          out=work.de, work=work.lap)
-        _minus_cross(values, g, out, planes)
+        """out = values x H, zero on the frozen cells; out is the effective
+        field's scratch until the cross product fills it."""
+        _effective_field(values, n.grid, params.a, work.H, out)
+        _minus_cross(work.H, values, out, planes)
         for slab in work.frozen:
             out[slab] = 0.0
         return out

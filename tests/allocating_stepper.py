@@ -1,10 +1,12 @@
 """The allocating Landau-Lifshitz stepper, kept as an oracle for the in-place
 one in llgeo.dynamics.
 
-It builds every stage from fresh arrays: the np.diff plus np.pad Laplacian,
-cross3, np.linalg.norm renormalisation and the textbook stage formulas.
-llgeo.dynamics.step and llgeo.dynamics.simulate must reproduce it exactly
-(np.array_equal).  Its ll_rhs is the reference right-hand side the tests use.
+It builds every stage from fresh arrays: the np.pad neighbor sums of the
+effective field H, cross3, np.linalg.norm renormalisation and the textbook
+stage formulas.  llgeo.dynamics.step and llgeo.dynamics.simulate must
+reproduce it exactly (np.array_equal).  Its ll_rhs, n x H, is the reference
+right-hand side the tests use, and its variational_derivative_energy, the
+np.diff plus np.pad dE/dn, is the tests' gradient of the discrete energy.
 """
 
 import numpy as np
@@ -31,8 +33,20 @@ def variational_derivative_energy(n, params):
     )
 
 
+def effective_field(n, params):
+    values = n.values
+    terms = []
+    for axis, h in enumerate(n.grid.spacing):
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (1, 1)
+        padded = np.pad(values, pad)
+        ahead, behind = ((slice(None),) * axis + (s,) for s in (slice(2, None), slice(None, -2)))
+        terms.append((padded[ahead] + padded[behind]) / h ** 2)
+    return sum(terms) + params.a * (values @ K_AXIS)[..., None] * K_AXIS
+
+
 def ll_rhs(n, params):
-    return -cross3(n.values, variational_derivative_energy(n, params))
+    return cross3(n.values, effective_field(n, params))
 
 
 def renormalize(values):

@@ -12,7 +12,6 @@ from llgeo import (
     make_radial_profile,
     make_random_smooth,
     step,
-    variational_derivative_energy,
 )
 from llgeo.cocycle import (
     check_px_py_bracket,
@@ -26,6 +25,7 @@ from llgeo.cocycle import (
 from llgeo.calculus import partial, tangent_project
 from llgeo.generators import band_limited, bump_envelope
 
+from allocating_stepper import variational_derivative_energy
 from conftest import interior, off_axis_texture, relative_gap
 from test_generators import profile_bump
 

@@ -20,11 +20,10 @@ from llgeo import (
     so3_exp,
     step,
     tangent_project,
-    variational_derivative_energy,
 )
 from llgeo import EuclideanAlgebraElement, calculus, cocycle, momenta
-from llgeo.calculus import integrate
-from llgeo.dynamics import _component_major, _minus_cross, make_report
+from llgeo.calculus import cross3, integrate
+from llgeo.dynamics import _component_major, _effective_field, _minus_cross, make_report
 
 import allocating_stepper
 from conftest import relative_gap
@@ -89,12 +88,12 @@ def test_variational_derivative_vacuum_and_constant():
     g = Grid.centered((24, 24), 8.0)
     params = EnergyParams(a=1.0)
     n = make_constant(g, (0, 0, -1))
-    assert np.abs(variational_derivative_energy(n, params)).max() == 0.0
+    assert np.abs(allocating_stepper.variational_derivative_energy(n, params)).max() == 0.0
 
     v = np.array([0.6, 0.0, 0.8])
     m = make_constant(g, v)
     expected = 1.0 * (v - (v @ K_AXIS) * K_AXIS)
-    out = variational_derivative_energy(m, params)
+    out = allocating_stepper.variational_derivative_energy(m, params)
     assert np.abs(out - expected).max() < 1e-14
 
 
@@ -102,7 +101,8 @@ def test_variational_derivative_matches_functional_oracle():
     g = Grid.centered((24, 24), 16.0)
     n = make_random_smooth(g, seed=5, amplitude=1.5)
     params = EnergyParams(a=0.7)
-    analytic = tangent_project(variational_derivative_energy(n, params), n.values)
+    analytic = tangent_project(allocating_stepper.variational_derivative_energy(n, params),
+                               n.values)
     oracle = tangent_project(
         functional_derivative(lambda f: energy(f, params), n, step=1e-5), n.values
     )
@@ -155,7 +155,7 @@ def test_ll_rhs_tangency_and_energy_orthogonality():
     rhs = allocating_stepper.ll_rhs(n, params)
     ncells = float(np.prod(g.dims))
     assert integrate(np.abs(np.einsum("...i,...i->...", n.values, rhs)), g) < 1e-10 * ncells
-    de = variational_derivative_energy(n, params)
+    de = allocating_stepper.variational_derivative_energy(n, params)
     pairing = integrate(np.einsum("...i,...i->...", de, rhs), g)
     scale = integrate((de * de).sum(axis=-1), g)
     assert abs(pairing) < 1e-10 * max(scale, 1.0)
@@ -220,6 +220,51 @@ def test_midpoint_divergence_reports_iterations():
     with pytest.raises(ConvergenceError) as err:
         step(n, cfg)
     assert err.value.iterations == 50
+
+
+def _tangent_bases(values):
+    """Orthonormal tangent bases (e1, e2) with e1 x e2 = n, one per vector."""
+    seed = np.where(np.abs(values[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e1 = seed - (seed * values).sum(axis=-1, keepdims=True) * values
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    return e1, cross3(values, e1)
+
+
+def _symplecticity_defect(n, scheme, every):
+    """max |J^T Omega J - Omega| of one step at dt*rho = 1, a = 0.5, with J
+    the step's Jacobian on the interior spins in tangent coordinates, by
+    central differences, on the columns of every `every`-th interior spin;
+    Omega is omega_n(u, v) = sum n.(u x v) in those coordinates."""
+    cfg = _stable_cfg(n, scheme)
+    interior = ~n.grid.boundary_mask()
+    cells = [tuple(c) for c in np.argwhere(interior)]
+    out = step(n, cfg).values[interior]
+    f1, f2 = _tangent_bases(out)
+    e1, e2 = _tangent_bases(n.values[interior])
+    eps = 1e-5
+    columns = []
+    for c in range(0, len(cells), every):
+        for e in (e1[c], e2[c]):
+            moved = []
+            for sign in (1.0, -1.0):
+                values = n.values.copy()
+                values[cells[c]] = np.cos(eps) * values[cells[c]] + sign * np.sin(eps) * e
+                moved.append(step(n.with_values(values, check=False), cfg).values[interior])
+            d = (moved[0] - moved[1]) / (2.0 * eps)
+            columns.append(np.stack([(d * f).sum(axis=-1) for f in (f1, f2)], axis=-1).ravel())
+    J = np.stack(columns, axis=1)
+    omega = np.kron(np.eye(len(cells)), [[0.0, 1.0], [-1.0, 0.0]])
+    picked = np.ravel([(2 * c, 2 * c + 1) for c in range(0, len(cells), every)])
+    return np.abs(J.T @ omega @ J - omega[np.ix_(picked, picked)]).max()
+
+
+@pytest.mark.parametrize("dims, every", [((12, 12), 1), ((12, 12, 12), 16)], ids=["2d", "3d"])
+def test_spherical_midpoint_is_symplectic_and_rk4_is_not(dims, every):
+    # each entry of J^T Omega J reads two full columns of J, so a subset of
+    # the columns gives exact entries of the defect
+    n = make_random_smooth(Grid.centered(dims, 6.0), seed=3)
+    assert _symplecticity_defect(n, "midpoint", every) <= 1e-8
+    assert _symplecticity_defect(n, "rk4_project", every) >= 1e-4
 
 
 def test_simconfig_rejects_non_finite_dt():
@@ -290,49 +335,26 @@ def test_simulate_equals_the_allocating_stepper_bitwise(case):
             assert (a is None and b is None) or np.array_equal(a, b), (got.t, f.name)
 
 
-@pytest.mark.parametrize("case", ["2d_decaying_rk4", "3d_rk4", "2d_non_decaying_rk4"])
-def test_variational_derivative_fills_and_returns_out(case):
-    n = _ORACLE_CASES[case][0]()
-    params = EnergyParams(a=0.7)
-    buf = np.full(n.values.shape, np.nan)
-    got = variational_derivative_energy(n, params, out=buf)
-    assert got is buf
-    assert np.array_equal(buf, variational_derivative_energy(n, params))
-    assert np.array_equal(buf, allocating_stepper.variational_derivative_energy(n, params))
-    rhs = _minus_cross(n.values, buf, np.empty_like(buf), np.empty((2,) + n.grid.dims))
-    assert np.array_equal(rhs, allocating_stepper.ll_rhs(n, params))
-    with pytest.raises(ValueError, match="laid out like it"):
-        variational_derivative_energy(n, params, out=np.empty(n.values.shape[::-1]).T)
+def _production_rhs(n, params):
+    values = n.values
+    out = np.empty_like(values)
+    H = _effective_field(values, n.grid, params.a, out, np.empty_like(values))
+    assert H is out
+    return _minus_cross(H, values, np.empty_like(values), np.empty((2,) + n.grid.dims))
 
 
-@pytest.mark.parametrize("case", ["2d_decaying_rk4", "3d_rk4", "2d_non_decaying_rk4"])
-def test_variational_derivative_of_a_component_major_field_is_bitwise_equal(case):
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_n_cross_H_equals_minus_n_cross_dE_dn(case):
+    # H drops the Laplacian's diagonal and its free-edge rule, multiples of
+    # n, from -dE/dn; the cases cover unequal spacings, 3D and free edges
     n = _ORACLE_CASES[case][0]()
     params = EnergyParams(a=0.7)
     planar = n.with_values(_component_major(n.values), check=False)
-    assert all(planar.values[..., c].flags.c_contiguous for c in range(3))
-    got = variational_derivative_energy(planar, params)
-    assert got.strides == planar.values.strides
-    assert np.array_equal(got, variational_derivative_energy(n, params))
-    work = np.empty_like(planar.values)
-    assert np.array_equal(variational_derivative_energy(planar, params, work=work), got)
-
-
-def test_variational_derivative_refuses_mismatched_or_gapped_layouts():
-    n = _ORACLE_CASES["2d_decaying_rk4"][0]()
-    planar = n.with_values(_component_major(n.values), check=False)
-    c_order = np.empty(n.values.shape)
-    for kwargs in ({"out": c_order}, {"work": c_order}):
-        with pytest.raises(ValueError, match="same shape and strides"):
-            variational_derivative_energy(planar, **kwargs)
-    with pytest.raises(ValueError, match="same shape and strides"):
-        variational_derivative_energy(n, work=np.empty(n.values.shape, dtype=np.float32))
-    gapped, out, work = (np.empty(n.grid.dims + (4,))[..., :3] for _ in range(3))
-    gapped[...] = n.values  # a flat pass would copy it, and lose its writes
-    with pytest.raises(ValueError, match="must be dense, and out"):
-        variational_derivative_energy(n.with_values(gapped, check=False))
-    with pytest.raises(ValueError, match=r"must be dense \(no gaps"):
-        variational_derivative_energy(n.with_values(gapped, check=False), out=out, work=work)
+    rhs = _production_rhs(n, params)
+    assert np.array_equal(_production_rhs(planar, params), rhs)
+    assert np.array_equal(allocating_stepper.ll_rhs(n, params), rhs)
+    flow = -cross3(n.values, allocating_stepper.variational_derivative_energy(n, params))
+    assert np.abs(rhs - flow).max() <= 1e-13 * np.abs(flow).max()
 
 
 @pytest.mark.parametrize("scheme", ["rk4_project", "midpoint"])
@@ -397,17 +419,16 @@ def test_simulate_aborts_on_nan_with_step_index(monkeypatch):
     calls = {"count": 0}
     import llgeo.dynamics as dyn
 
-    true_vde = dyn.variational_derivative_energy
+    true_field = dyn._effective_field
 
-    def poisoned(field, params, out=None, work=None):
+    def poisoned(values, grid, a, out, scratch):
         calls["count"] += 1
-        out = true_vde(field, params, out=out, work=work)
+        out = true_field(values, grid, a, out, scratch)
         if calls["count"] > 10:
-            out = np.array(out)
             out[5, 5] = np.nan
         return out
 
-    monkeypatch.setattr(dyn, "variational_derivative_energy", poisoned)
+    monkeypatch.setattr(dyn, "_effective_field", poisoned)
     with pytest.raises(NumericsError, match=r"step \d+"):
         simulate(n, SimConfig(dt=1e-3, steps=50))
 
