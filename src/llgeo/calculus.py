@@ -28,14 +28,17 @@ from .grid import _along
 ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
 
 
-def partial(values, grid, axis):
+def partial(values, grid, axis, out=None):
     """d(values)/dx_axis with second-order stencils (central in the interior,
-    one-sided at the edges).  Works for any trailing component shape."""
+    one-sided at the edges), written into out (allocated like values when
+    None) and returned.  Works for any trailing component shape."""
     sl = _along(axis, grid.p)
     values = np.asarray(values, float)
     h = grid.spacing[axis]
-    out = np.empty_like(values)
-    out[sl(slice(1, -1))] = (values[sl(slice(2, None))] - values[sl(slice(None, -2))]) / (2.0 * h)
+    out = np.empty_like(values) if out is None else out
+    inner = np.subtract(values[sl(slice(2, None))], values[sl(slice(None, -2))],
+                        out=out[sl(slice(1, -1))])
+    np.divide(inner, 2.0 * h, out=inner)
     # one-sided second order, written in difference form so constants map to
     # exactly zero
     out[sl(0)] = (
@@ -92,16 +95,25 @@ def cross3(a, b):
     return out
 
 
-def triple(a, b, c):
-    """Scalar triple product a . (b x c) over the trailing axis."""
+def triple(a, b, c, out=None, scratch=None):
+    """Scalar triple product a . (b x c) over the trailing axis, summed as
+    a0 (b1 c2 - b2 c1) + a1 (b2 c0 - b0 c2) + a2 (b0 c1 - b1 c0) term by term
+    into out, with the products taken through the two arrays of scratch
+    (each allocated when None)."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0, c1, c2 = c[..., 0], c[..., 1], c[..., 2]
-    return (
-        a0 * (b1 * c2 - b2 * c1)
-        + a1 * (b2 * c0 - b0 * c2)
-        + a2 * (b0 * c1 - b1 * c0)
-    )
+    shape = np.broadcast_shapes(a0.shape, b0.shape, c0.shape)
+    out = np.empty(shape) if out is None else out
+    s, t = (np.empty(shape), np.empty(shape)) if scratch is None else scratch
+    np.multiply(b1, c2, out=out)
+    np.subtract(out, np.multiply(b2, c1, out=s), out=out)
+    np.multiply(a0, out, out=out)
+    for ai, (p, q), (r, u) in ((a1, (b2, c0), (b0, c2)), (a2, (b0, c1), (b1, c0))):
+        np.multiply(p, q, out=s)
+        np.subtract(s, np.multiply(r, u, out=t), out=s)
+        np.add(out, np.multiply(ai, s, out=s), out=out)
+    return out
 
 
 def hat(v):

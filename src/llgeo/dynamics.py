@@ -12,22 +12,26 @@ step refuses such a dt), and the spherical midpoint rule, the implicit
 midpoint taken at the renormalized average and solved by fixed-point
 iteration (McLachlan, Modin & Verdier, Phys. Rev. E 89 (2014) 061301): it
 is symplectic on the product of spheres, keeps |n| and N exact to solver
-tolerance, and conserves E nearly.
+tolerance, and conserves E nearly.  Its iteration contracts by about
+dt*rho/2, so step refuses a midpoint dt*rho > 2 too.
 
-Stepping writes in place into a workspace: a pool of spare field arrays
-for the stages, the effective field, two scratch planes and the frozen
-boundary slabs.  step builds one per call unless it is given one; simulate
-builds one per run and hands each old field's array back to its pool.
-Every buffer is laid out like the field being stepped (np.empty_like), and
-simulate steps a component-major copy of n0 (n_x, n_y and n_z each
-contiguous, seen through a (..., 3) view), so the per-component passes of
-the effective field, the cross product and the renormalization stream
-contiguous planes.  Every value is computed elementwise with the operation
-order of the textbook allocating formulas (np.pad neighbor sums, cross3,
-np.linalg.norm), so the results are bit-identical to them in either
-layout.  make_report gives the same bits for every layout too, so simulate
-reports the field it steps and copies only the field it returns into C
-order.
+Stepping and reporting write in place into a workspace (fields._Workspace):
+a pool of spare field arrays for the stages, the effective field, the
+derivatives and the energy differences, scratch planes, and the frozen
+boundary slabs.  step, energy and make_report build one per call unless
+they are given one; simulate builds one per run, hands each old field's
+array back to its pool and passes it to every report, so after the first
+report neither a step nor a report allocates a grid-sized array.  Every field buffer is laid out
+like the field being stepped (np.empty_like), and simulate steps a
+component-major copy of n0 (n_x, n_y and n_z each contiguous, seen through
+a (..., 3) view), so the per-component passes of the effective field, the
+cross product and the renormalization stream contiguous planes.  Every
+value is computed elementwise with the operation order of the textbook
+allocating formulas (np.pad neighbor sums, cross3, np.linalg.norm, np.diff),
+and every sum runs over a C-order array as it did over the formulas' fresh
+arrays, so the results are bit-identical to them in either layout; so
+simulate reports the field it steps and copies only the field it returns
+into C order.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NumericsError
-from .fields import K_AXIS, SpinField
+from .fields import _c_view, _squared_norm, _Workspace
 from .calculus import integrate
 from .grid import _along
 from . import momenta
@@ -74,26 +78,40 @@ class SimConfig:
             raise ValueError(f"report_every: must be at least 1, got {self.report_every}")
 
 
-def energy(n, params=EnergyParams()):
+def energy(n, params=EnergyParams(), work=None):
     """E = 1/2 int |grad n|^2 + a/2 int (n.n - (n.k)^2).
 
     The exchange part sums squared nearest-neighbor differences (midpoint
     consistent, second order).  Rejects non-decaying fields: without decay
     the integral is not the compactly supported one the theory assumes.
+
+    The sums follow numpy's pairwise summation in memory order, so each
+    density is written, without copying n, into C-order views of a spare
+    field array borrowed from the pool of work (a workspace for n's grid,
+    built for this call when None): first the differences, then the
+    anisotropy density and its scratch plane.  So the bits are the same for
+    every layout of the same field, and equal to np.diff's on a C-order
+    copy.
     """
     n.require_decaying("energy")
-    grid = n.grid
-    # the sums below follow numpy's pairwise summation in memory order, so
-    # they read a C-order array (no copy for a C-order field) to give the
-    # same bits for every layout of the same field
-    values = np.ascontiguousarray(n.values)
+    grid, values = n.grid, n.values
+    work = _Workspace(n) if work is None else work
+    buf = work.take()
     exch = 0.0
-    for axis in range(grid.p):
-        d = np.diff(values, axis=axis) / grid.spacing[axis]
-        exch += 0.5 * float((d * d).sum()) * grid.cell_volume
-    kdot = values @ K_AXIS
-    aniso_dens = (values * values).sum(axis=-1) - kdot * kdot
-    aniso = 0.5 * params.a * float(integrate(aniso_dens, grid))
+    for axis, h in enumerate(grid.spacing):
+        at = _along(axis, grid.p)
+        ahead, behind = values[at(slice(1, None))], values[at(slice(None, -1))]
+        d = _c_view(buf, ahead.shape)
+        for c in range(3):  # plane by plane: a component-major n streams
+            np.subtract(ahead[..., c], behind[..., c], out=d[..., c])
+        np.divide(d, h, out=d)
+        exch += 0.5 * float(np.multiply(d, d, out=d).sum()) * grid.cell_volume
+    # n.n - (n.k)^2, K_AXIS being e_z
+    s, t = _c_view(buf, (2,) + grid.dims)
+    _squared_norm(values, s, t)
+    np.subtract(s, np.multiply(values[..., 2], values[..., 2], out=t), out=s)
+    aniso = 0.5 * params.a * float(integrate(s, grid))
+    work.pool.append(buf)
     return exch + aniso
 
 
@@ -141,67 +159,48 @@ def _renormalize(values, planes):
     """Divide each vector in place by sqrt(v0*v0 + v1*v1 + v2*v2), summed in
     that order (np.linalg.norm's), so the result is bit-identical to it."""
     s, t = planes
-    np.multiply(values[..., 0], values[..., 0], out=s)
-    np.multiply(values[..., 1], values[..., 1], out=t)
-    np.add(s, t, out=s)
-    np.multiply(values[..., 2], values[..., 2], out=t)
-    np.add(s, t, out=s)
-    np.sqrt(s, out=s)
+    np.sqrt(_squared_norm(values, s, t), out=s)
     for c in range(3):
         np.divide(values[..., c], s, out=values[..., c])
     return values
 
 
-class _Workspace:
-    """Stepping buffers for fields on one grid, laid out like the field it
-    is built from: the effective field H, two scratch planes, the frozen
-    boundary slabs (the boundary layer of decaying fields, the reduction's
-    boundary condition; none for non-decaying fields) and a pool of spare
-    field arrays."""
-
-    def __init__(self, n):
-        self.H = np.empty_like(n.values)
-        self.planes = np.empty((2,) + n.values.shape[:-1])
-        self.frozen = n.grid.boundary_slabs() if n.decaying else ()
-        self.pool = []
-
-    def take(self):
-        """A spare field array from the pool, allocated if the pool is empty."""
-        return self.pool.pop() if self.pool else np.empty_like(self.H)
-
-
 def step(n, cfg, work=None):
     """Advance dn/dt = n x H one time step and return the new field, laid
-    out like n.values; an RK4 dt beyond dt*rho = 2*sqrt(2) raises
-    ValueError.
+    out like n.values.  A dt beyond RK4's stability limit dt*rho = 2*sqrt(2),
+    or beyond dt*rho = 2 for the midpoint, whose fixed point contracts by
+    about dt*rho/2 per iteration, raises ValueError before any work.
 
     Every effective field, cross product and renormalization writes into
     work, a _Workspace for fields with n's grid, decay and layout, built
-    for this call when None.  Stage arrays come from its pool and go back,
-    except the new field's, which the field owns; n.values is only read.
+    for this call when None.  The effective field and the stage arrays come
+    from its pool and go back, except the new field's, which the field owns;
+    n.values is only read.
     Every stage keeps the operation order of the allocating formulas, so
     the result is bit-identical to them.
     """
     y = n.values
     dt = cfg.dt
     params = cfg.params
+    rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(params.a)
+    limit, name = ((2.0 * np.sqrt(2.0), "the RK4 stability limit 2*sqrt(2)")
+                   if cfg.scheme == "rk4_project" else
+                   (2.0, "the midpoint contraction limit 2"))
+    if dt * rho > limit:
+        raise ValueError(f"dt*rho = {dt * rho:.4g} exceeds {name}; use dt <= {limit / rho:.4g}")
     work = _Workspace(n) if work is None else work
-    planes = work.planes
+    planes, H = work.planes(2), work.take()
 
     def rhs(values, out):
         """out = values x H, zero on the frozen cells; out is the effective
         field's scratch until the cross product fills it."""
-        _effective_field(values, n.grid, params.a, work.H, out)
-        _minus_cross(work.H, values, out, planes)
+        _effective_field(values, n.grid, params.a, H, out)
+        _minus_cross(H, values, out, planes)
         for slab in work.frozen:
             out[slab] = 0.0
         return out
 
     if cfg.scheme == "rk4_project":
-        rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(params.a)
-        if dt * rho > 2.0 * np.sqrt(2.0):
-            raise ValueError(f"dt*rho = {dt * rho:.4g} exceeds the RK4 stability limit "
-                             f"2*sqrt(2); use dt <= {2.0 * np.sqrt(2.0) / rho:.4g}")
         # acc = k1 + 2 k2 + 2 k3 + k4; stage holds 2 k_i, then the next stage
         acc, k, stage = work.take(), work.take(), work.take()
         rhs(y, acc)
@@ -217,7 +216,7 @@ def step(n, cfg, work=None):
         np.add(acc, k, out=acc)
         np.multiply(acc, dt / 6.0, out=acc)
         out = _renormalize(np.add(y, acc, out=acc), planes)
-        work.pool += [k, stage]
+        work.pool += [H, k, stage]
     else:
         out, mid, f = work.take(), work.take(), work.take()
         np.copyto(out, y)
@@ -237,24 +236,37 @@ def step(n, cfg, work=None):
                 f"(last update {delta:.3e})",
                 iterations=50,
             )
-        work.pool += [mid, f]
+        work.pool += [H, mid, f]
     return n.with_values(out, check=False)
 
 
-def make_report(n, t, params=EnergyParams()):
+def make_report(n, t, params=EnergyParams(), work=None):
     """Assemble the diagnostics bundle; entries that need decay or a
-    particular dimension are None when unavailable."""
-    e_val = energy(n, params) if n.decaying else None
-    deg, P, L = momenta.moments(n) if n.grid.p >= 2 and n.decaying else (None,) * 3
-    return momenta.MomentumReport(
+    particular dimension are None when unavailable.
+
+    Every grid-sized temporary comes from work, a workspace for n's grid
+    (built for this call when None): energy and moments borrow field arrays
+    from its pool and hand them back, and N and the norm deviation are
+    summed on two planes of one more.  The entries are bit-identical to
+    those of energy, moments, momentum_N and norm_deviation, for every
+    layout of n.
+    """
+    work = _Workspace(n) if work is None else work
+    e_val = energy(n, params, work) if n.decaying else None
+    deg, P, L = momenta.moments(n, work) if n.grid.p >= 2 and n.decaying else (None,) * 3
+    buf = work.take()
+    planes = _c_view(buf, (2,) + n.grid.dims)
+    report = momenta.MomentumReport(
         t=float(t),
         energy=e_val,
-        N=momenta.momentum_N(n),
+        N=momenta.momentum_N(n, out=planes[0]),
         P=P,
         L=L,
         deg=deg,
-        norm_dev=n.norm_deviation(),
+        norm_dev=n.norm_deviation(planes),
     )
+    work.pool.append(buf)
+    return report
 
 
 def _component_major(values):
@@ -275,29 +287,26 @@ def simulate(n0, cfg, report_sink=None):
 
     The steps run on a component-major copy of n0 in one workspace, and
     each old field's array goes back to the workspace's pool.  Each report
-    reads the field being stepped; the workspace is dropped before the
-    final report.
+    reads the field being stepped and writes into the same workspace, which
+    is dropped after the final report.
     """
     reports = []
+    n = n0.with_values(_component_major(n0.values), check=False)
+    work = _Workspace(n)
 
     def report(n, t):
-        reports.append(make_report(n, t, cfg.params))
+        reports.append(make_report(n, t, cfg.params, work))
         if report_sink is not None:
             report_sink(reports[-1])
 
-    report(n0, 0.0)
-    if not cfg.steps:
-        return reports, n0
-    n = n0.with_values(_component_major(n0.values), check=False)
-    work = _Workspace(n)
+    report(n, 0.0)
     for i in range(1, cfg.steps + 1):
         new = step(n, cfg, work)
         work.pool.append(n.values)
         n = new
         if not np.isfinite(n.values).all():
             raise NumericsError(f"non-finite field values at step {i}")
-        if i == cfg.steps:
-            work = None  # frees the stepping buffers before the final report
         if i % cfg.report_every == 0 or i == cfg.steps:
             report(n, i * cfg.dt)
+    work = None  # frees the buffers before the C-order copy
     return reports, n.with_values(np.ascontiguousarray(n.values), check=False)

@@ -5,6 +5,10 @@ All containers are value types: a checked payload is copied in and frozen,
 a spin field "mutates" only through with_values(), which re-validates, and
 check=False adopts a trusted array as it is.
 Boundary conditions hold on the grid.BOUNDARY_LAYER cells next to each face.
+
+The kernels that step and measure spin fields write into a _Workspace: the
+grid-sized scratch of one run (spare field arrays and scratch planes), so
+that a run allocates its buffers once instead of once per step and report.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -75,6 +79,59 @@ def check_rotations(r, tol, name):
         raise ValueError(f"det {name} deviates from 1 by {dev:.3e} (> {tol:g})")
 
 
+def _c_view(buf, shape):
+    """A C-order array of `shape` over the leading memory of the spare array
+    buf, which must hold at least as many values.  It is a view when buf is
+    contiguous in some axis order, as every workspace array is; a C-order
+    view is what makes numpy's sums over it run in the order they run over
+    a fresh array."""
+    return buf.ravel(order="K")[:int(np.prod(shape))].reshape(shape)
+
+
+def _squared_norm(values, out, scratch):
+    """out = v0*v0 + v1*v1 + v2*v2 over the trailing axis, summed left to
+    right as np.linalg.norm and (values * values).sum(axis=-1) sum it in
+    either layout, so the result is bit-identical to theirs; scratch is a
+    plane like out."""
+    np.multiply(values[..., 0], values[..., 0], out=out)
+    for c in (1, 2):
+        np.multiply(values[..., c], values[..., c], out=scratch)
+        np.add(out, scratch, out=out)
+    return out
+
+
+class _Workspace:
+    """Scratch for the kernels that step and measure fields on one grid:
+    a pool of spare field arrays laid out like the field it is built from
+    (take borrows one, allocating it if the pool is empty; appending to pool
+    hands it back), C-contiguous scratch planes, and the frozen boundary
+    slabs (the boundary layer of decaying fields, the reduction's boundary
+    condition; none for non-decaying fields)."""
+
+    def __init__(self, n):
+        if n.decaying and n.grid.p >= 2:
+            # the moments of such a field read the grid's cached coordinates;
+            # built now, the long-lived cache does not land above borrowed
+            # scratch, where it would keep the heap from shrinking
+            n.grid.coord_component(0)
+        self._like = n.values
+        self._planes = []
+        self.frozen = n.grid.boundary_slabs() if n.decaying else ()
+        self.pool = []
+
+    def take(self):
+        """A spare field array from the pool, allocated if the pool is empty."""
+        return self.pool.pop() if self.pool else np.empty_like(self._like)
+
+    def planes(self, k):
+        """The first k scratch planes, each allocated on first need: a
+        stepper uses two, and moments one for p = 3, so a report built
+        without a run's workspace allocates no plane it does not use."""
+        while len(self._planes) < k:
+            self._planes.append(np.empty(self._like.shape[:-1]))
+        return self._planes[:k]
+
+
 def _frozen(values):
     # np.array copies in memory order ("K"), so a component-major payload
     # stays component-major
@@ -127,12 +184,16 @@ class SpinField:
     def with_values(self, values, check=True):
         return SpinField(self.grid, values, self.decaying, check=check)
 
-    def norm_deviation(self):
+    def norm_deviation(self, planes=None):
         """Max deviation of |n| from 1 over all cells: inf, without a
         warning, where a huge entry overflows the norm, and NaN if any
-        value is NaN."""
+        value is NaN.  |n| is summed on the component planes into two
+        scratch planes (planes, allocated when None) and is bit-identical
+        to np.linalg.norm's."""
+        s, t = np.empty((2,) + self.grid.dims) if planes is None else planes
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.abs(np.linalg.norm(self.values, axis=-1) - 1.0).max())
+            np.sqrt(_squared_norm(self.values, s, t), out=s)
+            return float(np.abs(np.subtract(s, 1.0, out=s), out=s).max())
 
     def require_decaying(self, what):
         if not self.decaying:

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLiftError
-from .fields import K_AXIS, RotationField, plane_pairs
+from .fields import K_AXIS, RotationField, _c_view, _Workspace, plane_pairs
 from .generators import make_gauge_field
 from .calculus import (
     cross3,
@@ -74,10 +74,12 @@ class MomentumReport:
                 raise ValueError(f"non-finite report entry {name}")
 
 
-def _gradients(n):
+def _gradients(n, out=None):
     """The one derivative pass over a spin field: the list of per-axis
-    derivatives d_i n, each of shape dims + (3,)."""
-    return [partial(n.values, n.grid, i) for i in range(n.grid.p)]
+    derivatives d_i n, each of shape dims + (3,), written into the p field
+    arrays of out when given."""
+    out = [None] * n.grid.p if out is None else out
+    return [partial(n.values, n.grid, i, out=g) for i, g in enumerate(out)]
 
 
 def _two_form(n, grads):
@@ -87,9 +89,10 @@ def _two_form(n, grads):
     return {(i, j): triple(n.values, grads[i], grads[j]) for i, j in plane_pairs(n.grid.p)}
 
 
-def _degree(F, grid):
-    """deg = integral of F_xy / 4pi for p = 2."""
-    return float(integrate(F[0, 1] / (4.0 * np.pi), grid))
+def _degree(F, grid, out=None):
+    """deg = integral of F_xy / 4pi for p = 2; the density goes into the
+    C-contiguous plane out (allocated when None)."""
+    return float(integrate(np.divide(F[0, 1], 4.0 * np.pi, out=out), grid))
 
 
 def degree(n):
@@ -101,9 +104,11 @@ def degree(n):
     return _degree(_two_form(n, _gradients(n)), n.grid)
 
 
-def momentum_N(n):
-    """Charge of uniform rotations about k: integral of 1 + n.k."""
-    return float(integrate(1.0 + n.values @ K_AXIS, n.grid))
+def momentum_N(n, out=None):
+    """Charge of uniform rotations about k: integral of 1 + n.k, the density
+    taken on the n_z plane (K_AXIS is e_z) into the C-contiguous plane out
+    (allocated when None)."""
+    return float(integrate(np.add(n.values[..., 2], 1.0, out=out), n.grid))
 
 
 def momentum_P_cross(n):
@@ -117,16 +122,18 @@ def momentum_P_cross(n):
     return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vort), n.grid)
 
 
-def _density_P(F, grid):
-    """P-density, shape dims + (p,), from the planes of F:
-    P_i = n . (d_i n x sum_j x_j d_j n) / (p-1) = sum_j x_j F_ij / (p-1)."""
-    if grid.p < 2:
-        raise ValueError("translation momentum needs p >= 2")
-    dens = np.zeros(grid.dims + (grid.p,))
+def _density_P(F, grid, out, scratch):
+    """P-density from the planes of F, accumulated plane by plane into out,
+    a C-order dims + (p,) array, with the products taken through the plane
+    scratch: P_i = n . (d_i n x sum_j x_j d_j n) / (p-1)
+    = sum_j x_j F_ij / (p-1)."""
+    out.fill(0.0)
     for (i, j), f in F.items():
-        dens[..., i] += grid.coord_component(j) * f
-        dens[..., j] -= grid.coord_component(i) * f
-    return dens / (grid.p - 1)
+        np.add(out[..., i], np.multiply(grid.coord_component(j), f, out=scratch),
+               out=out[..., i])
+        np.subtract(out[..., j], np.multiply(grid.coord_component(i), f, out=scratch),
+                    out=out[..., j])
+    return np.divide(out, grid.p - 1, out=out)
 
 
 def _moments(w, grid):
@@ -137,18 +144,43 @@ def _moments(w, grid):
     return m - m.T, integrate(w, grid)
 
 
-def moments(n):
+def moments(n, work=None):
     """(deg, P, L) from one derivative pass; deg is None unless p = 2.
     L is -(p-1)/p times the wedge moment of the P-density.  The factor is
     load-bearing: the raw moment is exactly p/(p-1) times the charge that
     generates spatial rotations through the Lie-Poisson flow and that both
-    lift routes produce (the Hamiltonian-flow test pins it numerically)."""
+    lift routes produce (the Hamiltonian-flow test pins it numerically).
+
+    Every grid-sized temporary comes from work, a fields._Workspace for
+    n's grid (built for this call when None).  The p derivatives and one
+    more field array are borrowed from its pool and handed back.  The
+    planes of F and the two products of the triple product go into p + 1
+    planes: the three of that spare array (in C order) and, for p = 3, one
+    of the workspace's planes, except that the last plane of F for p = 3,
+    (1, 2), the first that does not read d_0 n, goes into d_0 n's memory.
+    The P-density goes into the memory of the last derivative, in C order.
+    So a report fits in the pool that a run's stepper leaves (four field
+    arrays) and the stepper's two planes.  Each value keeps the operation
+    order of the allocating composition, so the results are bit-identical
+    to it.
+    """
     n.require_decaying("moments")
-    grid = n.grid
-    F = _two_form(n, _gradients(n))
-    rot, P = _moments(_density_P(F, grid), grid)
-    deg = _degree(F, grid) if grid.p == 2 else None
-    return deg, P, -(grid.p - 1) / grid.p * rot
+    grid, p = n.grid, n.grid.p
+    if p < 2:
+        raise ValueError("translation momentum needs p >= 2")
+    work = _Workspace(n) if work is None else work
+    grads = _gradients(n, [work.take() for _ in range(p)])
+    spare = work.take()
+    *kept, s, t = list(_c_view(spare, (3,) + grid.dims)) + work.planes(p - 2)
+    F = {}
+    for k, (i, j) in enumerate(plane_pairs(p)):
+        f = kept[k] if k < p - 1 else _c_view(grads[0], grid.dims)
+        F[i, j] = triple(n.values, grads[i], grads[j], out=f, scratch=(s, t))
+    dens = _density_P(F, grid, _c_view(grads[-1], grid.dims + (p,)), s)
+    rot, P = _moments(dens, grid)
+    deg = _degree(F, grid, out=s) if p == 2 else None
+    work.pool += grads + [spare]
+    return deg, P, -(p - 1) / p * rot
 
 
 def _P_adjoint(n, grads):

@@ -1,0 +1,96 @@
+"""The allocating report, kept as an oracle for the in-place one in
+llgeo.dynamics.make_report.
+
+Every quantity is built from fresh arrays: np.diff exchange differences of a
+C-order copy, np.linalg.norm, n @ K_AXIS, the per-axis central differences,
+the planes of the 2-form as one triple-product expression each, and the
+P-density summed plane by plane.  llgeo.dynamics.make_report and
+llgeo.momenta.moments must reproduce it exactly (np.array_equal), in every
+layout, with or without a workspace.  It allocates as make_report did before
+it took a workspace, so its peak memory is the bound for make_report without
+one.
+"""
+
+import numpy as np
+
+from llgeo import K_AXIS, integrate
+from llgeo.dynamics import EnergyParams
+from llgeo.fields import plane_pairs
+from llgeo.momenta import MomentumReport, _moments
+
+
+def energy(n, params):
+    values = np.ascontiguousarray(n.values)
+    exch = 0.0
+    for axis in range(n.grid.p):
+        d = np.diff(values, axis=axis) / n.grid.spacing[axis]
+        exch += 0.5 * float((d * d).sum()) * n.grid.cell_volume
+    kdot = values @ K_AXIS
+    aniso_dens = (values * values).sum(axis=-1) - kdot * kdot
+    return exch + 0.5 * params.a * float(integrate(aniso_dens, n.grid))
+
+
+def momentum_N(n):
+    return float(integrate(1.0 + n.values @ K_AXIS, n.grid))
+
+
+def norm_deviation(n):
+    return float(np.abs(np.linalg.norm(n.values, axis=-1) - 1.0).max())
+
+
+def partial(values, grid, axis):
+    sl = lambda s: (slice(None),) * axis + (s,)  # noqa: E731
+    h = grid.spacing[axis]
+    out = np.empty_like(values)
+    out[sl(slice(1, -1))] = (values[sl(slice(2, None))] - values[sl(slice(None, -2))]) / (2.0 * h)
+    out[sl(0)] = (4.0 * (values[sl(1)] - values[sl(0)]) - (values[sl(2)] - values[sl(0)])) / (2.0 * h)
+    out[sl(-1)] = (4.0 * (values[sl(-1)] - values[sl(-2)])
+                   - (values[sl(-1)] - values[sl(-3)])) / (2.0 * h)
+    return out
+
+
+def two_form(n):
+    grads = [partial(n.values, n.grid, i) for i in range(n.grid.p)]
+    a = n.values
+    F = {}
+    for i, j in plane_pairs(n.grid.p):
+        b, c = grads[i], grads[j]
+        F[i, j] = (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+                   + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+                   + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
+    return F
+
+
+def _density_P(F, grid):
+    dens = np.zeros(grid.dims + (grid.p,))
+    for (i, j), f in F.items():
+        dens[..., i] += grid.coord_component(j) * f
+        dens[..., j] -= grid.coord_component(i) * f
+    return dens / (grid.p - 1)
+
+
+def density_P(n):
+    """The P-density, shape dims + (p,): sum_j x_j F_ij / (p-1)."""
+    return _density_P(two_form(n), n.grid)
+
+
+def moments(n):
+    grid = n.grid
+    F = two_form(n)
+    rot, P = _moments(_density_P(F, grid), grid)
+    deg = float(integrate(F[0, 1] / (4.0 * np.pi), grid)) if grid.p == 2 else None
+    return deg, P, -(grid.p - 1) / grid.p * rot
+
+
+def make_report(n, t, params=EnergyParams()):
+    e_val = energy(n, params) if n.decaying else None
+    deg, P, L = moments(n) if n.grid.p >= 2 and n.decaying else (None,) * 3
+    return MomentumReport(
+        t=float(t),
+        energy=e_val,
+        N=momentum_N(n),
+        P=P,
+        L=L,
+        deg=deg,
+        norm_dev=norm_deviation(n),
+    )

@@ -10,7 +10,6 @@ from llgeo import (
     so3_exp,
 )
 from llgeo.generators import band_limited, bump_envelope
-from llgeo.momenta import _density_P, _gradients, _two_form
 
 
 def relative_gap(a, b):
@@ -18,11 +17,6 @@ def relative_gap(a, b):
     b = np.asarray(b, float)
     scale = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()), 1e-300)
     return float(np.linalg.norm((a - b).ravel()) / scale)
-
-
-def density_P(n):
-    """The P-density that momentum_P_general integrates, shape dims + (p,)."""
-    return _density_P(_two_form(n, _gradients(n)), n.grid)
 
 
 def interior(grid, depth):

@@ -301,14 +301,29 @@ def test_simulate_output_prefix_may_equal_input_path(tmp_path, capsys):
 
 
 def test_simulate_midpoint_blowup_is_numeric_error(tmp_path, capsys):
+    # rho = 4 * (64 + 64) = 512, so dt*rho = 1.8: inside the contraction limit 2,
+    # but the fixed point does not converge in 50 iterations
     snap = tmp_path / "in.llgf"
     write_snapshot(make_bp_soliton(Grid.centered((32, 32), 4.0), 1, 0.5, 1.2), snap)
     code, _, err = run_cli(
         capsys, "simulate", "--in", str(snap), "--out", str(tmp_path / "r"),
-        "--steps", "1", "--dt", "5.0", "--scheme", "midpoint",
+        "--steps", "1", "--dt", str(1.8 / 512.0), "--scheme", "midpoint",
     )
     assert code == 4
     assert "midpoint" in err
+
+
+def test_simulate_midpoint_beyond_contraction_limit_is_config_error(tmp_path, capsys):
+    # dt*rho = 2560: the midpoint used to overflow, warn and spend 50 iterations
+    snap = tmp_path / "in.llgf"
+    write_snapshot(make_bp_soliton(Grid.centered((32, 32), 4.0), 1, 0.5, 1.2), snap)
+    code, out, err = run_cli(
+        capsys, "simulate", "--in", str(snap), "--out", str(tmp_path / "r"),
+        "--steps", "1", "--dt", "5.0", "--scheme", "midpoint",
+    )
+    assert code == 2
+    assert "dt*rho = 2560" in err and "use dt <= 0.003906" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "midpoint"])

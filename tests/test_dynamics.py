@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +25,15 @@ from llgeo import (
 )
 from llgeo import EuclideanAlgebraElement, calculus, cocycle, momenta
 from llgeo.calculus import cross3, integrate
-from llgeo.dynamics import _component_major, _effective_field, _minus_cross, make_report
+from llgeo.dynamics import (
+    _component_major,
+    _effective_field,
+    _minus_cross,
+    _Workspace,
+    make_report,
+)
 
+import allocating_report
 import allocating_stepper
 from conftest import relative_gap
 from fd_oracle import functional_derivative
@@ -214,12 +223,29 @@ def test_midpoint_norm_preservation():
 
 
 def test_midpoint_divergence_reports_iterations():
-    g = Grid.centered((32, 32), 4.0)  # fine spacing: stiff exchange term
+    g = Grid.centered((32, 32), 4.0)  # fine spacing: stiff exchange term, rho = 512
     n = make_random_smooth(g, seed=4, amplitude=1.5)
-    cfg = SimConfig(dt=5.0, steps=1, scheme="midpoint")
+    cfg = SimConfig(dt=1.8 / 512.0, steps=1, scheme="midpoint")  # dt*rho = 1.8
     with pytest.raises(ConvergenceError) as err:
         step(n, cfg)
     assert err.value.iterations == 50
+
+
+def test_midpoint_step_refuses_dt_beyond_contraction_limit():
+    # dt = 5 (dt*rho = 2560) used to overflow in the renormalization, with
+    # three RuntimeWarnings, and then spend all 50 iterations
+    g = Grid.centered((32, 32), 4.0)  # rho = 4 * (64 + 64) = 512
+    n = make_random_smooth(g, seed=4, amplitude=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"dt\*rho = 2560 exceeds the midpoint contraction "
+                                             r"limit 2; use dt <= 0\.003906"):
+            step(n, SimConfig(dt=5.0, steps=1, scheme="midpoint"))
+    dt_max = 2.0 / 512.0
+    with pytest.raises(ValueError, match=r"dt\*rho = 2 "):
+        step(n, SimConfig(dt=dt_max * (1 + 1e-9), steps=1, scheme="midpoint"))
+    with pytest.raises(ConvergenceError):  # just inside, the solve runs and fails to converge
+        step(n, SimConfig(dt=dt_max * (1 - 1e-9), steps=1, scheme="midpoint"))
 
 
 def _tangent_bases(values):
@@ -412,6 +438,22 @@ def test_simulate_is_deterministic():
     assert [r.energy for r in r1] == [r.energy for r in r2]
 
 
+def test_simulate_steps_and_reports_in_one_workspace(monkeypatch):
+    import llgeo.dynamics as dyn
+
+    n = make_bp_soliton(Grid.centered((32, 32), 12.0), 1, 1.0, 4.0)
+    seen = {"step": [], "make_report": []}
+    for name, calls in seen.items():
+        def spy(*args, _true=getattr(dyn, name), _calls=calls):
+            _calls.append(args[-1])  # simulate passes the workspace last
+            return _true(*args)
+        monkeypatch.setattr(dyn, name, spy)
+    simulate(n, SimConfig(dt=1e-3, steps=5, report_every=2))
+    assert len(seen["step"]) == 5 and len(seen["make_report"]) == 4  # t = 0, 2, 4, 5
+    works = seen["step"] + seen["make_report"]
+    assert isinstance(works[0], _Workspace) and all(w is works[0] for w in works)
+
+
 def test_simulate_aborts_on_nan_with_step_index(monkeypatch):
     g = Grid.centered((32, 32), 12.0)
     n = make_random_smooth(g, seed=12, amplitude=1.2)
@@ -468,6 +510,66 @@ def test_make_report_shares_one_pass_with_the_public_diagnostics(report_field):
         assert rep.deg is None
     assert np.array_equal(rep.P, momenta.momentum_P_general(n))
     assert np.array_equal(rep.L, momenta.rotational_momentum(n))
+    assert rep.energy == energy(n)
+    assert rep.N == momenta.momentum_N(n)
+    assert rep.norm_dev == n.norm_deviation()
+
+
+def _garbage_workspace(like):
+    """A workspace for like's grid and layout whose pool and planes hold NaN,
+    so a scratch value read before it is written shows in the report."""
+    work = _Workspace(like)
+    work.pool = [np.full_like(like.values, np.nan) for _ in range(4)]
+    for plane in work.planes(like.grid.p + 1):
+        plane.fill(np.nan)
+    return work
+
+
+@pytest.mark.parametrize("work", [None, "C", "planar"])
+@pytest.mark.parametrize("layout", ["C", "planar"])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_make_report_equals_the_allocating_oracle_bitwise(case, layout, work):
+    n = _ORACLE_CASES[case][0]()
+    planar = n.with_values(_component_major(n.values), check=False)
+    field = n if layout == "C" else planar
+    params = EnergyParams(a=0.7)
+    want = allocating_report.make_report(n, 0.5, params)
+    workspace = None if work is None else _garbage_workspace(n if work == "C" else planar)
+    for _ in range(2):  # the second report reuses the first one's scratch
+        got = make_report(field, 0.5, params, workspace)
+        for entry in dataclasses.fields(got):
+            a, b = getattr(got, entry.name), getattr(want, entry.name)
+            assert (a is None and b is None) or np.array_equal(a, b), entry.name
+    if n.decaying:  # moments on its own, with a workspace of its own
+        for a, b in zip(momenta.moments(field), (want.deg, want.P, want.L)):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dims", [(128, 128), (32, 32, 32)], ids=["128^2", "32^3"])
+def test_make_report_allocates_no_field_array_in_a_run_workspace(dims):
+    n = make_random_smooth(Grid.centered(dims, 12.0), seed=5, amplitude=1.2)
+    params = EnergyParams(a=0.5)
+    # a run's workspace after its first report (which also caches the grid's
+    # coordinates) and one step, the stepped field's array back in its pool
+    planar = n.with_values(_component_major(n.values), check=False)
+    work = _Workspace(planar)
+    make_report(planar, 0.0, params, work)
+    stepped = step(planar, _stable_cfg(planar, "rk4_project"), work)
+    work.pool.append(planar.values)
+    assert _peak_bytes(lambda: make_report(stepped, 0.0, params, work)) < n.values.nbytes
+    # without one, no more than the allocating composition, whose peak is
+    # the one make_report had before it took a workspace
+    oracle = _peak_bytes(lambda: allocating_report.make_report(n, 0.0, params))
+    assert _peak_bytes(lambda: make_report(n, 0.0, params)) <= oracle
 
 
 def test_make_report_is_bitwise_independent_of_layout(report_field):
@@ -485,9 +587,9 @@ def partial_calls(monkeypatch):
     """The axis of every partial call made through momenta or cocycle."""
     calls = []
 
-    def counted(values, grid, axis):
+    def counted(values, grid, axis, out=None):
         calls.append(axis)
-        return calculus.partial(values, grid, axis)
+        return calculus.partial(values, grid, axis, out=out)
 
     for module in (momenta, cocycle):
         monkeypatch.setattr(module, "partial", counted)

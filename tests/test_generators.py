@@ -14,7 +14,7 @@ from llgeo import (
     momentum_P_general,
 )
 
-from conftest import density_P
+from allocating_report import density_P
 
 
 def test_constant_vacuum():

@@ -33,7 +33,8 @@ from llgeo.momenta import (
 )
 from llgeo.calculus import integrate, partial, so3_exp
 
-from conftest import density_P, relative_gap
+from allocating_report import density_P
+from conftest import relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
