@@ -22,6 +22,7 @@ Exit codes: 0 ok / PASS, 1 FAIL verdict, 2 config error, 3 io error,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -224,7 +225,7 @@ def _init(cfg):
         snapio.write_snapshot(field, cfg["out"])
     except OSError as exc:
         raise SnapshotError(f"cannot write snapshot: {exc}") from exc
-    lines = [("SNAPSHOT", cfg["out"]), ("CELLS", int(np.prod(field.grid.dims)))]
+    lines = [("SNAPSHOT", cfg["out"]), ("CELLS", math.prod(field.grid.dims))]
     if field.grid.p == 2 and field.decaying:
         lines.append(("DEG", degree(field)))
     return lines, None

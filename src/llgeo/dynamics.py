@@ -19,19 +19,17 @@ Stepping and reporting write in place into a workspace (fields._Workspace):
 a pool of spare field arrays for the stages, the effective field, the
 derivatives and the energy differences, scratch planes, and the frozen
 boundary slabs.  step, energy and make_report build one per call unless
-they are given one; simulate builds one per run, hands each old field's
-array back to its pool and passes it to every report, so after the first
-report neither a step nor a report allocates a grid-sized array.  Every field buffer is laid out
-like the field being stepped (np.empty_like), and simulate steps a
-component-major copy of n0 (n_x, n_y and n_z each contiguous, seen through
-a (..., 3) view), so the per-component passes of the effective field, the
-cross product and the renormalization stream contiguous planes.  Every
-value is computed elementwise with the operation order of the textbook
-allocating formulas (np.pad neighbor sums, cross3, np.linalg.norm, np.diff),
-and every sum runs over a C-order array as it did over the formulas' fresh
-arrays, so the results are bit-identical to them in either layout; so
-simulate reports the field it steps and copies only the field it returns
-into C order.
+they are given one; simulate builds one per run, hands each field's array
+back to its pool once the step after it is taken (n0's excepted: it is
+only read) and passes it to every report, so after the first report
+neither a step nor a report allocates a grid-sized array.  Every field is
+component-major (fields._payload), and every field buffer is laid out
+like it (np.empty_like), so the per-component passes of the effective
+field, the cross product and the renormalization stream contiguous
+planes.  Every value is computed elementwise with the operation order of
+the textbook allocating formulas (np.pad neighbor sums, cross3,
+np.linalg.norm), so the stepped fields are bit-identical to theirs, and
+every sum runs over contiguous planes in memory order.
 """
 
 from dataclasses import dataclass, field
@@ -85,13 +83,11 @@ def energy(n, params=EnergyParams(), work=None):
     consistent, second order).  Rejects non-decaying fields: without decay
     the integral is not the compactly supported one the theory assumes.
 
-    The sums follow numpy's pairwise summation in memory order, so each
-    density is written, without copying n, into C-order views of a spare
-    field array borrowed from the pool of work (a workspace for n's grid,
-    built for this call when None): first the differences, then the
-    anisotropy density and its scratch plane.  So the bits are the same for
-    every layout of the same field, and equal to np.diff's on a C-order
-    copy.
+    Each density is written, without copying n, into contiguous planes over
+    the leading memory of a spare field array borrowed from the pool of work
+    (a workspace for n's grid, built for this call when None), and summed
+    there in memory order: first the differences along each axis, three
+    planes, then the anisotropy density and its scratch plane.
     """
     n.require_decaying("energy")
     grid, values = n.grid, n.values
@@ -101,9 +97,8 @@ def energy(n, params=EnergyParams(), work=None):
     for axis, h in enumerate(grid.spacing):
         at = _along(axis, grid.p)
         ahead, behind = values[at(slice(1, None))], values[at(slice(None, -1))]
-        d = _c_view(buf, ahead.shape)
-        for c in range(3):  # plane by plane: a component-major n streams
-            np.subtract(ahead[..., c], behind[..., c], out=d[..., c])
+        d = _c_view(buf, (3,) + ahead.shape[:-1])
+        np.subtract(ahead, behind, out=np.moveaxis(d, 0, -1))
         np.divide(d, h, out=d)
         exch += 0.5 * float(np.multiply(d, d, out=d).sum()) * grid.cell_volume
     # n.n - (n.k)^2, K_AXIS being e_z
@@ -172,7 +167,7 @@ def step(n, cfg, work=None):
     about dt*rho/2 per iteration, raises ValueError before any work.
 
     Every effective field, cross product and renormalization writes into
-    work, a _Workspace for fields with n's grid, decay and layout, built
+    work, a _Workspace for fields with n's grid and decay, built
     for this call when None.  The effective field and the stage arrays come
     from its pool and go back, except the new field's, which the field owns;
     n.values is only read.
@@ -227,6 +222,12 @@ def step(n, cfg, work=None):
             np.multiply(f, dt, out=f)
             np.add(y, f, out=f)
             delta = np.abs(np.subtract(f, out, out=mid), out=mid).max()
+            if not np.isfinite(delta):
+                raise ConvergenceError(
+                    f"implicit midpoint update went non-finite ({delta}) "
+                    f"at iteration {iteration + 1}",
+                    iterations=iteration + 1,
+                )
             out, f = f, out
             if delta < 1e-12:
                 break
@@ -248,8 +249,7 @@ def make_report(n, t, params=EnergyParams(), work=None):
     (built for this call when None): energy and moments borrow field arrays
     from its pool and hand them back, and N and the norm deviation are
     summed on two planes of one more.  The entries are bit-identical to
-    those of energy, moments, momentum_N and norm_deviation, for every
-    layout of n.
+    those of energy, moments, momentum_N and norm_deviation.
     """
     work = _Workspace(n) if work is None else work
     e_val = energy(n, params, work) if n.decaying else None
@@ -269,29 +269,20 @@ def make_report(n, t, params=EnergyParams(), work=None):
     return report
 
 
-def _component_major(values):
-    """A copy of values (..., 3) whose components are each contiguous, seen
-    through a (..., 3) view."""
-    out = np.moveaxis(np.empty((3,) + values.shape[:-1]), 0, -1)
-    out[...] = values
-    return out
-
-
 def simulate(n0, cfg, report_sink=None):
     """Run cfg.steps steps from n0 (which is only read); returns the reports
-    and the final field, whose array is C-contiguous.
+    and the final field.
 
     Reports are emitted at t=0, every cfg.report_every steps, and at the end;
     each is passed to report_sink as it appears.  Aborts with the step index
     if any value goes non-finite.
 
-    The steps run on a component-major copy of n0 in one workspace, and
-    each old field's array goes back to the workspace's pool.  Each report
-    reads the field being stepped and writes into the same workspace, which
-    is dropped after the final report.
+    The steps run in one workspace, and each stepped field's array goes back
+    to the workspace's pool once the next step is taken.  Each report reads
+    the field being stepped and writes into the same workspace.
     """
     reports = []
-    n = n0.with_values(_component_major(n0.values), check=False)
+    n = n0
     work = _Workspace(n)
 
     def report(n, t):
@@ -302,11 +293,11 @@ def simulate(n0, cfg, report_sink=None):
     report(n, 0.0)
     for i in range(1, cfg.steps + 1):
         new = step(n, cfg, work)
-        work.pool.append(n.values)
+        if n is not n0:
+            work.pool.append(n.values)
         n = new
         if not np.isfinite(n.values).all():
             raise NumericsError(f"non-finite field values at step {i}")
         if i % cfg.report_every == 0 or i == cfg.steps:
             report(n, i * cfg.dt)
-    work = None  # frees the buffers before the C-order copy
-    return reports, n.with_values(np.ascontiguousarray(n.values), check=False)
+    return reports, n

@@ -3,14 +3,22 @@ Euclidean / semidirect-product algebra elements they pair with.
 
 All containers are value types: a checked payload is copied in and frozen,
 a spin field "mutates" only through with_values(), which re-validates, and
-check=False adopts a trusted array as it is.
+check=False adopts a trusted array.
 Boundary conditions hold on the grid.BOUNDARY_LAYER cells next to each face.
+
+Every spin field payload is component-major: three contiguous planes
+(3,) + dims holding n_x, n_y and n_z, seen through the (..., 3) view that
+every kernel indexes.  _payload is the one place that decides it, so the
+per-component passes of the kernels stream contiguous planes, and the
+densities the momenta sum are planes too.  Rotation fields keep the layout
+they are given: their kernels already return component-major arrays.
 
 The kernels that step and measure spin fields write into a _Workspace: the
 grid-sized scratch of one run (spare field arrays and scratch planes), so
 that a run allocates its buffers once instead of once per step and report.
 """
 
+import math
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -85,7 +93,7 @@ def _c_view(buf, shape):
     contiguous in some axis order, as every workspace array is; a C-order
     view is what makes numpy's sums over it run in the order they run over
     a fresh array."""
-    return buf.ravel(order="K")[:int(np.prod(shape))].reshape(shape)
+    return buf.ravel(order="K")[:math.prod(shape)].reshape(shape)
 
 
 def _squared_norm(values, out, scratch):
@@ -140,16 +148,34 @@ def _frozen(values):
     return out
 
 
+def _is_planar(values):
+    """Whether the (..., 3) array values is three contiguous planes."""
+    return np.moveaxis(values, -1, 0).flags.c_contiguous
+
+
 def _payload(grid, values, comp, check):
-    """The float values of a field on grid with per-cell shape comp: a
-    frozen copy when check is set, else the array as it is (the trusted
-    internal fast path: no copy, no freeze)."""
+    """The float values of a field on grid with per-cell shape comp.
+
+    A spin payload (comp (3,)) is three contiguous planes (3,) + dims seen
+    through its (..., 3) view: checked, values are copied into new planes
+    and frozen; with check=False (the trusted internal fast path) an array
+    already laid out so is adopted as it is, and any other is copied into
+    planes.  A rotation payload is a frozen copy in values' own memory
+    order when check is set, else the array as it is.
+    """
     if not isinstance(grid, Grid):
         raise TypeError("grid must be a Grid")
     values = np.asarray(values, dtype=float)
     if values.shape != grid.dims + comp:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.dims + comp}")
-    return _frozen(values) if check else values
+    if comp != (3,):
+        return _frozen(values) if check else values
+    if not check and _is_planar(values):
+        return values
+    planes = np.moveaxis(np.empty((3,) + grid.dims), 0, -1)
+    np.copyto(planes, values)
+    planes.setflags(write=not check)
+    return planes
 
 
 class SpinField:

@@ -16,9 +16,8 @@ def make_constant(grid, v):
     v = np.asarray(v, float)
     if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise ValueError("v must be a unit 3-vector")
-    values = np.broadcast_to(v, grid.dims + (3,)).copy()
     decaying = bool((v == -K_AXIS).all())
-    return SpinField(grid, values, decaying=decaying)
+    return SpinField(grid, np.broadcast_to(v, grid.dims + (3,)), decaying=decaying)
 
 
 def _cutoff_blend(t):

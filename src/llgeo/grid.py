@@ -5,6 +5,7 @@ centered at the coordinate origin by default so that position-weighted
 integrals of symmetric fields cancel cleanly.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,7 @@ class Grid:
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     def axis_coords(self, axis):
         """1-d array of cell-center coordinates along one axis."""

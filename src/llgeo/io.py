@@ -36,7 +36,8 @@ def format_float(x):
 
 
 def write_snapshot(field, path):
-    """Serialize a SpinField or RotationField."""
+    """Serialize a SpinField or RotationField; the payload is written in C
+    order, from one contiguous copy when the field is stored otherwise."""
     if isinstance(field, SpinField):
         kind = KIND_SPIN
     elif isinstance(field, RotationField):
@@ -46,7 +47,7 @@ def write_snapshot(field, path):
     grid = field.grid
     header = MAGIC + _PREAMBLE.pack(VERSION, grid.p) + _geometry_layout(grid.p).pack(
         *grid.dims, *grid.spacing, *grid.origin, kind)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(field.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -56,7 +57,9 @@ def read_snapshot(path):
     """Deserialize a snapshot; returns a SpinField or RotationField.
 
     Spin fields are flagged decaying when the boundary layer is exactly -k,
-    which is how write/read round trips preserve the far-field marker.
+    which is how write/read round trips preserve the far-field marker.  The
+    payload is viewed in place in the file's bytes and copied once, into the
+    field's own layout.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -10,8 +10,10 @@ summed in two orders.
 Besides these: the rotation charge N, the rotational momentum, and the three
 routes to the Euclidean momentum of the reduced system (P-density, rotation
 lift + group gradient, closed-form lift identity), each the first moments
-(integral of x wedge w, integral of w) of one density w; every lift route
-starts from _lift_frame, which refuses a fat singular set n -> +k.
+(integral of x wedge w, integral of w) of one density w, stored as p
+contiguous planes (p,) + dims like the component planes of a spin field
+(fields._payload); every lift route starts from _lift_frame, which refuses
+a fat singular set n -> +k.
 
 Orientation conventions are pinned in one place:
 
@@ -124,24 +126,26 @@ def momentum_P_cross(n):
 
 def _density_P(F, grid, out, scratch):
     """P-density from the planes of F, accumulated plane by plane into out,
-    a C-order dims + (p,) array, with the products taken through the plane
-    scratch: P_i = n . (d_i n x sum_j x_j d_j n) / (p-1)
+    p contiguous planes (p,) + dims, with the products taken through the
+    plane scratch: P_i = n . (d_i n x sum_j x_j d_j n) / (p-1)
     = sum_j x_j F_ij / (p-1)."""
     out.fill(0.0)
     for (i, j), f in F.items():
-        np.add(out[..., i], np.multiply(grid.coord_component(j), f, out=scratch),
-               out=out[..., i])
-        np.subtract(out[..., j], np.multiply(grid.coord_component(i), f, out=scratch),
-                    out=out[..., j])
+        np.add(out[i], np.multiply(grid.coord_component(j), f, out=scratch), out=out[i])
+        np.subtract(out[j], np.multiply(grid.coord_component(i), f, out=scratch), out=out[j])
     return np.divide(out, grid.p - 1, out=out)
 
 
 def _moments(w, grid):
-    """(integral of x wedge w, integral of w) for a density w, dims + (p,);
-    the wedge moment is M - M^T with M = integral of x w^T, exactly skew."""
-    spatial = list(range(grid.p))
-    m = np.tensordot(grid.coords(), w, axes=(spatial, spatial)) * grid.cell_volume
-    return m - m.T, integrate(w, grid)
+    """(integral of x wedge w, integral of w) for a density w of p
+    contiguous planes, (p,) + dims.  Each plane is integrated on its own,
+    and the wedge moment is M - M^T with M = integral of x w^T, exactly
+    skew, each entry one dot product of a coordinate plane with a plane of
+    w, neither of them copied."""
+    total = np.array([integrate(plane, grid) for plane in w])
+    m = np.array([[np.vdot(grid.coord_component(i), plane) for plane in w]
+                  for i in range(grid.p)]) * grid.cell_volume
+    return m - m.T, total
 
 
 def moments(n, work=None):
@@ -155,10 +159,10 @@ def moments(n, work=None):
     n's grid (built for this call when None).  The p derivatives and one
     more field array are borrowed from its pool and handed back.  The
     planes of F and the two products of the triple product go into p + 1
-    planes: the three of that spare array (in C order) and, for p = 3, one
+    planes: the three planes of that spare array and, for p = 3, one
     of the workspace's planes, except that the last plane of F for p = 3,
     (1, 2), the first that does not read d_0 n, goes into d_0 n's memory.
-    The P-density goes into the memory of the last derivative, in C order.
+    The P-density goes into the memory of the last derivative, as p planes.
     So a report fits in the pool that a run's stepper leaves (four field
     arrays) and the stepper's two planes.  Each value keeps the operation
     order of the allocating composition, so the results are bit-identical
@@ -176,7 +180,7 @@ def moments(n, work=None):
     for k, (i, j) in enumerate(plane_pairs(p)):
         f = kept[k] if k < p - 1 else _c_view(grads[0], grid.dims)
         F[i, j] = triple(n.values, grads[i], grads[j], out=f, scratch=(s, t))
-    dens = _density_P(F, grid, _c_view(grads[-1], grid.dims + (p,)), s)
+    dens = _density_P(F, grid, _c_view(grads[-1], (p,) + grid.dims), s)
     rot, P = _moments(dens, grid)
     deg = _degree(F, grid, out=s) if p == 2 else None
     work.pool += grads + [spare]
@@ -264,8 +268,10 @@ def lift_psi(n):
 
 
 def _JH_density(psi, mu):
-    """w_i = mu . rgrad_i psi, shape dims + (p,)."""
-    return np.einsum("...i,...ki->...k", mu.values, right_gradient_stack(psi))
+    """w_k = mu . rgrad_k psi, as p contiguous planes (p,) + dims."""
+    rgrad = right_gradient_stack(psi)
+    w = np.empty((psi.grid.p,) + psi.grid.dims)  # after rgrad's scratch is freed
+    return np.einsum("...i,...ki->k...", mu.values, rgrad, out=w)
 
 
 def momentum_JH(psi, mu):
@@ -282,18 +288,21 @@ def momentum_JH(psi, mu):
 
 
 def _lift_integrand(n):
-    """w-bar_i = (k x n).d_i n / (1 - k.n) with singular cells zeroed.
+    """w-bar_i = (k x n).d_i n / (1 - k.n) with singular cells zeroed, as p
+    contiguous planes (p,) + dims.
 
     Returns (wbar, singular_mask).  The singular cells are dropped from the
     quadrature: the singularities of the lift are tame and do not contribute.
     Refuses on a fat singular set (see _lift_frame).
     """
     kdot, cross, singular = _lift_frame(n)
-    num = np.stack([np.einsum("...i,...i->...", cross, g) for g in _gradients(n)],
-                   axis=-1)
     denom = np.where(singular, 1.0, 1.0 - kdot)
-    wbar = num / denom[..., None]
-    wbar[singular] = 0.0
+    wbar = np.empty((n.grid.p,) + n.grid.dims)
+    grad = None  # one derivative pass, through one buffer
+    for k, plane in enumerate(wbar):
+        grad = partial(n.values, n.grid, k, out=grad)
+        np.divide(np.einsum("...i,...i->...", cross, grad, out=plane), denom, out=plane)
+    wbar[:, singular] = 0.0
     return wbar, singular
 
 
@@ -329,7 +338,7 @@ def _lift_identity_residual(n):
     """Cellwise |n . rgrad_i psi_n - wbar_i| over axes i, with wbar the
     closed form; zero on singular cells.  Shape dims."""
     wbar, singular = _lift_integrand(n)
-    resid = np.abs(_JH_density(lift_psi(n), n) - wbar).max(axis=-1)
+    resid = np.abs(_JH_density(lift_psi(n), n) - wbar).max(axis=0)
     resid[singular] = 0.0
     return resid
 

@@ -1,14 +1,14 @@
 """The allocating report, kept as an oracle for the in-place one in
 llgeo.dynamics.make_report.
 
-Every quantity is built from fresh arrays: np.diff exchange differences of a
-C-order copy, np.linalg.norm, n @ K_AXIS, the per-axis central differences,
-the planes of the 2-form as one triple-product expression each, and the
-P-density summed plane by plane.  llgeo.dynamics.make_report and
-llgeo.momenta.moments must reproduce it exactly (np.array_equal), in every
-layout, with or without a workspace.  It allocates as make_report did before
-it took a workspace, so its peak memory is the bound for make_report without
-one.
+Every quantity is built from fresh arrays: np.diff exchange differences of
+the component planes, np.linalg.norm, n @ K_AXIS, the per-axis central
+differences, the planes of the 2-form as one triple-product expression each,
+and the P-density summed plane by plane into p planes.  Every sum runs over
+contiguous planes, as the in-place kernels' do.  llgeo.dynamics.make_report
+and llgeo.momenta.moments must reproduce it exactly (np.array_equal), with or
+without a workspace.  It allocates as make_report did before it took a
+workspace, so its peak memory is the bound for make_report without one.
 """
 
 import numpy as np
@@ -20,10 +20,11 @@ from llgeo.momenta import MomentumReport, _moments
 
 
 def energy(n, params):
-    values = np.ascontiguousarray(n.values)
+    values = n.values
+    planes = np.moveaxis(values, -1, 0)
     exch = 0.0
     for axis in range(n.grid.p):
-        d = np.diff(values, axis=axis) / n.grid.spacing[axis]
+        d = np.diff(planes, axis=axis + 1) / n.grid.spacing[axis]
         exch += 0.5 * float((d * d).sum()) * n.grid.cell_volume
     kdot = values @ K_AXIS
     aniso_dens = (values * values).sum(axis=-1) - kdot * kdot
@@ -62,15 +63,15 @@ def two_form(n):
 
 
 def _density_P(F, grid):
-    dens = np.zeros(grid.dims + (grid.p,))
+    dens = np.zeros((grid.p,) + grid.dims)
     for (i, j), f in F.items():
-        dens[..., i] += grid.coord_component(j) * f
-        dens[..., j] -= grid.coord_component(i) * f
+        dens[i] += grid.coord_component(j) * f
+        dens[j] -= grid.coord_component(i) * f
     return dens / (grid.p - 1)
 
 
 def density_P(n):
-    """The P-density, shape dims + (p,): sum_j x_j F_ij / (p-1)."""
+    """The P-density as p planes, shape (p,) + dims: sum_j x_j F_ij / (p-1)."""
     return _density_P(two_form(n), n.grid)
 
 

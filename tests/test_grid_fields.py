@@ -9,14 +9,21 @@ from llgeo import (
     Grid,
     RotationField,
     SemidirectAlgebraElement,
+    SimConfig,
     SpinField,
+    make_bp_soliton,
     make_constant,
+    make_radial_profile,
     make_random_smooth,
+    read_snapshot,
+    simulate,
     so3_exp,
+    step,
+    write_snapshot,
 )
 from llgeo.cli import _parse_algebra
 from llgeo.dynamics import make_report
-from llgeo.fields import plane_pairs
+from llgeo.fields import _is_planar, plane_pairs
 from llgeo.grid import BOUNDARY_LAYER
 from llgeo.io import report_header, report_row
 from llgeo.momenta import _gradients, _two_form
@@ -134,6 +141,69 @@ def test_check_false_adopts_the_array_and_a_checked_field_is_frozen(cls, cell):
     assert checked.values.strides == values.strides  # still component-major
     with pytest.raises(ValueError, match="read-only"):
         checked.values[(0,) * values.ndim] = 0.0
+
+
+def test_cell_volume_is_the_left_to_right_product_of_the_spacings():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        h = tuple(float(x) for x in rng.uniform(0.01, 3.0, size=3))
+        g3 = Grid((8, 8, 8), h, (0.0, 0.0, 0.0))
+        assert type(g3.cell_volume) is float and g3.cell_volume == (h[0] * h[1]) * h[2]
+        assert Grid((8, 9), h[:2], (0.0, 0.0)).cell_volume == h[0] * h[1]
+        assert Grid((8,), h[:1], (0.0,)).cell_volume == h[0]
+
+
+def _c_order_vacuum(dims):
+    values = np.zeros(dims + (3,))
+    values[..., 2] = -1.0
+    return values
+
+
+def test_spin_payload_is_copied_into_planes_unless_it_already_is_planes():
+    g = Grid.centered((10, 12), 4.0)
+    c_order = _c_order_vacuum(g.dims)
+    checked = SpinField(g, c_order)
+    assert _is_planar(checked.values) and not checked.values.flags.writeable
+    assert not np.shares_memory(checked.values, c_order)
+    assert np.array_equal(checked.values, c_order)
+    copied = SpinField(g, c_order, check=False)
+    assert _is_planar(copied.values) and copied.values.flags.writeable
+    assert not np.shares_memory(copied.values, c_order)
+    assert np.array_equal(copied.values, c_order)
+    planes = np.moveaxis(np.moveaxis(c_order, -1, 0).copy(), 0, -1)
+    assert SpinField(g, planes, check=False).values is planes
+    # a window of wider planes is not three contiguous planes: it is copied
+    wide = np.moveaxis(np.moveaxis(_c_order_vacuum((10, 14)), -1, 0).copy(), 0, -1)
+    window = SpinField(g, wide[:, 1:13], check=False).values
+    assert _is_planar(window) and not np.shares_memory(window, wide)
+
+
+def _profile(r):
+    return np.where(r < 1.5, np.pi * (1.0 - r / 1.5) ** 2, 0.0)
+
+
+_SPIN_CONSTRUCTORS = {
+    "make_constant": lambda g, f, path: make_constant(g, (0, 0, -1)),
+    "make_bp_soliton": lambda g, f, path: make_bp_soliton(g, 1, 1.0, 4.0),
+    "make_radial_profile": lambda g, f, path: make_radial_profile(g, _profile),
+    "make_random_smooth": lambda g, f, path: f,
+    "read_snapshot": lambda g, f, path: (write_snapshot(f, path), read_snapshot(path))[1],
+    "with_values": lambda g, f, path: f.with_values(np.ascontiguousarray(f.values)),
+    "with_values_unchecked": lambda g, f, path: f.with_values(np.ascontiguousarray(f.values),
+                                                              check=False),
+    "step": lambda g, f, path: step(f, SimConfig(dt=1e-3, steps=1)),
+    "simulate": lambda g, f, path: simulate(f, SimConfig(dt=1e-3, steps=3))[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPIN_CONSTRUCTORS))
+def test_every_spin_constructor_gives_planes(name, tmp_path):
+    g = Grid.centered((24, 28), 12.0)
+    f = make_random_smooth(g, seed=2)
+    n = _SPIN_CONSTRUCTORS[name](g, f, tmp_path / "f.llgf")
+    assert isinstance(n, SpinField) and n.grid == g
+    assert _is_planar(n.values)
+    n.check_invariants()
 
 
 def test_from_matrix_rejects_non_finite_asymmetry():

@@ -50,6 +50,23 @@ def test_snapshot_header_is_the_documented_layout(tmp_path, kind):
     assert blob[len(header):] == np.ascontiguousarray(f.values, dtype="<f8").tobytes()
 
 
+def test_spin_payload_is_written_in_c_order_and_read_into_planes(tmp_path):
+    g = Grid.centered((20, 24), 8.0)
+    f = make_random_smooth(g, seed=3)
+    c_order = np.stack([f.values[..., c] for c in range(3)], axis=-1)
+    assert c_order.flags.c_contiguous and not f.values.flags.c_contiguous
+    path = tmp_path / "f.llgf"
+    write_snapshot(f, path)
+    blob = path.read_bytes()
+    header = struct.calcsize("<4sHH2I2d2dB")
+    assert len(blob) == header + c_order.nbytes
+    assert blob[header:] == c_order.astype("<f8").tobytes()
+    back = read_snapshot(path)
+    assert np.moveaxis(back.values, -1, 0).flags.c_contiguous
+    assert not back.values.flags.writeable
+    assert np.array_equal(back.values, c_order)
+
+
 def test_rotation_snapshot_round_trip(tmp_path):
     g = Grid.centered((24, 24), 8.0)
     A = make_gauge_field(g, make_gauge_bump_alpha(g, winding=1))
