@@ -22,7 +22,7 @@ Conventions pinned here once and used everywhere:
 
 import numpy as np
 
-from .fields import RotationField, _matmul3, _matrices, _planes, check_rotations
+from .fields import RotationField, _dot3, _matmul3, _matrices, _planes, check_rotations
 from .grid import _along
 
 ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
@@ -83,15 +83,19 @@ def integrate(values, grid):
     return np.asarray(values).sum(axis=spatial) * grid.cell_volume
 
 
-def cross3(a, b):
-    """Cross product over the trailing axis, hand-rolled: np.cross is slow on
-    broadcast stacks and this sits in quadrature hot paths."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
+def cross3(a, b, out=None, scratch=None):
+    """Cross product over the trailing axis, component c = a_i b_j - a_j b_i
+    for (c, i, j) cyclic, written into out (component planes, allocated when
+    None) with the products taken through the two planes of scratch (each
+    allocated when None), as in triple."""
+    if out is None:
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        out = np.moveaxis(np.empty((3,) + shape), 0, -1)
+    s, t = (np.empty(out.shape[:-1]), np.empty(out.shape[:-1])) if scratch is None else scratch
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.multiply(a[..., i], b[..., j], out=s)
+        np.subtract(s, np.multiply(a[..., j], b[..., i], out=t), out=out[..., c])
     return out
 
 
@@ -130,16 +134,15 @@ def hat(v):
 
 
 def vee(m):
-    """Inverse of hat: the 3-vector of a skew 3x3 matrix (antisymmetric part)."""
-    m = np.asarray(m, float)
-    return 0.5 * np.stack(
-        [
-            m[..., 2, 1] - m[..., 1, 2],
-            m[..., 0, 2] - m[..., 2, 0],
-            m[..., 1, 0] - m[..., 0, 1],
-        ],
-        axis=-1,
-    )
+    """Inverse of hat: the 3-vector (m_ji - m_ij) / 2 of a 3x3 matrix (its
+    antisymmetric part) for (c, i, j) cyclic, as component planes."""
+    m = _planes(np.asarray(m, float))
+    out = np.empty((3,) + m.shape[2:])
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.subtract(m[j, i], m[i, j], out=out[c, ...])
+    out *= 0.5
+    return np.moveaxis(out, 0, -1)
 
 
 def so3_exp(v):
@@ -151,8 +154,7 @@ def so3_exp(v):
     returned as a component-major (..., 3, 3) array."""
     v = np.asarray(v, float)
     comps = np.moveaxis(v, -1, 0)
-    x, y, z = comps
-    theta = np.sqrt(x * x + y * y + z * z)
+    theta = np.sqrt(_dot3(v, v))
     s = np.sinc(theta / np.pi)
     b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
     c = 1.0 - b * theta ** 2
@@ -175,20 +177,19 @@ def so3_log(r):
     vee R * theta/|vee R|.  For obtuse angles vee R = sin(theta) a loses the
     axis a as theta -> pi, so a is read from the identity
     sym R - cos(theta) I = (1 - cos(theta)) a a^T: its largest-diagonal
-    column, normalised and oriented along vee R.  vee R and the trace are
-    read from the entry planes, and the result is component-major.
+    column, normalised and oriented along vee R.  vee R (from vee) and the
+    trace are read from the entry planes, |vee R|, the column's norm and
+    its orientation are _dot3 sums, and the result is component-major.
     """
     r = np.asarray(r, float)
     check_rotations(r, ROTATION_TOL, "R")
     m = _planes(r)
-    anti = np.stack([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    anti *= 0.5                        # = sin(theta) * axis, component-major
-    ax, ay, az = anti
-    sin_t = np.sqrt(ax * ax + ay * ay + az * az)
+    anti = vee(r)                      # = sin(theta) * axis
+    sin_t = np.sqrt(_dot3(anti, anti))
     cos_t = (m[0, 0] + m[1, 1] + m[2, 2] - 1.0) / 2.0
     theta = np.arctan2(sin_t, cos_t)
     scale = np.divide(theta, sin_t, out=np.ones_like(theta), where=sin_t > 0)
-    out = np.moveaxis(anti * scale, 0, -1)
+    out = anti * scale[..., None]
 
     obtuse = cos_t < 0.0
     if obtuse.any():
@@ -196,9 +197,8 @@ def so3_log(r):
         outer = 0.5 * (ro + np.swapaxes(ro, -1, -2)) - co[:, None, None] * np.eye(3)
         col = np.argmax(np.diagonal(outer, axis1=-2, axis2=-1), axis=-1)
         axis = outer[np.arange(col.size), :, col]
-        axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
-        along = np.einsum("...i,...i->...", axis, np.moveaxis(anti, 0, -1)[obtuse])
-        axis[along < 0.0] *= -1.0
+        axis /= np.sqrt(_dot3(axis, axis))[:, None]
+        axis[_dot3(axis, anti[obtuse]) < 0.0] *= -1.0
         out[obtuse] = axis * theta[obtuse][:, None]
     return out
 
@@ -237,5 +237,4 @@ def right_gradient_stack(psi):
 
 def tangent_project(vec_values, n_values):
     """Project a 3-vector field onto the tangent planes of a unit field."""
-    dot = np.einsum("...i,...i->...", vec_values, n_values)
-    return vec_values - dot[..., None] * n_values
+    return vec_values - _dot3(vec_values, n_values)[..., None] * n_values

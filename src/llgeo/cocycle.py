@@ -14,7 +14,7 @@ J = [[0, 1], [-1, 0]].
 
 import numpy as np
 
-from .fields import EuclideanAlgebraElement, SemidirectAlgebraElement, SpinField
+from .fields import EuclideanAlgebraElement, SemidirectAlgebraElement, SpinField, _dot3
 from .calculus import (
     cross3,
     integrate,
@@ -106,8 +106,7 @@ def cocycle_via_pairing(mu, e1, e2):
     mu.require_decaying("cocycle_via_pairing")
     grads = _gradients(mu)
     lifted = semidirect_bracket(_wedge_lift(mu, grads, e1), _wedge_lift(mu, grads, e2))
-    dens = np.einsum("...i,...i->...", mu.values, lifted.xi)
-    return float(integrate(dens, mu.grid))
+    return float(integrate(_dot3(mu.values, lifted.xi), mu.grid))
 
 
 def lie_poisson_bracket(dF, dG, n):

@@ -27,9 +27,9 @@ component-major (fields._payload), and every field buffer is laid out
 like it (np.empty_like), so the per-component passes of the effective
 field, the cross product and the renormalization stream contiguous
 planes.  Every value is computed elementwise with the operation order of
-the textbook allocating formulas (np.pad neighbor sums, cross3,
-np.linalg.norm), so the stepped fields are bit-identical to theirs, and
-every sum runs over contiguous planes in memory order.
+the textbook allocating formulas (np.pad neighbor sums, the componentwise
+cross product, np.linalg.norm), so the stepped fields are bit-identical to
+theirs, and every sum runs over contiguous planes in memory order.
 """
 
 from dataclasses import dataclass, field
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NumericsError
-from .fields import _c_view, _squared_norm, _Workspace
-from .calculus import integrate
+from .fields import _c_view, _dot3, _Workspace
+from .calculus import cross3, integrate
 from .grid import _along
 from . import momenta
 
@@ -103,7 +103,7 @@ def energy(n, params=EnergyParams(), work=None):
         exch += 0.5 * float(np.multiply(d, d, out=d).sum()) * grid.cell_volume
     # n.n - (n.k)^2, K_AXIS being e_z
     s, t = _c_view(buf, (2,) + grid.dims)
-    _squared_norm(values, s, t)
+    _dot3(values, values, s, t)
     np.subtract(s, np.multiply(values[..., 2], values[..., 2], out=t), out=s)
     aniso = 0.5 * params.a * float(integrate(s, grid))
     work.pool.append(buf)
@@ -138,23 +138,11 @@ def _effective_field(values, grid, a, out, scratch):
     return out
 
 
-def _minus_cross(a, b, out, planes):
-    """out = -(a x b) over the trailing axis, cross3's products taken through
-    the two planes; q - p is -(p - q) exactly."""
-    p, q = planes
-    for c in range(3):
-        i, j = (c + 1) % 3, (c + 2) % 3
-        np.multiply(a[..., i], b[..., j], out=p)
-        np.multiply(a[..., j], b[..., i], out=q)
-        np.subtract(q, p, out=out[..., c])
-    return out
-
-
 def _renormalize(values, planes):
     """Divide each vector in place by sqrt(v0*v0 + v1*v1 + v2*v2), summed in
     that order (np.linalg.norm's), so the result is bit-identical to it."""
     s, t = planes
-    np.sqrt(_squared_norm(values, s, t), out=s)
+    np.sqrt(_dot3(values, values, s, t), out=s)
     for c in range(3):
         np.divide(values[..., c], s, out=values[..., c])
     return values
@@ -190,7 +178,7 @@ def step(n, cfg, work=None):
         """out = values x H, zero on the frozen cells; out is the effective
         field's scratch until the cross product fills it."""
         _effective_field(values, n.grid, params.a, H, out)
-        _minus_cross(H, values, out, planes)
+        cross3(values, H, out, planes)
         for slab in work.frozen:
             out[slab] = 0.0
         return out

@@ -60,21 +60,34 @@ def _matmul3(a, b):
     return _matrices(out)
 
 
+def _dot3(a, b, out=None, scratch=None):
+    """The per-cell dot product a0 b0 + a1 b1 + a2 b2 over the trailing axis,
+    summed left to right into out through the plane scratch (each allocated
+    when None).  np.linalg.norm and (v * v).sum(axis=-1) sum |v|^2 in that
+    order in either layout, so their results are bit-identical to it."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    s = np.empty_like(out) if scratch is None else scratch
+    np.multiply(a[..., 0], b[..., 0], out=out)
+    for c in (1, 2):
+        np.add(out, np.multiply(a[..., c], b[..., c], out=s), out=out)
+    return out
+
+
 def check_rotations(r, tol, name):
     """Raise ValueError unless every matrix of r (..., 3, 3) lies within tol
     of SO(3): |R^T R - I| <= tol entrywise and |det R - 1| <= tol, with det R
     the row triple product.  Both are written entrywise from the nine entry
-    planes: the six distinct entries of the symmetric R^T R are column dot
-    products.  The comparisons are written so that NaN fails (np.max keeps a
-    NaN wherever it is); a huge entry overflows R^T R to inf (or NaN), which
-    fails without a warning, and past that check every entry is bounded."""
+    planes: the six distinct entries of the symmetric R^T R are _dot3 of
+    column views.  The comparisons are written so that NaN fails (np.max
+    keeps a NaN wherever it is); a huge entry overflows R^T R to inf (or
+    NaN), which fails without a warning, and past that check every entry is
+    bounded."""
     (a, b, c), (d, e, f), (g, h, i) = _planes(r)
-    cols = (a, d, g), (b, e, h), (c, f, i)
     worst = []
     with np.errstate(over="ignore", invalid="ignore"):
         for j, k in combinations_with_replacement(range(3), 2):
-            (x0, x1, x2), (y0, y1, y2) = cols[j], cols[k]
-            gram = x0 * y0 + x1 * y1 + x2 * y2
+            gram = _dot3(r[..., :, j], r[..., :, k])
             if j == k:
                 gram -= 1.0
             worst.append(np.abs(gram).max())
@@ -94,18 +107,6 @@ def _c_view(buf, shape):
     view is what makes numpy's sums over it run in the order they run over
     a fresh array."""
     return buf.ravel(order="K")[:math.prod(shape)].reshape(shape)
-
-
-def _squared_norm(values, out, scratch):
-    """out = v0*v0 + v1*v1 + v2*v2 over the trailing axis, summed left to
-    right as np.linalg.norm and (values * values).sum(axis=-1) sum it in
-    either layout, so the result is bit-identical to theirs; scratch is a
-    plane like out."""
-    np.multiply(values[..., 0], values[..., 0], out=out)
-    for c in (1, 2):
-        np.multiply(values[..., c], values[..., c], out=scratch)
-        np.add(out, scratch, out=out)
-    return out
 
 
 class _Workspace:
@@ -218,7 +219,7 @@ class SpinField:
         to np.linalg.norm's."""
         s, t = np.empty((2,) + self.grid.dims) if planes is None else planes
         with np.errstate(over="ignore", invalid="ignore"):
-            np.sqrt(_squared_norm(self.values, s, t), out=s)
+            np.sqrt(_dot3(self.values, self.values, s, t), out=s)
             return float(np.abs(np.subtract(s, 1.0, out=s), out=s).max())
 
     def require_decaying(self, what):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .fields import K_AXIS, RotationField, SpinField
+from .fields import K_AXIS, RotationField, SpinField, _dot3
 from .grid import BOUNDARY_LAYER
 from .calculus import so3_exp
 
@@ -103,7 +103,7 @@ def make_bp_soliton(grid, m, lam, cutoff_radius, center=None):
     n[..., 1] = np.sin(theta) * np.sin(phi)
     n[..., 2] = np.cos(theta)
     n[r >= cutoff] = -K_AXIS
-    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    n /= np.sqrt(_dot3(n, n))[..., None]
     return SpinField(grid, n)
 
 

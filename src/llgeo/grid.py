@@ -7,6 +7,7 @@ integrals of symmetric fields cancel cleanly.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,26 +78,24 @@ class Grid:
         """1-d array of cell-center coordinates along one axis."""
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
 
+    @cached_property
+    def _coord_planes(self):
+        """The one cached, read-only stack of the p contiguous coordinate
+        planes of the cell centers, (p,) + dims."""
+        axes = [self.axis_coords(i) for i in range(self.p)]
+        planes = np.stack(np.meshgrid(*axes, indexing="ij"))
+        planes.setflags(write=False)
+        return planes
+
     def coords(self):
-        """Cell-center coordinates, shape dims + (p,).  Cached and read-only."""
-        cached = getattr(self, "_coords", None)
-        if cached is None:
-            axes = [self.axis_coords(i) for i in range(self.p)]
-            cached = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_coords", cached)
-        return cached
+        """Cell-center coordinates, shape dims + (p,): a view of the cached
+        coordinate planes."""
+        return np.moveaxis(self._coord_planes, 0, -1)
 
     def coord_component(self, axis):
-        """Contiguous array (shape dims) of the `axis` coordinate of every
-        cell center; cached."""
-        cache = getattr(self, "_coord_parts", None)
-        if cache is None:
-            cache = [np.ascontiguousarray(self.coords()[..., i]) for i in range(self.p)]
-            for arr in cache:
-                arr.setflags(write=False)
-            object.__setattr__(self, "_coord_parts", cache)
-        return cache[axis]
+        """The contiguous, read-only plane (shape dims) of the `axis`
+        coordinate of every cell center, which coords() views."""
+        return self._coord_planes[axis]
 
     def radius(self):
         """Distance of every cell center from the coordinate origin."""

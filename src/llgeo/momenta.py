@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLiftError
-from .fields import K_AXIS, RotationField, _c_view, _Workspace, plane_pairs
+from .fields import K_AXIS, RotationField, _c_view, _dot3, _Workspace, plane_pairs
 from .generators import make_gauge_field
 from .calculus import (
     cross3,
@@ -84,11 +84,17 @@ def _gradients(n, out=None):
     return [partial(n.values, n.grid, i, out=g) for i, g in enumerate(out)]
 
 
-def _two_form(n, grads):
+def _two_form(n, grads, out=None, scratch=None):
     """The topological 2-form F_ij = n . (d_i n x d_j n) from the derivative
-    list, one plane per entry of plane_pairs, keyed (i, j).  Every winding
-    diagnostic (deg, P in either form, L and the cocycle) is a moment of F."""
-    return {(i, j): triple(n.values, grads[i], grads[j]) for i, j in plane_pairs(n.grid.p)}
+    list, one plane per entry of plane_pairs, keyed (i, j).  triple writes
+    them in plane_pairs order into the leading planes of out, its products
+    taken through the two planes of scratch (each allocated when None).
+    Every winding diagnostic (deg, P in either form, L and the cocycle) is a
+    moment of F, and this is the one place F is built."""
+    pairs = plane_pairs(n.grid.p)
+    out = [None] * len(pairs) if out is None else out
+    return {(i, j): triple(n.values, grads[i], grads[j], out=f, scratch=scratch)
+            for (i, j), f in zip(pairs, out)}
 
 
 def _degree(F, grid, out=None):
@@ -103,7 +109,7 @@ def degree(n):
     n.require_decaying("degree")
     if n.grid.p != 2:
         raise ValueError("degree is defined for p = 2 only")
-    return _degree(_two_form(n, _gradients(n)), n.grid)
+    return moments(n)[0]
 
 
 def momentum_N(n, out=None):
@@ -157,9 +163,9 @@ def moments(n, work=None):
 
     Every grid-sized temporary comes from work, a fields._Workspace for
     n's grid (built for this call when None).  The p derivatives and one
-    more field array are borrowed from its pool and handed back.  The
-    planes of F and the two products of the triple product go into p + 1
-    planes: the three planes of that spare array and, for p = 3, one
+    more field array are borrowed from its pool and handed back.  _two_form
+    writes the planes of F and the two products of its triple products into
+    p + 1 planes: the three planes of that spare array and, for p = 3, one
     of the workspace's planes, except that the last plane of F for p = 3,
     (1, 2), the first that does not read d_0 n, goes into d_0 n's memory.
     The P-density goes into the memory of the last derivative, as p planes.
@@ -176,10 +182,7 @@ def moments(n, work=None):
     grads = _gradients(n, [work.take() for _ in range(p)])
     spare = work.take()
     *kept, s, t = list(_c_view(spare, (3,) + grid.dims)) + work.planes(p - 2)
-    F = {}
-    for k, (i, j) in enumerate(plane_pairs(p)):
-        f = kept[k] if k < p - 1 else _c_view(grads[0], grid.dims)
-        F[i, j] = triple(n.values, grads[i], grads[j], out=f, scratch=(s, t))
+    F = _two_form(n, grads, kept + [_c_view(grads[0], grid.dims)], (s, t))
     dens = _density_P(F, grid, _c_view(grads[-1], (p,) + grid.dims), s)
     rot, P = _moments(dens, grid)
     deg = _degree(F, grid, out=s) if p == 2 else None
@@ -232,19 +235,21 @@ def rotational_momentum(n):
 
 
 def lift_singular_mask(n):
-    """Cells where the lift is singular (n within 1e-8 of +k); never refuses."""
-    return n.values @ K_AXIS > SINGULAR_KDOT
+    """Cells where the lift is singular (n within 1e-8 of +k, read on the
+    n_z plane: K_AXIS is e_z); never refuses."""
+    return n.values[..., 2] > SINGULAR_KDOT
 
 
 def _lift_frame(n):
-    """(k.n, k x n, singular mask), which every lift route starts from; raises
-    SingularLiftError above MAX_SINGULAR_FRACTION singular cells."""
+    """(k.n, k x n, singular mask), which every lift route starts from, k.n
+    being the n_z plane; raises SingularLiftError above
+    MAX_SINGULAR_FRACTION singular cells."""
     singular = lift_singular_mask(n)
     fraction = singular.mean()
     if fraction > MAX_SINGULAR_FRACTION:
         raise SingularLiftError(f"{100 * fraction:.2f}% of cells are singular "
                                 f"(limit {100 * MAX_SINGULAR_FRACTION:g}%)")
-    return n.values @ K_AXIS, cross3(K_AXIS, n.values), singular
+    return n.values[..., 2], cross3(K_AXIS, n.values), singular
 
 
 def lift_psi(n):
@@ -258,7 +263,7 @@ def lift_psi(n):
     """
     n.require_decaying("lift_psi")
     kdot, cross, singular = _lift_frame(n)
-    s = np.linalg.norm(cross, axis=-1)
+    s = np.sqrt(_dot3(cross, cross))
     # arctan2 keeps the rotation angle accurate where kdot rounds to -1 and
     # the tilt survives only in the transverse components
     ratio = np.divide(np.arctan2(s, -kdot), s, out=np.ones_like(s), where=s > 1e-14)
@@ -271,7 +276,9 @@ def _JH_density(psi, mu):
     """w_k = mu . rgrad_k psi, as p contiguous planes (p,) + dims."""
     rgrad = right_gradient_stack(psi)
     w = np.empty((psi.grid.p,) + psi.grid.dims)  # after rgrad's scratch is freed
-    return np.einsum("...i,...ki->k...", mu.values, rgrad, out=w)
+    for k, plane in enumerate(w):
+        _dot3(mu.values, rgrad[..., k, :], out=plane)
+    return w
 
 
 def momentum_JH(psi, mu):
@@ -301,7 +308,7 @@ def _lift_integrand(n):
     grad = None  # one derivative pass, through one buffer
     for k, plane in enumerate(wbar):
         grad = partial(n.values, n.grid, k, out=grad)
-        np.divide(np.einsum("...i,...i->...", cross, grad, out=plane), denom, out=plane)
+        np.divide(_dot3(cross, grad, out=plane), denom, out=plane)
     wbar[:, singular] = 0.0
     return wbar, singular
 

@@ -2,7 +2,8 @@
 one in llgeo.dynamics.
 
 It builds every stage from fresh arrays: the np.pad neighbor sums of the
-effective field H, cross3, np.linalg.norm renormalisation and the textbook
+effective field H, its own textbook cross product (not llgeo's cross3,
+which the stepper runs), np.linalg.norm renormalisation and the textbook
 stage formulas.  llgeo.dynamics.step and llgeo.dynamics.simulate must
 reproduce it exactly (np.array_equal).  Its ll_rhs, n x H, is the reference
 right-hand side the tests use, and its variational_derivative_energy, the
@@ -12,8 +13,19 @@ np.diff plus np.pad dE/dn, is the tests' gradient of the discrete energy.
 import numpy as np
 
 from llgeo import K_AXIS
-from llgeo.calculus import cross3
 from llgeo.errors import ConvergenceError
+
+
+def cross(a, b):
+    """a x b over the trailing axis, component by component, into a fresh
+    C-order array."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def free_laplacian(values, grid):
@@ -46,7 +58,7 @@ def effective_field(n, params):
 
 
 def ll_rhs(n, params):
-    return cross3(n.values, effective_field(n, params))
+    return cross(n.values, effective_field(n, params))
 
 
 def renormalize(values):

@@ -2,14 +2,22 @@
 kernels in llgeo.calculus and llgeo.fields.
 
 They work on interleaved (..., 3, 3) arrays: the exponential sums hat(v),
-an outer product and a multiple of eye, the log reads vee R and the trace
-off the stacked matrices, and products and R^T R are `@`.  llgeo's kernels
-write the same sums on entry planes and must agree with these to 1e-15.
+an outer product and a multiple of eye, the log reads vee R (its own
+stacked vee, not llgeo's, which so3_log calls) and the trace off the
+stacked matrices, and products and R^T R are `@`.  llgeo's kernels write
+the same sums on entry planes and must agree with these to 1e-15.
 """
 
 import numpy as np
 
-from llgeo.calculus import hat, vee
+from llgeo.calculus import hat
+
+
+def vee(m):
+    """The 3-vector of the antisymmetric part of each 3x3 matrix, stacked."""
+    return 0.5 * np.stack([m[..., 2, 1] - m[..., 1, 2],
+                           m[..., 0, 2] - m[..., 2, 0],
+                           m[..., 1, 0] - m[..., 0, 1]], axis=-1)
 
 
 def so3_exp(v):

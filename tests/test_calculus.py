@@ -19,9 +19,11 @@ from llgeo import (
     tangent_project,
 )
 from llgeo.calculus import cross3, hat, triple, vee
+from llgeo.fields import _dot3, _is_planar
 
 from conftest import random_rotation_field, relative_gap
 from fd_oracle import functional_derivative
+from test_so3_kernels import component_major
 
 
 # ---------- partial ----------
@@ -119,6 +121,33 @@ def test_hat_vee_convention():
     assert np.allclose(vee(hat(v)), v, atol=1e-15)
     assert np.allclose(cross3(v, w), np.cross(v, w), atol=1e-15)
     assert triple(v, w, v + w) == pytest.approx(0.0, abs=1e-14)
+    # the one cross, dot and vee kernels on stacks, in both layouts and with
+    # K_AXIS broadcast: bitwise the textbook formulas, the same bits with out
+    # and scratch as without, and component planes when allocated
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2, 7, 9, 3))
+    m = rng.normal(size=(7, 9, 3, 3))
+    pa, pb = component_major(a, 1), component_major(b, 1)
+    pairs = [(a, b), (pa, pb), (a, pb), (K_AXIS, pb), (a, K_AXIS)]
+    for x, y in pairs:
+        (x0, x1, x2), (y0, y1, y2) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+        cross = np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
+        dot = x0 * y0 + x1 * y1 + x2 * y2
+        got = cross3(x, y)
+        assert np.array_equal(got, cross) and _is_planar(got)
+        assert np.array_equal(_dot3(x, y), dot)
+        # NaN scratch: each kernel's products go through the scratch it is given
+        out, (s, t) = np.empty_like(got), np.full((2,) + got.shape[:-1], np.nan)
+        assert cross3(x, y, out, (s, t)) is out and np.array_equal(out, cross)
+        assert not np.isnan(t).any()
+        t.fill(np.nan)
+        assert _dot3(x, y, s, t) is s and np.array_equal(s, dot)
+        assert not np.isnan(t).any()
+    stacked = 0.5 * np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                              m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+    for matrices in (m, component_major(m, 2)):
+        got = vee(matrices)
+        assert np.array_equal(got, stacked) and _is_planar(got)
 
 
 def test_so3_exp_identity_and_quarter_turn():

@@ -27,7 +27,6 @@ from llgeo import EuclideanAlgebraElement, calculus, cocycle, momenta
 from llgeo.calculus import cross3, integrate
 from llgeo.dynamics import (
     _effective_field,
-    _minus_cross,
     _Workspace,
     make_report,
 )
@@ -394,7 +393,7 @@ def _production_rhs(n, params):
     out = np.empty_like(values)
     H = _effective_field(values, n.grid, params.a, out, np.empty_like(values))
     assert H is out
-    return _minus_cross(H, values, np.empty_like(values), np.empty((2,) + n.grid.dims))
+    return cross3(values, H, np.empty_like(values), np.empty((2,) + n.grid.dims))
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
