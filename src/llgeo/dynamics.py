@@ -4,7 +4,11 @@ The exchange term is discretized with nearest-neighbor differences.  The
 evolution is the conservative precession dn/dt = n x H about the effective
 field H = sum over axes of (n[i+1] + n[i-1]) / h^2 + a n_z k, a missing
 neighbor left out; H is -dE/dn of the discrete energy up to a multiple of
-n, which n x annihilates, so n x H is its flow -n x dE/dn.  The boundary
+n, which n x annihilates, so n x H is its flow -n x dE/dn.  The stepper
+builds the scaled field h0^2 H (h0 the first axis's spacing: each axis's
+neighbor sum weighted by (h0/h)^2, so by nothing on equal spacings, and
+the anisotropy by a h0^2) and carries 1/h0^2 in its stage weights,
+tau = dt/h0^2 in place of dt, so no pass divides by h^2.  The boundary
 layer of decaying fields is frozen.  Two steppers are provided: projected
 classical RK4 (default), stable only for dt*rho <= 2*sqrt(2) with
 rho = 4 sum 1/h_i^2 + |a| (beyond it renormalization hides a blow-up, so
@@ -26,12 +30,18 @@ neither a step nor a report allocates a grid-sized array.  Every field is
 component-major (fields._payload), and every field buffer is laid out
 like it (np.empty_like), so the per-component passes of the effective
 field, the cross product and the renormalization stream contiguous
-planes.  Every value is computed elementwise with the operation order of
-the textbook allocating formulas (np.pad neighbor sums, the componentwise
-cross product, np.linalg.norm), so the stepped fields are bit-identical to
-theirs, and every sum runs over contiguous planes in memory order.
+planes; each axis's neighbor sum is one add over the flat planes.  Every
+value is computed elementwise with the operation order of the textbook
+allocating formulas of the scaled right-hand side (np.pad neighbor sums,
+the componentwise cross product, np.linalg.norm, the weights tau; the
+oracle in tests/allocating_stepper.py), so the stepped fields are
+bit-identical to theirs, and every sum runs over contiguous planes in
+memory order.  They are not bit-identical to the stages of the unscaled
+n x H, from which they differ in the last bits unless h0^2 is a power of
+two.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +78,9 @@ class SimConfig:
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError(f"dt: must be finite and positive, got {self.dt}")
+        for name in ("steps", "report_every"):
+            if type(getattr(self, name)) is not int:  # refuses True, 2.0 and 2.5
+                raise ValueError(f"{name}: must be an int, got {getattr(self, name)!r}")
         if self.steps < 0:
             raise ValueError(f"steps: must be nonnegative, got {self.steps}")
         if self.scheme not in ("rk4_project", "midpoint"):
@@ -111,29 +124,38 @@ def energy(n, params=EnergyParams(), work=None):
 
 
 def _effective_field(values, grid, a, out, scratch):
-    """out = H = sum over axes of (n[i+1] + n[i-1]) / h^2 + a n_z k, a
-    missing neighbor left out, built in place and returned; scratch is a
-    field array it overwrites.  K_AXIS is e_z, so the anisotropy term adds
-    to the z component only.
+    """out = h0^2 H = sum over axes of (h0/h)^2 (n[i+1] + n[i-1]) + a h0^2 n_z k,
+    h0 = grid.spacing[0] and a missing neighbor left out, built in place and
+    returned; scratch is a field array it overwrites.  K_AXIS is e_z, so the
+    anisotropy term adds to the z component only.  The exchange weight 1/h0^2
+    is left to the caller (step folds it into its stage weights), so no pass
+    divides, and only an axis whose spacing differs from h0 multiplies.
 
-    Per axis the neighbor sum is built on _along slices (in out for the
-    first axis, in scratch after it; each end cell takes its one present
-    neighbor), divided by h^2 and added, so the result is bit-identical to
-    the allocating np.pad form.  -dE/dn of the discrete energy is
-    H - (D + a) n, D the sum of 1/h^2 over the present neighbors (the
-    Laplacian's diagonal and its free-edge rule), and n x n = 0, so n x H
-    is the Landau-Lifshitz field -n x dE/dn up to rounding.
+    values, out and scratch must each be three contiguous component planes
+    (fields._payload's layout); their flat views are taken without a copy,
+    so any other layout raises ValueError.  Per axis the neighbor sum is one
+    contiguous add over the flat planes at offsets +-stride (in out for the
+    first axis, in scratch after it), whose wrapped end cells are then
+    overwritten by their one present neighbor.  -dE/dn of the discrete
+    energy is H - (D + a) n, D the sum of 1/h^2 over the present neighbors
+    (the Laplacian's diagonal and its free-edge rule), and n x n = 0, so
+    n x H is the Landau-Lifshitz field -n x dE/dn up to rounding.
     """
+    h0 = grid.spacing[0]
+    axes = (grid.p,) + tuple(range(grid.p))  # np.moveaxis(x, -1, 0), at less cost
+    flat_v, flat_o, flat_s = (np.reshape(x.transpose(axes), -1, copy=False)
+                              for x in (values, out, scratch))
     for axis, h in enumerate(grid.spacing):
         at = _along(axis, grid.p)
-        buf = out if axis == 0 else scratch
-        np.add(values[at(slice(2, None))], values[at(slice(None, -2))],
-               out=buf[at(slice(1, -1))])
+        buf, flat = (out, flat_o) if axis == 0 else (scratch, flat_s)
+        stride = math.prod(grid.dims[axis + 1:])
+        np.add(flat_v[2 * stride:], flat_v[:-2 * stride], out=flat[stride:-stride])
         buf[at(0)], buf[at(-1)] = values[at(1)], values[at(-2)]
-        np.divide(buf, h ** 2, out=buf)
+        if h != h0:
+            np.multiply(flat, (h0 / h) ** 2, out=flat)
         if axis:
-            np.add(out, buf, out=out)
-    np.multiply(values[..., 2], a, out=scratch[..., 2])
+            np.add(flat_o, flat_s, out=flat_o)
+    np.multiply(values[..., 2], a * h0 ** 2, out=scratch[..., 2])
     np.add(out[..., 2], scratch[..., 2], out=out[..., 2])
     return out
 
@@ -154,16 +176,23 @@ def step(n, cfg, work=None):
     or beyond dt*rho = 2 for the midpoint, whose fixed point contracts by
     about dt*rho/2 per iteration, raises ValueError before any work.
 
+    Each stage evaluates n x (h0^2 H) from _effective_field and carries the
+    exchange weight 1/h0^2 in its weight: tau = dt/h0^2 stands in for dt in
+    RK4 and in the midpoint update.  The midpoint renormalizes y + n_k, not
+    its half, which gives the same bits, since halving is exact and cancels
+    in the norm's squares, sum, sqrt and division.
+
     Every effective field, cross product and renormalization writes into
     work, a _Workspace for fields with n's grid and decay, built
     for this call when None.  The effective field and the stage arrays come
     from its pool and go back, except the new field's, which the field owns;
     n.values is only read.
-    Every stage keeps the operation order of the allocating formulas, so
-    the result is bit-identical to them.
+    Every stage keeps the operation order of the allocating formulas of the
+    scaled right-hand side, so the result is bit-identical to them.
     """
     y = n.values
     dt = cfg.dt
+    tau = dt / n.grid.spacing[0] ** 2
     params = cfg.params
     rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(params.a)
     limit, name = ((2.0 * np.sqrt(2.0), "the RK4 stability limit 2*sqrt(2)")
@@ -175,8 +204,8 @@ def step(n, cfg, work=None):
     planes, H = work.planes(2), work.take()
 
     def rhs(values, out):
-        """out = values x H, zero on the frozen cells; out is the effective
-        field's scratch until the cross product fills it."""
+        """out = values x (h0^2 H), zero on the frozen cells; out is the
+        effective field's scratch until the cross product fills it."""
         _effective_field(values, n.grid, params.a, H, out)
         cross3(values, H, out, planes)
         for slab in work.frozen:
@@ -187,9 +216,9 @@ def step(n, cfg, work=None):
         # acc = k1 + 2 k2 + 2 k3 + k4; stage holds 2 k_i, then the next stage
         acc, k, stage = work.take(), work.take(), work.take()
         rhs(y, acc)
-        np.multiply(acc, 0.5 * dt, out=stage)
+        np.multiply(acc, 0.5 * tau, out=stage)
         np.add(y, stage, out=stage)
-        for weight in (0.5 * dt, dt):
+        for weight in (0.5 * tau, tau):
             rhs(stage, k)
             np.multiply(k, 2.0, out=stage)
             np.add(acc, stage, out=acc)
@@ -197,17 +226,16 @@ def step(n, cfg, work=None):
             np.add(y, stage, out=stage)
         rhs(stage, k)
         np.add(acc, k, out=acc)
-        np.multiply(acc, dt / 6.0, out=acc)
+        np.multiply(acc, tau / 6.0, out=acc)
         out = _renormalize(np.add(y, acc, out=acc), planes)
         work.pool += [H, k, stage]
     else:
         out, mid, f = work.take(), work.take(), work.take()
         np.copyto(out, y)
         for iteration in range(50):
-            np.add(y, out, out=mid)
-            _renormalize(np.multiply(mid, 0.5, out=mid), planes)
+            _renormalize(np.add(y, out, out=mid), planes)
             rhs(mid, f)
-            np.multiply(f, dt, out=f)
+            np.multiply(f, tau, out=f)
             np.add(y, f, out=f)
             delta = np.abs(np.subtract(f, out, out=mid), out=mid).max()
             if not np.isfinite(delta):

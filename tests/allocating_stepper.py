@@ -2,12 +2,15 @@
 one in llgeo.dynamics.
 
 It builds every stage from fresh arrays: the np.pad neighbor sums of the
-effective field H, its own textbook cross product (not llgeo's cross3,
-which the stepper runs), np.linalg.norm renormalisation and the textbook
-stage formulas.  llgeo.dynamics.step and llgeo.dynamics.simulate must
-reproduce it exactly (np.array_equal).  Its ll_rhs, n x H, is the reference
-right-hand side the tests use, and its variational_derivative_energy, the
-np.diff plus np.pad dE/dn, is the tests' gradient of the discrete energy.
+scaled effective field h0^2 H (h0 the first axis's spacing), its own
+textbook cross product (not llgeo's cross3, which the stepper runs),
+np.linalg.norm renormalisation and the textbook stage formulas with the
+weight tau = dt/h0^2 in place of dt (the midpoint renormalizes y + n_k, not
+its half).  llgeo.dynamics.step and llgeo.dynamics.simulate must reproduce
+it exactly (np.array_equal).  Its effective_field, H divided by h^2 per
+axis, and ll_rhs, n x H, are the unscaled reference field and right-hand
+side the tests use, and its variational_derivative_energy, the np.diff
+plus np.pad dE/dn, is the tests' gradient of the discrete energy.
 """
 
 import numpy as np
@@ -45,16 +48,26 @@ def variational_derivative_energy(n, params):
     )
 
 
-def effective_field(n, params):
-    values = n.values
-    terms = []
-    for axis, h in enumerate(n.grid.spacing):
+def neighbor_sums(values):
+    """n[i+1] + n[i-1] along each axis in turn, a missing neighbor left out."""
+    for axis in range(values.ndim - 1):
         pad = [(0, 0)] * values.ndim
         pad[axis] = (1, 1)
         padded = np.pad(values, pad)
         ahead, behind = ((slice(None),) * axis + (s,) for s in (slice(2, None), slice(None, -2)))
-        terms.append((padded[ahead] + padded[behind]) / h ** 2)
-    return sum(terms) + params.a * (values @ K_AXIS)[..., None] * K_AXIS
+        yield padded[ahead] + padded[behind]
+
+
+def effective_field(n, params):
+    terms = [s / h ** 2 for s, h in zip(neighbor_sums(n.values), n.grid.spacing)]
+    return sum(terms) + params.a * (n.values @ K_AXIS)[..., None] * K_AXIS
+
+
+def scaled_effective_field(n, params):
+    """h0^2 H, each axis's neighbor sum weighted by (h0/h)^2."""
+    h0 = n.grid.spacing[0]
+    terms = [s * (h0 / h) ** 2 for s, h in zip(neighbor_sums(n.values), n.grid.spacing)]
+    return sum(terms) + (params.a * h0 ** 2) * (n.values @ K_AXIS)[..., None] * K_AXIS
 
 
 def ll_rhs(n, params):
@@ -69,24 +82,24 @@ def step(n, cfg):
     mask = n.grid.boundary_mask() if n.decaying else None
 
     def rhs(values):
-        f = ll_rhs(n.with_values(values, check=False), cfg.params)
+        f = cross(values, scaled_effective_field(n.with_values(values, check=False), cfg.params))
         if mask is not None:
             f[mask] = 0.0
         return f
 
     y = np.array(n.values)
-    dt = cfg.dt
+    tau = cfg.dt / n.grid.spacing[0] ** 2
     if cfg.scheme == "rk4_project":
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        out = renormalize(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k2 = rhs(y + 0.5 * tau * k1)
+        k3 = rhs(y + 0.5 * tau * k2)
+        k4 = rhs(y + tau * k3)
+        out = renormalize(y + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     else:
         out = y.copy()
         for _ in range(50):
-            mid = renormalize(0.5 * (y + out))
-            new = y + dt * rhs(mid)
+            mid = renormalize(y + out)
+            new = y + tau * rhs(mid)
             delta = np.abs(new - out).max()
             out = new
             if delta < 1e-12:

@@ -243,7 +243,8 @@ def test_criterion_9_oracle_hygiene(tmp_path, bp_m1_96):
     g = Grid.centered((24, 24), 16.0)
     n = make_random_smooth(g, seed=5, amplitude=1.5)
     params = EnergyParams(a=0.7)
-    H = _effective_field(n.values, g, params.a, np.empty_like(n.values), np.empty_like(n.values))
+    H = _effective_field(n.values, g, params.a, np.empty_like(n.values),
+                         np.empty_like(n.values)) / g.spacing[0] ** 2
     analytic = tangent_project(-H, n.values)
     oracle = tangent_project(
         functional_derivative(lambda f: energy(f, params), n, step=1e-5), n.values

@@ -314,6 +314,16 @@ def test_spherical_midpoint_is_symplectic_and_rk4_is_not(dims, every):
     assert _symplecticity_defect(n, "rk4_project", every) >= 1e-4
 
 
+@pytest.mark.parametrize("name, value", [("steps", 2.5), ("steps", 2.0), ("steps", True),
+                                         ("report_every", 1.5), ("report_every", True)])
+def test_simconfig_rejects_non_integer_counts(name, value):
+    # steps=2.5 and 2.0 used to build a workspace and the t=0 report and then
+    # raise TypeError inside simulate, report_every=1.5 to report only at the
+    # two ends, and steps=True to run one step
+    with pytest.raises(ValueError, match=rf"^{name}: must be an int"):
+        SimConfig(dt=1e-3, **{"steps": 1, name: value})
+
+
 def test_simconfig_rejects_non_finite_dt():
     for dt in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -388,24 +398,36 @@ def test_simulate_equals_the_allocating_stepper_bitwise(case):
             assert (a is None and b is None) or np.array_equal(a, b), (got.t, f.name)
 
 
-def _production_rhs(n, params):
-    values = n.values
-    out = np.empty_like(values)
-    H = _effective_field(values, n.grid, params.a, out, np.empty_like(values))
-    assert H is out
-    return cross3(values, H, np.empty_like(values), np.empty((2,) + n.grid.dims))
-
-
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_n_cross_H_equals_minus_n_cross_dE_dn(case):
-    # H drops the Laplacian's diagonal and its free-edge rule, multiples of
-    # n, from -dE/dn; the cases cover unequal spacings, 3D and free edges
+    # the kernel returns h0^2 H; H drops the Laplacian's diagonal and its
+    # free-edge rule, multiples of n, from -dE/dn; the cases cover unequal
+    # spacings, 3D and free edges, at a != 0
     n = _ORACLE_CASES[case][0]()
     params = EnergyParams(a=0.7)
-    rhs = _production_rhs(n, params)
-    assert np.array_equal(allocating_stepper.ll_rhs(n, params), rhs)
+    out = np.empty_like(n.values)
+    scaled = _effective_field(n.values, n.grid, params.a, out, np.empty_like(n.values))
+    assert scaled is out
+    assert np.array_equal(scaled, allocating_stepper.scaled_effective_field(n, params))
+    H = scaled / n.grid.spacing[0] ** 2
+    want = allocating_stepper.effective_field(n, params)
+    assert np.abs(H - want).max() <= 1e-13 * np.abs(want).max()
+    rhs = cross3(n.values, H)
+    ll = allocating_stepper.ll_rhs(n, params)
+    assert np.abs(rhs - ll).max() <= 1e-13 * np.abs(ll).max()
     flow = -cross3(n.values, allocating_stepper.variational_derivative_energy(n, params))
     assert np.abs(rhs - flow).max() <= 1e-13 * np.abs(flow).max()
+
+
+@pytest.mark.parametrize("c_order", ["values", "out", "scratch"])
+def test_effective_field_refuses_a_c_order_buffer_instead_of_copying_it(c_order):
+    # its flat planes are views; a copy would leave out unwritten
+    n = _ORACLE_CASES["2d_decaying_rk4"][0]()
+    buffers = {"values": n.values, "out": np.empty_like(n.values),
+               "scratch": np.empty_like(n.values)}
+    buffers[c_order] = np.ascontiguousarray(buffers[c_order])
+    with pytest.raises(ValueError, match="copy"):
+        _effective_field(buffers["values"], n.grid, 0.7, buffers["out"], buffers["scratch"])
 
 
 @pytest.mark.parametrize("scheme", ["rk4_project", "midpoint"])
