@@ -20,9 +20,6 @@ from .calculus import (
     partial,
     partial_T,
     integrate,
-    hat,
-    vee,
-    so3_exp,
     so3_log,
     right_gradient_axis,
     right_gradient_stack,

@@ -1,31 +1,30 @@
-"""Discrete calculus and SO(3) primitives.
+"""Discrete calculus and the rotation-group logarithm.
 
 Conventions pinned here once and used everywhere:
 
-* hat map: hat(v) w = v x w, so rotations are so3_exp(theta * axis);
+* rotations are unit quaternions q = (w, v) = (cos(theta/2),
+  sin(theta/2) a), turning by theta about the unit axis a (right-handed);
+  q and -q are the same rotation;
 * partial derivatives are second-order central differences, second-order
   one-sided at the grid edge;
 * integrals are midpoint-rule sums (cell value times cell volume);
 * group-valued differencing uses the group logarithm of one-step motions
-  psi(x+h) psi(x)^-1, never matrix subtraction;
-* so3_log takes the angle theta = atan2(|vee R|, (tr R - 1)/2) and the axis
-  from vee R up to pi/2, from sym R - cos(theta) I = (1 - cos(theta)) a a^T
-  beyond; its input passes the same SO(3) check as a stored RotationField
-  (fields.check_rotations), with the looser ROTATION_TOL;
-* rotation arrays are component-major: so3_exp and the one-step motions
-  write each entry R[..., i, j] into its own contiguous plane of one
-  (3, 3) + dims buffer and return its (..., 3, 3) view.  The SO(3) kernels
-  (so3_exp, so3_log, _motion and fields.check_rotations) are entrywise sums
-  on the nine entry planes, so they take any layout and give the same bits
-  for every layout.
+  q(x+h) q(x)*, one quaternion product each, never subtraction;
+* so3_log is 2 atan2(|v|, |w|) copysign(1, w) v / |v|, one branch-free
+  formula up to pi; its input passes the unit check of a stored
+  RotationField (fields._vector_norm2), with the looser ROTATION_TOL, in
+  the pass that sums |v|^2;
+* the quaternion kernels (fields._qmul and so3_log) write component planes
+  and are sums on the four planes, so they take any layout and give the
+  same bits for every layout.
 """
 
 import numpy as np
 
-from .fields import RotationField, _dot3, _matmul3, _matrices, _planes, check_rotations
+from .fields import RotationField, _dot3, _qmul, _vector_norm2
 from .grid import _along
 
-ROTATION_TOL = 1e-8  # so3_log rejects matrices further than this from SO(3)
+ROTATION_TOL = 1e-8  # so3_log rejects quaternions with | |q|^2 - 1 | beyond this
 
 
 def partial(values, grid, axis, out=None):
@@ -120,92 +119,24 @@ def triple(a, b, c, out=None, scratch=None):
     return out
 
 
-def hat(v):
-    """so(3) matrix of a 3-vector: hat(v) @ w == cross(v, w)."""
-    v = np.asarray(v, float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
-
-
-def vee(m):
-    """Inverse of hat: the 3-vector (m_ji - m_ij) / 2 of a 3x3 matrix (its
-    antisymmetric part) for (c, i, j) cyclic, as component planes."""
-    m = _planes(np.asarray(m, float))
-    out = np.empty((3,) + m.shape[2:])
-    for c in range(3):
-        i, j = (c + 1) % 3, (c + 2) % 3
-        np.subtract(m[j, i], m[i, j], out=out[c, ...])
-    out *= 0.5
-    return np.moveaxis(out, 0, -1)
-
-
-def so3_exp(v):
-    """Rodrigues exponential, vectorized over leading axes of v (..., 3):
-    I + sinc(theta) hat(v) + 1/2 sinc(theta/2)^2 (v v^T - theta^2 I), with
-    sinc(x) = sin(x)/x smooth through 0 (np.sinc), so there is no small-angle
-    branch and so3_exp(0) is I exactly.  The nine entries are written on
-    planes, b v_i v_j + c on the diagonal and b v_i v_j -+ s v_k off it, and
-    returned as a component-major (..., 3, 3) array."""
-    v = np.asarray(v, float)
-    comps = np.moveaxis(v, -1, 0)
-    theta = np.sqrt(_dot3(v, v))
-    s = np.sinc(theta / np.pi)
-    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
-    c = 1.0 - b * theta ** 2
-    m = np.empty((3, 3) + theta.shape)
-    for i in range(3):
-        np.multiply(b, comps[i] * comps[i], out=m[i, i, ...])
-        m[i, i, ...] += c
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        sym, turn = b * (comps[i] * comps[j]), s * comps[k]
-        np.subtract(sym, turn, out=m[i, j, ...])
-        np.add(sym, turn, out=m[j, i, ...])
-    return _matrices(m)
-
-
-def so3_log(r):
-    """Rotation vector of R in SO(3), |log| <= pi, vectorized over (..., 3, 3).
-
-    Rejects inputs further than ROTATION_TOL from SO(3).  The angle is
-    theta = atan2(|vee R|, (tr R - 1)/2).  Up to pi/2 the log is
-    vee R * theta/|vee R|.  For obtuse angles vee R = sin(theta) a loses the
-    axis a as theta -> pi, so a is read from the identity
-    sym R - cos(theta) I = (1 - cos(theta)) a a^T: its largest-diagonal
-    column, normalised and oriented along vee R.  vee R (from vee) and the
-    trace are read from the entry planes, |vee R|, the column's norm and
-    its orientation are _dot3 sums, and the result is component-major.
+def so3_log(q):
+    """Rotation vector of the unit quaternions q = (w, v), |log| <= pi,
+    vectorized over (..., 4): 2 atan2(|v|, |w|) copysign(1, w) v / |v|, and
+    0 where v = 0.  q and -q give the same vector: copysign picks the
+    w >= 0 representative, and it keeps the sign of a zero w, so a half
+    turn (+-0, v) logs to +-pi v / |v|, never to 0.  Rejects, in the same
+    pass that sums |v|^2, inputs with | |q|^2 - 1 | > ROTATION_TOL.  The
+    result is component-major.
     """
-    r = np.asarray(r, float)
-    check_rotations(r, ROTATION_TOL, "R")
-    m = _planes(r)
-    anti = vee(r)                      # = sin(theta) * axis
-    sin_t = np.sqrt(_dot3(anti, anti))
-    cos_t = (m[0, 0] + m[1, 1] + m[2, 2] - 1.0) / 2.0
-    theta = np.arctan2(sin_t, cos_t)
-    scale = np.divide(theta, sin_t, out=np.ones_like(theta), where=sin_t > 0)
-    out = anti * scale[..., None]
-
-    obtuse = cos_t < 0.0
-    if obtuse.any():
-        ro, co = r[obtuse], cos_t[obtuse]
-        outer = 0.5 * (ro + np.swapaxes(ro, -1, -2)) - co[:, None, None] * np.eye(3)
-        col = np.argmax(np.diagonal(outer, axis1=-2, axis2=-1), axis=-1)
-        axis = outer[np.arange(col.size), :, col]
-        axis /= np.sqrt(_dot3(axis, axis))[:, None]
-        axis[_dot3(axis, anti[obtuse]) < 0.0] *= -1.0
-        out[obtuse] = axis * theta[obtuse][:, None]
-    return out
-
-
-def _motion(later, earlier):
-    """later @ earlier^T: the rotation carrying earlier to later."""
-    return _matmul3(later, np.swapaxes(earlier, -1, -2))
+    q = np.asarray(q, float)
+    w, v = q[..., 0], q[..., 1:]
+    s = np.sqrt(_vector_norm2(q, ROTATION_TOL, "q"))
+    angle = 2.0 * np.arctan2(s, np.abs(w))
+    scale = np.copysign(np.divide(angle, s, out=np.ones_like(s), where=s > 0), w)
+    out = np.empty((3,) + s.shape)
+    for c in range(3):
+        np.multiply(v[..., c], scale, out=out[c, ...])
+    return np.moveaxis(out, 0, -1)
 
 
 def right_gradient_axis(psi, axis):
@@ -213,17 +144,18 @@ def right_gradient_axis(psi, axis):
     3-vector field: the derivative at epsilon=0 of psi(x + eps e_axis) psi(x)^-1.
 
     Central in the group in the interior, second-order one-sided at the edges.
-    Each one-step motion psi(x+h) psi(x)^-1 is logged once: the backward
-    motion at x is the inverse of the forward one at x-h, and log R^-1 = -log R.
+    Each one-step motion q(x+h) q(x)* is one quaternion product, logged
+    once: the backward motion at x is the inverse of the forward one at
+    x-h, and log q* = -log q.
     """
     if not isinstance(psi, RotationField):
         raise TypeError("psi must be a RotationField")
-    sl = _along(axis, psi.grid.p)  # slices keep the planes' layout
-    values = psi.values
-    fwd = so3_log(_motion(values[sl(slice(1, None))], values[sl(slice(None, -1))]))
+    sl = _along(axis, psi.grid.p)
+    q = psi.values
+    fwd = so3_log(_qmul(q[sl(slice(1, None))], q[sl(slice(None, -1))], conj=True))
     # the two-step motions enter only the one-sided edge stencils
-    two = so3_log(_motion(values[sl([2, -3])], values[sl([0, -1])]))
-    out = np.empty(values.shape[:-1])
+    two = so3_log(_qmul(q[sl([2, -3])], q[sl([0, -1])], conj=True))
+    out = np.empty(psi.grid.dims + (3,))
     out[sl(slice(1, -1))] = fwd[sl(slice(1, None))] + fwd[sl(slice(None, -1))]
     out[sl(0)] = 4.0 * fwd[sl(0)] - two[sl(0)]
     out[sl(-1)] = 4.0 * fwd[sl(-1)] + two[sl(1)]

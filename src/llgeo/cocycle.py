@@ -40,7 +40,7 @@ def _directional(velocity, derivs):
     return sum(velocity[..., i, None] * d for i, d in enumerate(derivs))
 
 
-def directional_derivative(values, grid, velocity):
+def _directional_derivative(values, grid, velocity):
     """Derivative of a field along the spatial vector field `velocity`
     (shape dims + (p,)): sum_i velocity_i d_i values."""
     return _directional(velocity, (partial(values, grid, i) for i in range(grid.p)))
@@ -75,8 +75,8 @@ def semidirect_bracket(u, v):
     c2 = v.euclid.velocity_field(grid)
     xi = (
         cross3(u.xi, v.xi)
-        - directional_derivative(v.xi, grid, c1)
-        + directional_derivative(u.xi, grid, c2)
+        - _directional_derivative(v.xi, grid, c1)
+        + _directional_derivative(u.xi, grid, c2)
     )
     xi[grid.boundary_mask()] = 0.0
     # [e1, e2] = (O1 O2 - O2 O1, O1 adot2 - O2 adot1); A - A^T is exactly skew

@@ -42,6 +42,7 @@ two.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,14 @@ from .grid import _along
 from . import momenta
 
 
+def _real(name, value):
+    """value as a float, refusing a bool or anything that is not a real
+    number with a ValueError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class EnergyParams:
     """Anisotropy coupling a about K_AXIS: the axis is fixed, because N is
@@ -62,9 +71,9 @@ class EnergyParams:
     a: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", _real("a", self.a))
         if not np.isfinite(self.a):
-            raise ValueError("a must be finite")
+            raise ValueError(f"a: must be finite, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,7 @@ class SimConfig:
     params: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
+        object.__setattr__(self, "dt", _real("dt", self.dt))
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError(f"dt: must be finite and positive, got {self.dt}")
         for name in ("steps", "report_every"):

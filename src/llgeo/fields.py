@@ -1,17 +1,17 @@
-"""Field containers: unit-vector fields, rotation-matrix fields and the
-Euclidean / semidirect-product algebra elements they pair with.
+"""Field containers: unit-vector fields, unit-quaternion rotation fields and
+the Euclidean / semidirect-product algebra elements they pair with.
 
 All containers are value types: a checked payload is copied in and frozen,
 a spin field "mutates" only through with_values(), which re-validates, and
 check=False adopts a trusted array.
 Boundary conditions hold on the grid.BOUNDARY_LAYER cells next to each face.
 
-Every spin field payload is component-major: three contiguous planes
-(3,) + dims holding n_x, n_y and n_z, seen through the (..., 3) view that
-every kernel indexes.  _payload is the one place that decides it, so the
-per-component passes of the kernels stream contiguous planes, and the
-densities the momenta sum are planes too.  Rotation fields keep the layout
-they are given: their kernels already return component-major arrays.
+Every field payload is component-major: contiguous planes, three
+(n_x, n_y, n_z) for a spin field and four (w, x, y, z) for the unit
+quaternions of a rotation field, seen through the (..., 3) or (..., 4)
+view that every kernel indexes.  _payload is the one place that decides
+it, so the per-component passes of the kernels stream contiguous planes,
+and the densities the momenta sum are planes too.
 
 The kernels that step and measure spin fields write into a _Workspace: the
 grid-sized scratch of one run (spare field arrays and scratch planes), so
@@ -19,45 +19,15 @@ that a run allocates its buffers once instead of once per step and report.
 """
 
 import math
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
 from .grid import BOUNDARY_LAYER, Grid
 
 UNIT_TOL = 1e-12
-ORTHO_TOL = 1e-10
+ORTHO_TOL = 1e-10  # RotationField: | |q|^2 - 1 |, and |x|, |y|, |z| on the boundary layer
 K_AXIS = np.array([0.0, 0.0, 1.0])
-
-
-def _planes(m):
-    """The nine entry planes of a stack of 3x3 matrices (..., 3, 3), as the
-    (3, 3) + dims view whose [i, j] is m[..., i, j]; the planes are
-    contiguous exactly when m is component-major."""
-    return np.moveaxis(m, (-2, -1), (0, 1))
-
-
-def _matrices(m):
-    """Inverse of _planes: the (..., 3, 3) view of a (3, 3) + dims buffer."""
-    return np.moveaxis(m, (0, 1), (-2, -1))
-
-
-def _matmul3(a, b):
-    """Pointwise a @ b of two stacks of 3x3 matrices (any memory layout):
-    each entry a[i, 0] b[0, j] + a[i, 1] b[1, j] + a[i, 2] b[2, j] is summed on
-    its own plane of one component-major buffer, so the bits do not depend
-    on the layout of a and b."""
-    a, b = _planes(a), _planes(b)
-    out = np.empty((3, 3) + np.broadcast_shapes(a.shape[2:], b.shape[2:]))
-    term = np.empty(out.shape[2:])
-    for i in range(3):
-        for j in range(3):
-            entry = out[i, j, ...]
-            np.multiply(a[i, 0], b[0, j], out=entry)
-            for k in (1, 2):
-                np.multiply(a[i, k], b[k, j], out=term)
-                entry += term
-    return _matrices(out)
 
 
 def _dot3(a, b, out=None, scratch=None):
@@ -74,30 +44,40 @@ def _dot3(a, b, out=None, scratch=None):
     return out
 
 
-def check_rotations(r, tol, name):
-    """Raise ValueError unless every matrix of r (..., 3, 3) lies within tol
-    of SO(3): |R^T R - I| <= tol entrywise and |det R - 1| <= tol, with det R
-    the row triple product.  Both are written entrywise from the nine entry
-    planes: the six distinct entries of the symmetric R^T R are _dot3 of
-    column views.  The comparisons are written so that NaN fails (np.max
-    keeps a NaN wherever it is); a huge entry overflows R^T R to inf (or
-    NaN), which fails without a warning, and past that check every entry is
-    bounded."""
-    (a, b, c), (d, e, f), (g, h, i) = _planes(r)
-    worst = []
+def _qmul(a, b, conj=False):
+    """Hamilton product a b of two stacks of quaternions (..., 4) in
+    (w, x, y, z) order, or a b* when conj (every term in b's vector part
+    changes sign): w = a_w b_w - a_v . b_v and v = a_v b_w + a_w b_v +
+    a_v x b_v.  Each component is summed term by term on its own plane of
+    one component-major buffer, so the bits do not depend on the layout of
+    a and b."""
+    plus, minus = (np.subtract, np.add) if conj else (np.add, np.subtract)
+    out = np.empty((4,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    planes, t = [out[c, ...] for c in range(4)], np.empty(out.shape[1:])
+    np.multiply(a[..., 0], b[..., 0], out=planes[0])
+    for c in (1, 2, 3):
+        minus(planes[0], np.multiply(a[..., c], b[..., c], out=t), out=planes[0])
+    for c in (1, 2, 3):
+        i, j, acc = c % 3 + 1, (c + 1) % 3 + 1, planes[c]  # (c, i, j) cyclic
+        np.multiply(a[..., c], b[..., 0], out=acc)
+        plus(acc, np.multiply(a[..., 0], b[..., c], out=t), out=acc)
+        plus(acc, np.multiply(a[..., i], b[..., j], out=t), out=acc)
+        minus(acc, np.multiply(a[..., j], b[..., i], out=t), out=acc)
+    return np.moveaxis(out, 0, -1)
+
+
+def _vector_norm2(q, tol, name):
+    """|v|^2 (a _dot3) of every quaternion q = (w, v) of the stack (..., 4),
+    once | |q|^2 - 1 | <= tol holds everywhere; else ValueError.  The
+    comparison is written so that NaN fails (np.max keeps a NaN wherever it
+    is), and a huge entry overflows |q|^2 to inf, which fails without a
+    warning; past the check every entry is bounded."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, k in combinations_with_replacement(range(3), 2):
-            gram = _dot3(r[..., :, j], r[..., :, k])
-            if j == k:
-                gram -= 1.0
-            worst.append(np.abs(gram).max())
-    ortho = np.max(worst)
-    if not ortho <= tol:
-        raise ValueError(f"{name}^T {name} deviates from I by {ortho:.3e} (> {tol:g})")
-    det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
-    dev = np.abs(det - 1.0).max()
+        vv = _dot3(q[..., 1:], q[..., 1:])
+        dev = np.abs(vv + q[..., 0] * q[..., 0] - 1.0).max()
     if not dev <= tol:
-        raise ValueError(f"det {name} deviates from 1 by {dev:.3e} (> {tol:g})")
+        raise ValueError(f"|{name}|^2 deviates from 1 by {dev:.3e} (> {tol:g})")
+    return vv
 
 
 def _c_view(buf, shape):
@@ -142,38 +122,33 @@ class _Workspace:
 
 
 def _frozen(values):
-    # np.array copies in memory order ("K"), so a component-major payload
-    # stays component-major
+    """A read-only float copy of values."""
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
 
 def _is_planar(values):
-    """Whether the (..., 3) array values is three contiguous planes."""
+    """Whether the (..., c) array values is c contiguous planes."""
     return np.moveaxis(values, -1, 0).flags.c_contiguous
 
 
 def _payload(grid, values, comp, check):
-    """The float values of a field on grid with per-cell shape comp.
-
-    A spin payload (comp (3,)) is three contiguous planes (3,) + dims seen
-    through its (..., 3) view: checked, values are copied into new planes
-    and frozen; with check=False (the trusted internal fast path) an array
-    already laid out so is adopted as it is, and any other is copied into
-    planes.  A rotation payload is a frozen copy in values' own memory
-    order when check is set, else the array as it is.
+    """The float values of a field on grid with per-cell shape comp, (3,)
+    for a spin field and (4,) for a rotation field, as contiguous planes
+    comp + dims seen through their (..., c) view: checked, values are
+    copied into new planes and frozen; with check=False (the trusted
+    internal fast path) an array already laid out so is adopted as it is,
+    and any other is copied into planes.
     """
     if not isinstance(grid, Grid):
         raise TypeError("grid must be a Grid")
     values = np.asarray(values, dtype=float)
     if values.shape != grid.dims + comp:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.dims + comp}")
-    if comp != (3,):
-        return _frozen(values) if check else values
     if not check and _is_planar(values):
         return values
-    planes = np.moveaxis(np.empty((3,) + grid.dims), 0, -1)
+    planes = np.moveaxis(np.empty(comp + grid.dims), 0, -1)
     np.copyto(planes, values)
     planes.setflags(write=not check)
     return planes
@@ -228,28 +203,32 @@ class SpinField:
 
 
 class RotationField:
-    """SO(3)-matrix field psi(x) on a Grid; identity on the boundary layer."""
+    """Rotation field psi(x) on a Grid, as unit quaternions (w, x, y, z) on
+    four contiguous planes; q and -q are the same rotation.  psi is the
+    identity, w = +-1, on the boundary layer: a 2pi winding about k ends at
+    w = -1."""
 
     def __init__(self, grid, values, check=True):
-        self.values = _payload(grid, values, (3, 3), check)
+        self.values = _payload(grid, values, (4,), check)
         self.grid = grid
         if check:
             self.check_invariants()
 
     def check_invariants(self):
-        check_rotations(self.values, ORTHO_TOL, "psi")
-        mask = self.grid.boundary_mask()
-        if np.abs(self.values[mask] - np.eye(3)).max() > ORTHO_TOL:
-            raise ValueError("rotation field must be the identity on the boundary layer")
+        _vector_norm2(self.values, ORTHO_TOL, "psi")
+        edge = self.values[self.grid.boundary_mask()][:, 1:]
+        if not np.abs(edge).max() <= ORTHO_TOL:
+            raise ValueError("rotation field must be the identity (w = +-1) on the boundary layer")
 
     def compose(self, other, check=True):
-        """Pointwise matrix product psi(x) other(x)."""
-        return RotationField(self.grid, _matmul3(self.values, other.values), check=check)
+        """Pointwise product psi(x) other(x), the Hamilton product."""
+        return RotationField(self.grid, _qmul(self.values, other.values), check=check)
 
     def inverse(self):
-        return RotationField(
-            self.grid, np.swapaxes(self.values, -1, -2), check=False
-        )
+        """The conjugate (w, -x, -y, -z), the inverse of a unit quaternion."""
+        conj = -self.values
+        conj[..., 0] = self.values[..., 0]
+        return RotationField(self.grid, conj, check=False)
 
 
 def plane_pairs(p):

@@ -7,7 +7,6 @@ import numpy as np
 
 from .fields import K_AXIS, RotationField, SpinField, _dot3
 from .grid import BOUNDARY_LAYER
-from .calculus import so3_exp
 
 
 def make_constant(grid, v):
@@ -127,7 +126,8 @@ def make_radial_profile(grid, profile):
 
 
 def make_gauge_field(grid, alpha):
-    """Rotation field A(x) = exp(alpha(x) hat(k)): rotation about k by alpha.
+    """Rotation field A(x) about k by alpha(x): the unit quaternions
+    (cos(alpha/2), 0, 0, sin(alpha/2)).
 
     For p >= 2 alpha must sit at one common multiple of 2*pi on the whole
     boundary layer; for p = 1 the two ends may sit at distinct multiples,
@@ -144,8 +144,9 @@ def make_gauge_field(grid, alpha):
         raise ValueError(
             "for p >= 2 alpha must take a single 2*pi multiple on the boundary layer"
         )
-    values = so3_exp(alpha[..., None] * K_AXIS)
-    return RotationField(grid, values)
+    values = np.zeros((4,) + grid.dims)
+    values[0], values[3] = np.cos(alpha / 2.0), np.sin(alpha / 2.0)
+    return RotationField(grid, np.moveaxis(values, 0, -1))
 
 
 def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):

@@ -3,9 +3,13 @@
 Binary snapshot layout (little-endian; MAGIC, _PREAMBLE, _geometry_layout(p)):
 
   magic "LLGF" | version u16 | p u16 | dims p*u32 | spacing p*f64 |
-  origin p*f64 | payload kind u8 (0 spin, 1 rotation) | payload f64 row-major
+  origin p*f64 | payload kind u8 | payload f64 in C order
 
-Round trips are bit-exact; every malformed-input mode gets its own message.
+The payload holds, per cell, n = (n_x, n_y, n_z) for a spin field (kind
+0) or the unit quaternion (w, x, y, z) for a rotation field (kind 2).
+Kind 1, the 3x3 rotation matrices of earlier files, is refused as an
+unknown kind.  Round trips are bit-exact; every malformed-input mode gets
+its own message.
 """
 
 import math
@@ -20,7 +24,7 @@ from .grid import Grid
 MAGIC = b"LLGF"
 VERSION = 1
 KIND_SPIN = 0
-KIND_ROTATION = 1
+KIND_ROTATION = 2
 _PREAMBLE = struct.Struct("<HH")
 
 
@@ -87,9 +91,9 @@ def read_snapshot(path):
     dims, spacing, origin, kind = entries[:p], entries[p:2 * p], entries[2 * p:3 * p], entries[-1]
     if kind not in (KIND_SPIN, KIND_ROTATION):
         raise SnapshotError(f"unknown payload kind {kind}")
-    comp = (3,) if kind == KIND_SPIN else (3, 3)
+    comp = (3,) if kind == KIND_SPIN else (4,)
     # math.prod: Python integers, so huge header dims cannot wrap around
-    count = math.prod(dims) * math.prod(comp)
+    count = math.prod(dims) * comp[0]
     payload = take(8 * count, "payload")
     if offset != len(blob):
         raise SnapshotError(f"trailing bytes: {len(blob) - offset} past the payload")

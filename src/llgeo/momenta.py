@@ -17,7 +17,7 @@ a fat singular set n -> +k.
 
 Orientation conventions are pinned in one place:
 
-* hat map hat(v)w = v x w and right-handed cross product;
+* right-handed cross product; rotations are unit quaternions (calculus);
 * omega0(a, b) = a^T J b with J = [[0, 1], [-1, 0]];
 * the soliton generator has quadrature degree +m;
 * the lift derivative identity holds with a PLUS sign:
@@ -42,7 +42,6 @@ from .calculus import (
     partial,
     partial_T,
     right_gradient_stack,
-    so3_exp,
     tangent_project,
     triple,
 )
@@ -241,35 +240,43 @@ def lift_singular_mask(n):
 
 
 def _lift_frame(n):
-    """(k.n, k x n, singular mask), which every lift route starts from, k.n
-    being the n_z plane; raises SingularLiftError above
-    MAX_SINGULAR_FRACTION singular cells."""
+    """The singular mask, which every lift route starts from; raises
+    SingularLiftError above MAX_SINGULAR_FRACTION singular cells."""
     singular = lift_singular_mask(n)
     fraction = singular.mean()
     if fraction > MAX_SINGULAR_FRACTION:
         raise SingularLiftError(f"{100 * fraction:.2f}% of cells are singular "
                                 f"(limit {100 * MAX_SINGULAR_FRACTION:g}%)")
-    return n.values[..., 2], cross3(K_AXIS, n.values), singular
+    return singular
 
 
 def lift_psi(n):
-    """Rotation field with psi(x) k = -n(x).
+    """Rotation field with psi(x) k = -n(x): the shortest turn from k to -n,
+    about k x (-n), whose unit quaternion is algebraic in n,
 
-    The rotation vector is -arccos(-k.n)/|k x n| * (k x n); its magnitude
-    goes to zero smoothly at n = -k (psi = I there, exactly on the boundary
-    layer), and the few cells within SINGULAR_KDOT of +k get the
-    deterministic fallback of a half turn about the x axis.  Refuses on a
-    fat singular set (see _lift_frame).
+        q = (1 - k.n, -(k x n)) / |(1 - k.n, k x n)|
+          = (1 - n_z, n_y, -n_x, 0) / sqrt((1 - n_z)^2 + n_x^2 + n_y^2).
+
+    For a unit n this is (sqrt((1 - n_z)/2), n_y/s, -n_x/s, 0) with
+    s = sqrt(2 (1 - n_z)), and it is unit to rounding for any n, so |n| - 1
+    within UNIT_TOL cannot push a cell near +k past so3_log's unit check.
+    q is exactly (1, 0, 0, 0) at n = -k (the boundary layer), and the few
+    cells within SINGULAR_KDOT of +k get the deterministic fallback of a
+    half turn about the x axis, (0, 1, 0, 0).  Refuses on a fat singular
+    set (see _lift_frame).
     """
     n.require_decaying("lift_psi")
-    kdot, cross, singular = _lift_frame(n)
-    s = np.sqrt(_dot3(cross, cross))
-    # arctan2 keeps the rotation angle accurate where kdot rounds to -1 and
-    # the tilt survives only in the transverse components
-    ratio = np.divide(np.arctan2(s, -kdot), s, out=np.ones_like(s), where=s > 1e-14)
-    rotvec = -ratio[..., None] * cross
-    rotvec[singular] = (np.pi, 0.0, 0.0)
-    return RotationField(n.grid, so3_exp(rotvec), check=False)
+    singular = _lift_frame(n)
+    q = np.empty((4,) + n.grid.dims)
+    np.subtract(1.0, n.values[..., 2], out=q[0])
+    q[1], q[2] = n.values[..., 1], -n.values[..., 0]
+    turn = np.moveaxis(q[:3], 0, -1)
+    norm = np.sqrt(_dot3(turn, turn, out=q[3]), out=q[3])
+    norm[singular] = 1.0  # zero at n = +k; those cells are overwritten below
+    np.divide(q[:3], norm, out=q[:3])
+    q[3] = 0.0
+    q[:, singular] = np.array([0.0, 1.0, 0.0, 0.0])[:, None]
+    return RotationField(n.grid, np.moveaxis(q, 0, -1), check=False)
 
 
 def _JH_density(psi, mu):
@@ -302,8 +309,9 @@ def _lift_integrand(n):
     quadrature: the singularities of the lift are tame and do not contribute.
     Refuses on a fat singular set (see _lift_frame).
     """
-    kdot, cross, singular = _lift_frame(n)
-    denom = np.where(singular, 1.0, 1.0 - kdot)
+    singular = _lift_frame(n)
+    cross = cross3(K_AXIS, n.values)
+    denom = np.where(singular, 1.0, 1.0 - n.values[..., 2])
     wbar = np.empty((n.grid.p,) + n.grid.dims)
     grad = None  # one derivative pass, through one buffer
     for k, plane in enumerate(wbar):
@@ -325,7 +333,8 @@ def reduced_momentum_lift(n):
 
 def gauge_invariance_residual(n, alpha):
     """Norm of J^H(A . (psi, mu)) - J^H(psi, mu) for the gauge rotation
-    A = exp(alpha hat(k)), at the lifted point psi = lift_psi(n), mu = n.
+    A about k by alpha (make_gauge_field), at the lifted point
+    psi = lift_psi(n), mu = n.
 
     The right action sends psi to psi A^-1 and leaves mu alone.  For p >= 2
     and boundary-constant alpha this vanishes in the continuum; for p = 1

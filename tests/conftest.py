@@ -7,9 +7,10 @@ from llgeo import (
     SpinField,
     make_bp_soliton,
     make_random_smooth,
-    so3_exp,
 )
 from llgeo.generators import band_limited, bump_envelope
+
+import so3_oracle
 
 
 def relative_gap(a, b):
@@ -33,13 +34,13 @@ def random_rotation_field(grid, seed, amplitude=0.8):
     vec = np.stack(
         [amplitude * env * band_limited(grid, rng, 3) for _ in range(3)], axis=-1
     )
-    return RotationField(grid, so3_exp(vec))
+    return RotationField(grid, so3_oracle.quaternion(vec))
 
 
 def off_axis_texture(grid, seed=3):
     """A random texture turned by a fixed rotation, so its far field is not
     -k: a legal spin field that is not decaying."""
-    turn = so3_exp(np.array([0.4, -0.3, 0.2]))
+    turn = so3_oracle.so3_exp(np.array([0.4, -0.3, 0.2]))
     return SpinField(grid, make_random_smooth(grid, seed).values @ turn.T, decaying=False)
 
 

@@ -1,16 +1,26 @@
-"""The stacked-matrix SO(3) formulas, kept as an oracle for the entrywise
-kernels in llgeo.calculus and llgeo.fields.
+"""The stacked-matrix SO(3) formulas, kept as an oracle for the quaternion
+kernels in llgeo.fields and llgeo.calculus.
 
 They work on interleaved (..., 3, 3) arrays: the exponential sums hat(v),
-an outer product and a multiple of eye, the log reads vee R (its own
-stacked vee, not llgeo's, which so3_log calls) and the trace off the
-stacked matrices, and products and R^T R are `@`.  llgeo's kernels write
-the same sums on entry planes and must agree with these to 1e-15.
+an outer product and a multiple of eye, the log reads vee R and the trace
+off the stacked matrices (with the largest-diagonal column of
+sym R - cos(theta) I for obtuse angles), and products are `@`.  matrix(q)
+is the rotation matrix of a unit quaternion, a polynomial in q, and
+quaternion(v) the unit quaternion of a rotation vector; llgeo's quaternion
+route is checked against these through matrix(q).
 """
 
 import numpy as np
 
-from llgeo.calculus import hat
+
+def hat(v):
+    """so(3) matrix of a 3-vector, stacked: hat(v) @ w == v x w."""
+    v = np.asarray(v, float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def vee(m):
@@ -58,6 +68,19 @@ def compose(a, b):
     return a @ b
 
 
-def gram_deviation(r):
-    """max |R^T R - I| over the stack."""
-    return np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
+def quaternion(v):
+    """The unit quaternion (cos(theta/2), sin(theta/2) v/theta) of each
+    rotation vector v, theta = |v|, stacked (..., 4); (1, 0, 0, 0) at 0."""
+    v = np.asarray(v, float)
+    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.concatenate([np.cos(theta / 2.0), 0.5 * np.sinc(theta / (2.0 * np.pi)) * v],
+                          axis=-1)
+
+
+def matrix(q):
+    """The rotation matrix of each unit quaternion q = (w, x, y, z), stacked:
+    (w^2 - |v|^2) I + 2 v v^T + 2 w hat(v)."""
+    q = np.asarray(q, float)
+    w, v = q[..., 0, None, None], q[..., 1:]
+    return ((w ** 2 - (v * v).sum(axis=-1)[..., None, None]) * np.eye(3)
+            + 2.0 * v[..., :, None] * v[..., None, :] + 2.0 * w * hat(v))

@@ -14,13 +14,14 @@ from llgeo import (
     partial,
     partial_T,
     right_gradient_axis,
-    so3_exp,
     so3_log,
     tangent_project,
 )
-from llgeo.calculus import cross3, hat, triple, vee
+from llgeo.calculus import cross3, triple
 from llgeo.fields import _dot3, _is_planar
 
+import so3_oracle
+from so3_oracle import hat, matrix, quaternion, so3_exp, vee
 from conftest import random_rotation_field, relative_gap
 from fd_oracle import functional_derivative
 from test_so3_kernels import component_major
@@ -52,7 +53,7 @@ def test_axis_out_of_range(op, dims, beyond):
     axis = g.p if beyond else -1
     with pytest.raises(ValueError, match=rf"^axis {axis} out of range for p={g.p}$"):
         if op is right_gradient_axis:
-            eye = np.broadcast_to(np.eye(3), g.dims + (3, 3))
+            eye = np.broadcast_to([1.0, 0.0, 0.0, 0.0], g.dims + (4,))
             op(RotationField(g, eye, check=False), axis)
         else:
             op(np.zeros(g.dims), g, axis)
@@ -112,21 +113,24 @@ def test_integrate_keeps_component_axes():
     assert np.allclose(out, 16.0)
 
 
-# ---------- so3 exp / log ----------
+# ---------- rotations: the log and the oracle ----------
 
 def test_hat_vee_convention():
+    # the oracle's hat is the cross product, and a unit quaternion turns by
+    # so3_exp of its log: matrix(q) == so3_exp(so3_log(q))
     v = np.array([0.3, -1.0, 0.2])
     w = np.array([1.0, 0.5, -0.7])
     assert np.allclose(hat(v) @ w, np.cross(v, w), atol=1e-15)
     assert np.allclose(vee(hat(v)), v, atol=1e-15)
     assert np.allclose(cross3(v, w), np.cross(v, w), atol=1e-15)
     assert triple(v, w, v + w) == pytest.approx(0.0, abs=1e-14)
-    # the one cross, dot and vee kernels on stacks, in both layouts and with
+    assert np.abs(matrix(quaternion(v)) - so3_exp(v)).max() <= 1e-15
+    assert np.abs(so3_exp(so3_log(quaternion(v))) - matrix(quaternion(v))).max() <= 1e-15
+    # the one cross and dot kernels on stacks, in both layouts and with
     # K_AXIS broadcast: bitwise the textbook formulas, the same bits with out
     # and scratch as without, and component planes when allocated
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=(2, 7, 9, 3))
-    m = rng.normal(size=(7, 9, 3, 3))
     pa, pb = component_major(a, 1), component_major(b, 1)
     pairs = [(a, b), (pa, pb), (a, pb), (K_AXIS, pb), (a, K_AXIS)]
     for x, y in pairs:
@@ -143,20 +147,17 @@ def test_hat_vee_convention():
         t.fill(np.nan)
         assert _dot3(x, y, s, t) is s and np.array_equal(s, dot)
         assert not np.isnan(t).any()
-    stacked = 0.5 * np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
-                              m[..., 1, 0] - m[..., 0, 1]], axis=-1)
-    for matrices in (m, component_major(m, 2)):
-        got = vee(matrices)
-        assert np.array_equal(got, stacked) and _is_planar(got)
 
 
 def test_so3_exp_identity_and_quarter_turn():
-    # exactly I at 0: the lift is exactly I on the boundary layer
+    # the oracle's exponential: exactly I at 0, and the one sinc expression
+    # against the trigonometric Rodrigues formula; matrix(q) of the unit
+    # quaternions agrees with it, exactly I at the identity quaternion
     assert np.array_equal(so3_exp(np.zeros(3)), np.eye(3))
-    assert np.array_equal(so3_exp(np.zeros((4, 3))), np.broadcast_to(np.eye(3), (4, 3, 3)))
-    rot = so3_exp(np.pi / 2 * K_AXIS)
+    assert np.array_equal(matrix(quaternion(np.zeros((4, 3)))),
+                          np.broadcast_to(np.eye(3), (4, 3, 3)))
+    rot = matrix(quaternion(np.pi / 2 * K_AXIS))
     assert np.allclose(rot @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-15)
-    # the one sinc expression against the trigonometric Rodrigues formula
     rng = np.random.default_rng(5)
     axis = rng.normal(size=(400, 3))
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
@@ -166,19 +167,27 @@ def test_so3_exp_identity_and_quarter_turn():
     expected = (np.eye(3) + np.sin(angles)[:, None, None] * k
                 + (1.0 - np.cos(angles))[:, None, None] * (k @ k))
     assert np.abs(so3_exp(axis * angles[:, None]) - expected).max() <= 2e-15
+    assert np.abs(matrix(quaternion(axis * angles[:, None])) - expected).max() <= 2e-15
 
 
 def test_so3_exp_inverse_pairs():
+    # q(v) and q(-v) are inverses: their Hamilton product is the identity
     rng = np.random.default_rng(2)
     v = rng.normal(size=(100, 3)) * rng.uniform(0, 3.0, size=(100, 1))
-    prod = so3_exp(v) @ so3_exp(-v)
-    assert np.abs(prod - np.eye(3)).max() < 1e-12
+    g = Grid.centered((100,), 8.0)
+    a, b = (RotationField(g, quaternion(x), check=False) for x in (v, -v))
+    prod = a.compose(b, check=False).values
+    assert np.abs(prod - [1.0, 0.0, 0.0, 0.0]).max() < 1e-15
+    assert np.abs(matrix(prod) - np.eye(3)).max() < 1e-14
+    assert np.abs(b.values - a.inverse().values).max() < 1e-15
 
 
 def test_so3_log_identity_and_round_trip():
-    assert np.array_equal(so3_log(np.eye(3)), np.zeros(3))
+    assert np.array_equal(so3_log(np.array([1.0, 0.0, 0.0, 0.0])), np.zeros(3))
+    assert np.array_equal(so3_log(np.array([-1.0, 0.0, 0.0, 0.0])), np.zeros(3))
     v = np.array([0.3, -0.1, 0.7])
-    assert np.abs(so3_log(so3_exp(v)) - v).max() < 1e-10
+    assert np.abs(so3_log(quaternion(v)) - v).max() < 1e-15
+    assert np.abs(so3_log(-quaternion(v)) - v).max() < 1e-15
 
 
 def test_so3_log_round_trip_batch():
@@ -186,56 +195,60 @@ def test_so3_log_round_trip_batch():
     axis = rng.normal(size=(200, 3))
     angles = rng.uniform(1e-8, np.pi - 1e-9, size=(200, 1))
     # the last ten sit within 1e-3 of pi on axes with one tiny component,
-    # the hardest case for reading the axis off sym R
+    # the hardest case for the matrix oracle's sym R axis
     angles[-10:] = np.pi - np.geomspace(1e-9, 9.9e-4, 10)[:, None]
     axis[-10:, 2] *= 1e-4
     axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
     v = axis * angles
-    assert np.abs(so3_log(so3_exp(v)) - v).max() <= 1e-12
+    q = quaternion(v)
+    assert np.abs(so3_log(q) - v).max() <= 1e-14
+    assert np.abs(so3_log(-q) - v).max() <= 1e-14
+    assert np.abs(so3_log(q) - so3_oracle.so3_log(matrix(q))).max() <= 1e-12
 
 
 def test_so3_log_pi_branch():
-    rot = so3_exp(np.pi * np.array([1.0, 0.0, 0.0]))
+    rot = quaternion(np.pi * np.array([1.0, 0.0, 0.0]))
+    assert rot[0] != 0.0  # cos(pi/2) rounds to 6e-17
     v = so3_log(rot)
-    assert abs(np.linalg.norm(v) - np.pi) < 1e-7
-    assert abs(abs(v[0]) - np.pi) < 1e-7
+    assert abs(np.linalg.norm(v) - np.pi) < 1e-15
+    assert abs(abs(v[0]) - np.pi) < 1e-15
+    assert np.array_equal(so3_log(np.array([0.0, 0.0, 1.0, 0.0])), [0.0, np.pi, 0.0])
+    assert np.array_equal(so3_log(np.array([-0.0, 0.0, 1.0, 0.0])), [0.0, -np.pi, 0.0])
 
 
 def test_so3_log_rejects_non_rotation():
-    with pytest.raises(ValueError):
-        so3_log(np.eye(3) * 1.1)
-    with pytest.raises(ValueError):
-        so3_log(np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match=r"\|q\|\^2 deviates from 1"):
+        so3_log(np.array([1.1, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\|q\|\^2 deviates from 1"):
+        so3_log(np.zeros(4))
+    # within ROTATION_TOL of unit length is accepted
+    so3_log(np.array([1.0 + 4e-9, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_so3_log_rejects_non_finite_without_warning(bad):
-    r = so3_exp(np.array([0.3, -0.1, 0.7]))[None].repeat(4, axis=0)
-    r[2, 1, 0] = bad
-    with pytest.raises(ValueError, match="deviates from I"):
-        so3_log(r)
+    q = quaternion(np.array([0.3, -0.1, 0.7]))[None].repeat(4, axis=0)
+    q[2, 1] = bad
+    with pytest.raises(ValueError, match="deviates from 1"):
+        so3_log(q)
 
 
 # ---------- right gradient ----------
 
 def test_right_gradient_identity_field():
     g = Grid.centered((24, 24), 8.0)
-    eye = np.broadcast_to(np.eye(3), g.dims + (3, 3)).copy()
-    from llgeo import RotationField
-
+    eye = np.broadcast_to([1.0, 0.0, 0.0, 0.0], g.dims + (4,)).copy()
     psi = RotationField(g, eye)
     assert np.abs(right_gradient_axis(psi, 0)).max() == 0.0
 
 
 def test_right_gradient_exponential_field():
     # psi = exp(c x1 hat(k)) has right gradient c k along axis 0, exactly here
-    from llgeo import RotationField
-
     g = Grid.centered((48,), 8.0)
     c = 0.4
     alpha = c * g.coords()[..., 0]
     # not a valid gauge field (boundary not 2*pi multiples): build raw
-    psi = RotationField(g, so3_exp(alpha[..., None] * K_AXIS), check=False)
+    psi = RotationField(g, quaternion(alpha[..., None] * K_AXIS), check=False)
     grad = right_gradient_axis(psi, 0)
     assert np.abs(grad - c * K_AXIS).max() < 1e-10
 
@@ -243,11 +256,9 @@ def test_right_gradient_exponential_field():
 def _exp_field(g, c, v):
     """psi = exp(sum_i c_i x_i hat(v_i)) for one vector per axis; not the
     identity on the boundary, so built unchecked."""
-    from llgeo import RotationField
-
     x = g.coords()
     rotvec = sum(c[i] * x[..., i, None] * v[i] for i in range(g.p))
-    return RotationField(g, so3_exp(rotvec), check=False)
+    return RotationField(g, quaternion(rotvec), check=False)
 
 
 def test_right_gradient_3d_all_axes_and_edges():
@@ -273,9 +284,10 @@ def test_right_gradient_3d_all_axes_and_edges():
         psi = random_rotation_field(g, seed=2).compose(
             _exp_field(g, (0.2, -0.3, 0.25), v), check=False
         )
+        r = matrix(psi.values)
         rms = edge = 0.0
         for axis in range(3):
-            ref = vee(partial(psi.values, g, axis) @ np.swapaxes(psi.values, -1, -2))
+            ref = vee(partial(r, g, axis) @ np.swapaxes(r, -1, -2))
             gap = right_gradient_axis(psi, axis) - ref
             rms = max(rms, np.sqrt(np.mean(gap ** 2)))
             edge = max(edge, np.abs(np.take(gap, [0, -1], axis=axis)).max())
@@ -308,7 +320,7 @@ def test_right_gradient_product_identity():
             [np.einsum("...i,...i->...", mu, right_gradient_axis(prod, a)) for a in range(2)],
             axis=-1,
         )
-        psi_inv_mu = np.einsum("...ji,...j->...i", psi.values, mu)
+        psi_inv_mu = np.einsum("...ji,...j->...i", matrix(psi.values), mu)
         rhs = np.stack(
             [
                 np.einsum("...i,...i->...", mu, right_gradient_axis(psi, a))

@@ -91,7 +91,7 @@ def test_wedge_lift_radial_matches_analytic():
 def test_wedge_lift_solves_the_tangency_equation():
     # xi x mu - grad mu vanishes at O(h^2): the obstruction is the discrete
     # product-rule defect in mu . grad mu, which halving h cuts ~4x
-    from llgeo.cocycle import directional_derivative
+    from llgeo.cocycle import _directional_derivative
 
     maxima = []
     for nn in (64, 128):
@@ -100,7 +100,7 @@ def test_wedge_lift_solves_the_tangency_equation():
         rng = np.random.default_rng(0)
         e = random_element(2, rng)
         lifted = wedge_lift(mu, e)
-        dmu = directional_derivative(mu.values, g, e.velocity_field(g))
+        dmu = _directional_derivative(mu.values, g, e.velocity_field(g))
         resid = np.cross(lifted.xi, mu.values) - dmu
         inner = interior(g, 4)
         maxima.append(np.abs(resid[inner]).max())

@@ -19,7 +19,6 @@ from llgeo import (
     make_radial_profile,
     make_random_smooth,
     simulate,
-    so3_exp,
     step,
     tangent_project,
 )
@@ -34,6 +33,7 @@ from llgeo.fields import _is_planar
 
 import allocating_report
 import allocating_stepper
+import so3_oracle
 from conftest import relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
@@ -324,6 +324,21 @@ def test_simconfig_rejects_non_integer_counts(name, value):
         SimConfig(dt=1e-3, **{"steps": 1, name: value})
 
 
+@pytest.mark.parametrize("dt", [True, "1e-3"], ids=["bool", "str"])
+def test_simconfig_rejects_a_dt_that_is_not_a_real_number(dt):
+    # dt=True used to step with dt = 1, and "1e-3" to raise a bare TypeError
+    with pytest.raises(ValueError, match=rf"^dt: must be a real number, got {dt!r}$"):
+        SimConfig(dt=dt, steps=1)
+
+
+@pytest.mark.parametrize("a", [True, "0.5"], ids=["bool", "str"])
+def test_energy_params_rejects_an_a_that_is_not_a_real_number(a):
+    # a=True used to be read as a = 1.0
+    with pytest.raises(ValueError, match=rf"^a: must be a real number, got {a!r}$"):
+        EnergyParams(a=a)
+    assert EnergyParams(a=np.float32(0.5)).a == 0.5 and type(EnergyParams(a=2).a) is float
+
+
 def test_simconfig_rejects_non_finite_dt():
     for dt in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -335,7 +350,7 @@ def test_simconfig_rejects_non_finite_dt():
 def _tilted_random_field(grid, seed):
     """A random smooth field rotated off -k: non-decaying, so nothing is frozen."""
     n = make_random_smooth(grid, seed=seed, amplitude=1.4)
-    return SpinField(grid, n.values @ so3_exp(np.array([0.4, -0.3, 0.0])).T,
+    return SpinField(grid, n.values @ so3_oracle.so3_exp(np.array([0.4, -0.3, 0.0])).T,
                      decaying=False)
 
 

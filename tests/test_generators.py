@@ -15,6 +15,7 @@ from llgeo import (
 )
 
 from allocating_report import density_P
+from so3_oracle import matrix
 
 
 def test_constant_vacuum():
@@ -127,12 +128,13 @@ def test_radial_rejects_non_finite_profile():
 def test_gauge_identity_and_k_fixing():
     g = Grid.centered((48, 48), 16.0)
     A0 = make_gauge_field(g, np.zeros(g.dims))
-    assert np.abs(A0.values - np.eye(3)).max() == 0.0
+    assert np.array_equal(A0.values, np.broadcast_to([1.0, 0.0, 0.0, 0.0], g.dims + (4,)))
 
     alpha = make_gauge_bump_alpha(g, winding=1)
     A = make_gauge_field(g, alpha)
-    k_image = A.values @ K_AXIS
-    assert np.abs(k_image - K_AXIS).max() < 1e-12
+    assert np.array_equal(A.values[..., 1:3], np.zeros(g.dims + (2,)))
+    k_image = matrix(A.values) @ K_AXIS
+    assert np.abs(k_image - K_AXIS).max() < 1e-15
 
 
 def test_gauge_rejects_non_multiple_boundary():
@@ -155,6 +157,9 @@ def test_gauge_p1_winding_allowed():
     A = make_gauge_field(g, alpha)
     A.check_invariants()
     assert alpha[-1] - alpha[0] == pytest.approx(2.0 * np.pi)
+    # the 2pi winding turns the quaternion from w = +1 to w = -1 across the line
+    assert A.values[0, 0] == pytest.approx(np.cos(alpha[0] / 2.0), abs=1e-15)
+    assert A.values[-1, 0] - A.values[0, 0] == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_random_smooth_is_valid_and_degree_zero():

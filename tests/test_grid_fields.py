@@ -17,7 +17,6 @@ from llgeo import (
     make_random_smooth,
     read_snapshot,
     simulate,
-    so3_exp,
     step,
     write_snapshot,
 )
@@ -27,6 +26,8 @@ from llgeo.fields import _is_planar, plane_pairs
 from llgeo.grid import BOUNDARY_LAYER
 from llgeo.io import report_header, report_row
 from llgeo.momenta import _gradients, _two_form
+
+from so3_oracle import quaternion
 
 
 def test_grid_rejects_bad_dimension():
@@ -124,7 +125,8 @@ def test_spinfield_values_are_frozen():
         f.values[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("cls, cell", [(SpinField, -K_AXIS), (RotationField, np.eye(3))],
+@pytest.mark.parametrize("cls, cell", [(SpinField, -K_AXIS),
+                                       (RotationField, np.array([1.0, 0.0, 0.0, 0.0]))],
                          ids=["spin", "rotation"])
 def test_check_false_adopts_the_array_and_a_checked_field_is_frozen(cls, cell):
     # both containers go through one payload rule
@@ -223,36 +225,33 @@ def test_from_matrix_rejects_non_finite_asymmetry():
 
 def test_rotationfield_validation():
     g = Grid.centered((10, 10), 4.0)
-    eye = np.broadcast_to(np.eye(3), (10, 10, 3, 3)).copy()
+    eye = np.broadcast_to([1.0, 0.0, 0.0, 0.0], (10, 10, 4)).copy()
     RotationField(g, eye)
+    RotationField(g, -eye)  # -q is the same rotation: w = -1 is the identity too
 
-    skewed = eye.copy()
-    skewed[5, 5] = np.eye(3) * 1.5
-    with pytest.raises(ValueError):
-        RotationField(g, skewed)
+    scaled = eye.copy()
+    scaled[5, 5] *= 1.5
+    with pytest.raises(ValueError, match=r"\|psi\|\^2 deviates from 1 by 1\.250e\+00"):
+        RotationField(g, scaled)
 
     # rotation in the interior is fine, on the boundary layer it is not
     rot = eye.copy()
-    rot[5, 5] = so3_exp(np.array([0.3, 0.0, 0.0]))
+    rot[5, 5] = quaternion(np.array([0.3, 0.0, 0.0]))
     RotationField(g, rot)
-    rot[0, 0] = so3_exp(np.array([0.3, 0.0, 0.0]))
-    with pytest.raises(ValueError):
+    rot[0, 0] = quaternion(np.array([0.3, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="identity"):
         RotationField(g, rot)
+    # a vector part within ORTHO_TOL on the boundary layer is accepted
+    rot[0, 0] = quaternion(np.array([0.0, 0.0, 1e-10]))
+    RotationField(g, rot)
 
 
 def test_rotationfield_rejects_nan_interior_cell():
     g = Grid.centered((10, 10), 4.0)
-    values = np.broadcast_to(np.eye(3), (10, 10, 3, 3)).copy()
-    values[5, 5, 0, 2] = np.nan
-    with pytest.raises(ValueError, match="deviates from I by nan"):
+    values = np.broadcast_to([1.0, 0.0, 0.0, 0.0], (10, 10, 4)).copy()
+    values[5, 5, 2] = np.nan
+    with pytest.raises(ValueError, match="deviates from 1 by nan"):
         RotationField(g, values)
-
-
-def test_reflection_is_rejected():
-    g = Grid.centered((10, 10), 4.0)
-    refl = np.broadcast_to(np.diag([1.0, 1.0, -1.0]), (10, 10, 3, 3)).copy()
-    with pytest.raises(ValueError):
-        RotationField(g, refl)
 
 
 def test_euclidean_algebra_element_exact_skewness():

@@ -36,18 +36,24 @@ def test_spin_snapshot_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("kind", [0, 1], ids=["spin", "rotation"])
+@pytest.mark.parametrize("kind", [0, 2], ids=["spin", "rotation"])
 def test_snapshot_header_is_the_documented_layout(tmp_path, kind):
     # magic | version u16 | p u16 | dims p*u32 | spacing p*f64 | origin p*f64
-    # | payload kind u8, little-endian, then the f64 payload
+    # | payload kind u8, little-endian, then the f64 payload in C order:
+    # (n_x, n_y, n_z) or the quaternion (w, x, y, z) per cell
     g = Grid((20, 22, 24), (0.5, 0.25, 0.125), (-5.0, -2.75, -1.5))
-    f = make_constant(g, (0, 0, -1)) if kind == 0 else make_gauge_field(g, np.zeros(g.dims))
+    if kind == 0:
+        f = make_constant(g, (0, 0, -1))
+    else:
+        f = make_gauge_field(g, make_gauge_bump_alpha(g, winding=1))
     path = tmp_path / "h.llgf"
     write_snapshot(f, path)
     header = struct.pack("<4sHH3I3d3dB", b"LLGF", 1, 3, *g.dims, *g.spacing, *g.origin, kind)
     blob = path.read_bytes()
     assert blob[:len(header)] == header
-    assert blob[len(header):] == np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+    c_order = np.stack([f.values[..., c] for c in range(f.values.shape[-1])], axis=-1)
+    assert c_order.flags.c_contiguous and c_order.shape == g.dims + (4 if kind else 3,)
+    assert blob[len(header):] == c_order.astype("<f8").tobytes()
 
 
 def test_spin_payload_is_written_in_c_order_and_read_into_planes(tmp_path):
@@ -75,6 +81,20 @@ def test_rotation_snapshot_round_trip(tmp_path):
     back = read_snapshot(path)
     assert isinstance(back, RotationField)
     assert np.array_equal(A.values, back.values)
+    assert back.values[..., 0].min() < -0.999  # a full turn about k near the centre
+    write_snapshot(back, tmp_path / "again.llgf")
+    assert (tmp_path / "again.llgf").read_bytes() == path.read_bytes()
+
+
+def test_matrix_rotation_snapshot_is_refused(tmp_path):
+    # kind 1 held 3x3 rotation matrices; it is no longer a payload kind
+    g = Grid.centered((8, 8), 4.0)
+    header = b"LLGF" + struct.pack("<HH2I2d2dB", 1, 2, *g.dims, *g.spacing, *g.origin, 1)
+    eye = np.broadcast_to(np.eye(3), g.dims + (3, 3))
+    path = tmp_path / "m.llgf"
+    path.write_bytes(header + np.ascontiguousarray(eye, dtype="<f8").tobytes())
+    with pytest.raises(SnapshotError, match="^unknown payload kind 1$"):
+        read_snapshot(path)
 
 
 def test_non_decaying_flag_survives_round_trip(tmp_path):
@@ -182,11 +202,19 @@ def test_unit_norm_violation_rejected_on_read(tmp_path):
             read_snapshot(path)
 
 
-def test_rotation_overflow_rejected_on_read(tmp_path):
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "non-finite payload values"),
+    (1e200, r"invariants: \|psi\|\^2 deviates from 1 by inf"),
+    (0.5, r"invariants: \|psi\|\^2 deviates from 1 by 2\.500e-01"),
+], ids=["nan", "huge", "non_unit"])
+def test_bad_rotation_payload_refused_without_warning(tmp_path, value, message):
+    # the last entry is the z part of a boundary cell's quaternion
     g = Grid.centered((16, 16), 8.0)
-    path = _with_last_entry(make_gauge_field(g, np.zeros(g.dims)), 1e200, tmp_path / "r.llgf")
-    with pytest.raises(SnapshotError, match="invariant.*deviates from I by inf"):
-        read_snapshot(path)
+    path = _with_last_entry(make_gauge_field(g, np.zeros(g.dims)), value, tmp_path / "r.llgf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SnapshotError, match=message):
+            read_snapshot(path)
 
 
 @functools.cache

@@ -31,9 +31,10 @@ from llgeo.momenta import (
     _lift_identity_residual,
     _two_form,
 )
-from llgeo.calculus import integrate, partial, so3_exp
+from llgeo.calculus import integrate, partial
 
 from allocating_report import density_P
+from so3_oracle import matrix, quaternion, so3_exp
 from conftest import relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
@@ -239,24 +240,39 @@ def test_lift_defining_property_and_identity_at_vacuum():
     g = Grid.centered((64, 64), 16.0)
     n = make_random_smooth(g, seed=7, amplitude=1.8)
     psi = lift_psi(n)
-    image = psi.values @ K_AXIS
-    assert np.abs(image + n.values).max() < 1e-10
+    image = matrix(psi.values) @ K_AXIS
+    assert np.abs(image + n.values).max() < 1e-12
     mask = g.boundary_mask()
-    assert np.abs(psi.values[mask] - np.eye(3)).max() == 0.0
+    assert np.array_equal(psi.values[mask], np.broadcast_to([1.0, 0, 0, 0], (mask.sum(), 4)))
 
 
 def test_lift_quarter_turn_example():
-    from llgeo import so3_exp
-
     g = Grid.centered((24, 24), 8.0)
     # plateau field: n = (1, 0, 0) where the angle from -k is pi/2
     n = make_radial_profile(g, lambda r: np.where(r < 2.0, np.pi / 2.0, 0.0))
     idx = np.unravel_index(np.argmax(n.values[..., 0]), g.dims)
     assert n.values[idx][0] == 1.0
     psi = lift_psi(n)
-    expected = so3_exp((np.pi / 2) * np.array([0.0, -1.0, 0.0]))
-    assert np.abs(psi.values[idx] - expected).max() < 1e-12
-    assert np.allclose(psi.values[idx] @ K_AXIS, (-1.0, 0.0, 0.0), atol=1e-12)
+    expected = (np.pi / 2) * np.array([0.0, -1.0, 0.0])
+    assert np.abs(psi.values[idx] - quaternion(expected)).max() < 1e-15
+    assert np.abs(matrix(psi.values[idx]) - so3_exp(expected)).max() < 1e-15
+    assert np.allclose(matrix(psi.values[idx]) @ K_AXIS, (-1.0, 0.0, 0.0), atol=1e-15)
+
+
+def test_lift_is_unit_near_plus_k_off_unit_length():
+    # a legal field, |n| = 1 + 5e-13 inside, with a plateau 5e-7 from +k:
+    # q stays unit to rounding, so the one-step motions pass so3_log's check
+    # (a lift that is unit only for a unit n would be off by ~5e-7 there)
+    g = Grid.centered((48, 48), 16.0)
+    f = make_radial_profile(g, lambda r: np.where(r < 3.0, np.pi - 1e-3, 0.0))
+    inside = ~g.boundary_mask()
+    values = np.array(f.values)
+    values[inside] *= 1.0 + 5e-13
+    n = f.with_values(values)
+    assert not lift_singular_mask(n).any() and n.values[..., 2].max() > 1.0 - 1e-6
+    q = lift_psi(n).values
+    assert np.abs((q ** 2).sum(axis=-1) - 1.0).max() <= 1e-15
+    assert np.isfinite(momentum_JH(lift_psi(n), n)[1]).all()
 
 
 def test_lift_singular_cells_reported():
@@ -267,9 +283,10 @@ def test_lift_singular_cells_reported():
     singular = lift_singular_mask(f)
     assert singular.sum() == 32
     psi = lift_psi(f)  # singular cells take the deterministic half-turn
-    half_turn = np.diag([1.0, -1.0, -1.0])
-    assert np.abs(psi.values[singular] - half_turn).max() < 1e-15
-    image = psi.values @ K_AXIS
+    assert np.array_equal(psi.values[singular], np.broadcast_to([0.0, 1, 0, 0], (32, 4)))
+    assert np.array_equal(matrix(psi.values[singular]),
+                          np.broadcast_to(np.diag([1.0, -1.0, -1.0]), (32, 3, 3)))
+    image = matrix(psi.values) @ K_AXIS
     assert np.abs(image + f.values).max() < 1e-10
 
 
@@ -306,7 +323,7 @@ def test_momentum_JH_identity_field_is_zero():
     g = Grid.centered((48, 48), 16.0)
     from llgeo import RotationField
 
-    eye = np.broadcast_to(np.eye(3), g.dims + (3, 3)).copy()
+    eye = np.broadcast_to([1.0, 0.0, 0.0, 0.0], g.dims + (4,)).copy()
     psi = RotationField(g, eye)
     mu = make_random_smooth(g, seed=3, amplitude=1.2)
     rot, trans = momentum_JH(psi, mu)
@@ -314,7 +331,7 @@ def test_momentum_JH_identity_field_is_zero():
 
 
 def test_momentum_JH_gauge_shift_formula():
-    # moving the lifted point by exp(alpha hat k) shifts J^H by
+    # moving the lifted point by the turn alpha about k shifts J^H by
     # (int x ^ grad alpha, -int grad alpha) for the momentum slot mu = -psi k
     g = Grid.centered((96, 96), 16.0)
     n = make_random_smooth(g, seed=9, amplitude=1.5)
