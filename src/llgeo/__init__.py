@@ -22,7 +22,6 @@ from .calculus import (
     integrate,
     so3_log,
     right_gradient_axis,
-    right_gradient_stack,
     tangent_project,
 )
 from .dynamics import (

@@ -5,8 +5,10 @@ Conventions pinned here once and used everywhere:
 * rotations are unit quaternions q = (w, v) = (cos(theta/2),
   sin(theta/2) a), turning by theta about the unit axis a (right-handed);
   q and -q are the same rotation;
-* partial derivatives are second-order central differences, second-order
-  one-sided at the grid edge;
+* partial derivatives, of values (partial) and of rotations (the right
+  gradient), are one second-order stencil (_stencil): central differences
+  in the interior, 4 (one-step) - (two-step) at each edge, all divided by
+  2h once, in place;
 * integrals are midpoint-rule sums (cell value times cell volume);
 * group-valued differencing uses the group logarithm of one-step motions
   q(x+h) q(x)*, one quaternion product each, never subtraction;
@@ -27,26 +29,32 @@ from .grid import _along
 ROTATION_TOL = 1e-8  # so3_log rejects quaternions with | |q|^2 - 1 | beyond this
 
 
+def _stencil(out, h, sl=None, step=None):
+    """The one owner of the second-order stencil's edges and scale: with
+    step, out's edge cell at each end e (0, then -1) of the axis that sl
+    indexes gets 4 step(e, 1) - step(e, 2), the one-step and two-step
+    differences into the grid, each formed only while it is used; then all
+    of out (partial_T's transposed edges already in place) is divided by 2h
+    in one in-place pass, contiguous for a contiguous out.  Returns out."""
+    for e in (0, -1) if step else ():
+        edge = out[sl(e) + (...,)]  # a view, a 0-d one for a 1-d scalar field
+        np.subtract(np.multiply(4.0, step(e, 1), out=edge), step(e, 2), out=edge)
+    return np.divide(out, 2.0 * h, out=out)
+
+
 def partial(values, grid, axis, out=None):
     """d(values)/dx_axis with second-order stencils (central in the interior,
     one-sided at the edges), written into out (allocated like values when
     None) and returned.  Works for any trailing component shape."""
     sl = _along(axis, grid.p)
     values = np.asarray(values, float)
-    h = grid.spacing[axis]
     out = np.empty_like(values) if out is None else out
-    inner = np.subtract(values[sl(slice(2, None))], values[sl(slice(None, -2))],
-                        out=out[sl(slice(1, -1))])
-    np.divide(inner, 2.0 * h, out=inner)
-    # one-sided second order, written in difference form so constants map to
-    # exactly zero
-    out[sl(0)] = (
-        4.0 * (values[sl(1)] - values[sl(0)]) - (values[sl(2)] - values[sl(0)])
-    ) / (2.0 * h)
-    out[sl(-1)] = (
-        4.0 * (values[sl(-1)] - values[sl(-2)]) - (values[sl(-1)] - values[sl(-3)])
-    ) / (2.0 * h)
-    return out
+    np.subtract(values[sl(slice(2, None))], values[sl(slice(None, -2))],
+                out=out[sl(slice(1, -1))])
+    # differences from the edge cell, so constants map to exactly zero
+    return _stencil(out, grid.spacing[axis], sl,
+                    lambda e, k: (values[sl(k)] - values[sl(0)] if e == 0
+                                  else values[sl(-1)] - values[sl(-1 - k)]))
 
 
 def partial_T(cot, grid, axis):
@@ -69,7 +77,7 @@ def partial_T(cot, grid, axis):
     out[sl(-1)] += 3.0 * hi
     out[sl(-2)] -= 4.0 * hi
     out[sl(-3)] += hi
-    return out / (2.0 * grid.spacing[axis])
+    return _stencil(out, grid.spacing[axis])
 
 
 def integrate(values, grid):
@@ -141,7 +149,8 @@ def so3_log(q):
 
 def right_gradient_axis(psi, axis):
     """Right-hand gradient of a rotation field along a grid axis, as a
-    3-vector field: the derivative at epsilon=0 of psi(x + eps e_axis) psi(x)^-1.
+    3-vector field in component planes: the derivative at epsilon=0 of
+    psi(x + eps e_axis) psi(x)^-1.
 
     Central in the group in the interior, second-order one-sided at the edges.
     Each one-step motion q(x+h) q(x)* is one quaternion product, logged
@@ -153,18 +162,13 @@ def right_gradient_axis(psi, axis):
     sl = _along(axis, psi.grid.p)
     q = psi.values
     fwd = so3_log(_qmul(q[sl(slice(1, None))], q[sl(slice(None, -1))], conj=True))
-    # the two-step motions enter only the one-sided edge stencils
+    # the two-step motions enter only the one-sided edge stencils; the high
+    # end's runs backward, q(x-2h) q(x)*, so it enters negated
     two = so3_log(_qmul(q[sl([2, -3])], q[sl([0, -1])], conj=True))
-    out = np.empty(psi.grid.dims + (3,))
-    out[sl(slice(1, -1))] = fwd[sl(slice(1, None))] + fwd[sl(slice(None, -1))]
-    out[sl(0)] = 4.0 * fwd[sl(0)] - two[sl(0)]
-    out[sl(-1)] = 4.0 * fwd[sl(-1)] + two[sl(1)]
-    return out / (2.0 * psi.grid.spacing[axis])
-
-
-def right_gradient_stack(psi):
-    """All axis right-gradients, shape dims + (p, 3)."""
-    return np.stack([right_gradient_axis(psi, i) for i in range(psi.grid.p)], axis=-2)
+    np.negative(two[sl(1)], out=two[sl(1)])
+    out = np.moveaxis(np.empty((3,) + psi.grid.dims), 0, -1)
+    np.add(fwd[sl(slice(1, None))], fwd[sl(slice(None, -1))], out=out[sl(slice(1, -1))])
+    return _stencil(out, psi.grid.spacing[axis], sl, lambda e, k: (fwd, two)[k - 1][sl(e)])
 
 
 def tangent_project(vec_values, n_values):

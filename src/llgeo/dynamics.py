@@ -54,12 +54,13 @@ from .grid import _along
 from . import momenta
 
 
-def _real(name, value):
+def _real(name, value, kind=numbers.Real, cast=float, noun="a real number"):
     """value as a float, refusing a bool or anything that is not a real
-    number with a ValueError that names the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}: must be a real number, got {value!r}")
-    return float(value)
+    number with a ValueError that names the field; the counts are read by
+    the same rule with kind numbers.Integral, cast int and noun "an int"."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name}: must be {noun}, got {value!r}")
+    return cast(value)
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,9 @@ class SimConfig:
         object.__setattr__(self, "dt", _real("dt", self.dt))
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError(f"dt: must be finite and positive, got {self.dt}")
-        for name in ("steps", "report_every"):
-            if type(getattr(self, name)) is not int:  # refuses True, 2.0 and 2.5
-                raise ValueError(f"{name}: must be an int, got {getattr(self, name)!r}")
+        for name in ("steps", "report_every"):  # refuses True, 2.0 and 2.5
+            object.__setattr__(self, name, _real(name, getattr(self, name),
+                                                 numbers.Integral, int, "an int"))
         if self.steps < 0:
             raise ValueError(f"steps: must be nonnegative, got {self.steps}")
         if self.scheme not in ("rk4_project", "midpoint"):

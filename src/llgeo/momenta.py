@@ -41,7 +41,7 @@ from .calculus import (
     integrate,
     partial,
     partial_T,
-    right_gradient_stack,
+    right_gradient_axis,
     tangent_project,
     triple,
 )
@@ -280,11 +280,11 @@ def lift_psi(n):
 
 
 def _JH_density(psi, mu):
-    """w_k = mu . rgrad_k psi, as p contiguous planes (p,) + dims."""
-    rgrad = right_gradient_stack(psi)
-    w = np.empty((psi.grid.p,) + psi.grid.dims)  # after rgrad's scratch is freed
+    """w_k = mu . rgrad_k psi, as p contiguous planes (p,) + dims, each
+    axis's right gradient dotted into its plane as soon as it is made."""
+    w = np.empty((psi.grid.p,) + psi.grid.dims)
     for k, plane in enumerate(w):
-        _dot3(mu.values, rgrad[..., k, :], out=plane)
+        _dot3(mu.values, right_gradient_axis(psi, k), out=plane)
     return w
 
 

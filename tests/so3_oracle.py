@@ -7,10 +7,15 @@ off the stacked matrices (with the largest-diagonal column of
 sym R - cos(theta) I for obtuse angles), and products are `@`.  matrix(q)
 is the rotation matrix of a unit quaternion, a polynomial in q, and
 quaternion(v) the unit quaternion of a rotation vector; llgeo's quaternion
-route is checked against these through matrix(q).
+route is checked against these through matrix(q).  right_gradient is the
+allocating assembly of llgeo's own logged motions, the oracle of the
+in-place stencil of llgeo.calculus.right_gradient_axis.
 """
 
 import numpy as np
+
+import llgeo.calculus
+from llgeo.fields import _qmul
 
 
 def hat(v):
@@ -84,3 +89,19 @@ def matrix(q):
     w, v = q[..., 0, None, None], q[..., 1:]
     return ((w ** 2 - (v * v).sum(axis=-1)[..., None, None]) * np.eye(3)
             + 2.0 * v[..., :, None] * v[..., None, :] + 2.0 * w * hat(v))
+
+
+def right_gradient(psi, axis):
+    """The right gradient of a RotationField along axis, assembled in fresh
+    C-order arrays from the motions llgeo logs (llgeo's _qmul and so3_log):
+    fwd[i] + fwd[i-1] in the interior, 4 fwd[0] - two[0] and
+    4 fwd[-1] + two[1] at the edges, divided by 2h."""
+    sl = lambda s: (slice(None),) * axis + (s,)  # noqa: E731
+    q = psi.values
+    fwd = llgeo.calculus.so3_log(_qmul(q[sl(slice(1, None))], q[sl(slice(None, -1))], conj=True))
+    two = llgeo.calculus.so3_log(_qmul(q[sl([2, -3])], q[sl([0, -1])], conj=True))
+    out = np.empty(psi.grid.dims + (3,))
+    out[sl(slice(1, -1))] = fwd[sl(slice(1, None))] + fwd[sl(slice(None, -1))]
+    out[sl(0)] = 4.0 * fwd[sl(0)] - two[sl(0)]
+    out[sl(-1)] = 4.0 * fwd[sl(-1)] + two[sl(1)]
+    return out / (2.0 * psi.grid.spacing[axis])

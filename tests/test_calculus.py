@@ -24,6 +24,7 @@ import so3_oracle
 from so3_oracle import hat, matrix, quaternion, so3_exp, vee
 from conftest import random_rotation_field, relative_gap
 from fd_oracle import functional_derivative
+import allocating_report
 from test_so3_kernels import component_major
 
 
@@ -82,6 +83,26 @@ def test_partial_T_is_exact_transpose(dims):
         lhs = np.sum(partial(v, g, axis) * c)
         rhs = np.sum(v * partial_T(c, g, axis))
         assert abs(lhs - rhs) <= 1e-12 * np.abs(partial(v, g, axis) * c).sum()
+
+
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)], ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("dims", [(11,), (9, 13), (8, 10, 9)], ids=["1d", "2d", "3d"])
+def test_partial_is_bitwise_the_allocating_stencil(dims, trailing):
+    # the in-place stencil (central interior, 4 one - two at the edges, one
+    # division by 2h) gives the allocating form's bits on every axis, in C
+    # order, in component planes and in Fortran order, with and without out
+    g = Grid(dims, tuple(0.3 + 0.07 * i for i in range(len(dims))), (0.0,) * len(dims))
+    v = np.random.default_rng(len(dims) + len(trailing)).standard_normal(dims + trailing)
+    copies = {"C": np.array(v, order="C"), "F": np.array(v, order="F")}
+    if trailing:
+        copies["planar"] = component_major(v, len(trailing))
+    for axis in range(g.p):
+        want = allocating_report.partial(v, g, axis)
+        for layout, values in copies.items():
+            assert np.array_equal(partial(values, g, axis), want), (axis, layout)
+            out = np.empty_like(values)
+            assert partial(values, g, axis, out=out) is out
+            assert np.array_equal(out, want), (axis, layout)
 
 
 # ---------- integrate ----------
@@ -294,6 +315,20 @@ def test_right_gradient_3d_all_axes_and_edges():
         gaps.append((rms, edge))
     for coarse, fine in zip(*gaps):
         assert 3.0 < coarse / fine < 5.0, gaps
+
+
+@pytest.mark.parametrize("dims", [(16,), (12, 13), (10, 11, 12)], ids=["1d", "2d", "3d"])
+def test_right_gradient_is_bitwise_the_allocating_assembly(dims):
+    # the in-place stencil on component planes, its high edge passing the
+    # negated two-step motion, gives the bits of the C-order assembly of the
+    # same logged motions, from either layout of psi
+    g = Grid.centered(dims, 6.0)
+    psi = random_rotation_field(g, seed=11, amplitude=2.5)
+    c_order = RotationField(g, np.ascontiguousarray(psi.values), check=False)
+    for axis in range(g.p):
+        want = so3_oracle.right_gradient(psi, axis)
+        for field in (psi, c_order):
+            assert np.array_equal(right_gradient_axis(field, axis), want), axis
 
 
 def test_right_gradient_of_gauge_field_is_grad_alpha_times_k():

@@ -324,6 +324,16 @@ def test_simconfig_rejects_non_integer_counts(name, value):
         SimConfig(dt=1e-3, **{"steps": 1, name: value})
 
 
+def test_simconfig_accepts_numpy_integer_counts():
+    # numpy integers are integers, as a numpy float is a real dt; the counts
+    # are stored as Python ints
+    cfg = SimConfig(dt=1e-3, steps=np.int64(3), report_every=np.int32(2))
+    assert type(cfg.steps) is int and type(cfg.report_every) is int
+    assert (cfg.steps, cfg.report_every) == (3, 2)
+    reps, _ = simulate(make_bp_soliton(Grid.centered((32, 32), 12.0), 1, 1.0, 4.0), cfg)
+    assert [r.t for r in reps] == pytest.approx([0.0, 2e-3, 3e-3])
+
+
 @pytest.mark.parametrize("dt", [True, "1e-3"], ids=["bool", "str"])
 def test_simconfig_rejects_a_dt_that_is_not_a_real_number(dt):
     # dt=True used to step with dt = 1, and "1e-3" to raise a bare TypeError

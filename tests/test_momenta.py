@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -349,6 +351,21 @@ def test_momentum_JH_gauge_shift_formula():
     tr_shift = np.array([integrate(ga[0], g), integrate(ga[1], g)])
     assert abs((rot1 - rot0)[0, 1] - rot_shift) < 2e-2
     assert np.abs((tr1 - tr0) - (-tr_shift)).max() < 2e-2
+
+
+def test_momentum_JH_reads_one_axis_at_a_time():
+    # each axis's right gradient is dotted into its density plane as soon as
+    # it is made, so no stack of all p gradients is ever held: the peak stays
+    # below 5 spin fields (one axis's logs and gradient, and the p planes)
+    n = make_random_smooth(Grid.centered((32, 32, 32), 12.0), seed=1, amplitude=1.5)
+    psi = lift_psi(n)
+    tracemalloc.start()
+    try:
+        momentum_JH(psi, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n.values.nbytes
 
 
 # ---------- gauge invariance ----------

@@ -137,7 +137,8 @@ def test_right_gradient_is_bitwise_independent_of_layout():
 def test_rotation_kernels_return_contiguous_entry_planes(tmp_path):
     # the performance property: every quaternion array llgeo makes keeps
     # each component in its own contiguous plane, a C-order payload is
-    # copied into planes, and the logs are component planes too
+    # copied into planes, and the logs and right gradients are component
+    # planes too
     g = Grid.centered((12, 13), 6.0)
     v = rotation_vectors(7, count=12 * 13).reshape(12, 13, 3)
     a, b = so3_oracle.quaternion(v), so3_oracle.quaternion(-v)
@@ -155,6 +156,7 @@ def test_rotation_kernels_return_contiguous_entry_planes(tmp_path):
         "inverse": psi.inverse().values,
         "make_gauge_field": gauge.values,
         "read_snapshot": read_snapshot(tmp_path / "a.llgf").values,
+        **{f"right_gradient_axis {axis}": right_gradient_axis(psi, axis) for axis in range(2)},
     }
     for name, q in made.items():
         assert _is_planar(q), name
