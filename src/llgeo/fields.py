@@ -161,12 +161,20 @@ class SpinField:
     compact-support stand-in for decay at infinity).  Non-decaying fields are
     legal inputs for pointwise operations but are rejected by the integral
     diagnostics that need decay.
+
+    A checked field's planes are a frozen copy, so its (deg, P, L) is a
+    function of the field: momenta.moments keeps the triple in _moments
+    the first time it runs and answers later calls with it (P and L
+    copied), holding no grid-sized array.  A check=False field may adopt a
+    buffer that is overwritten later, such as the stepper's pooled arrays,
+    so its _moments is None and moments never keeps one for it.
     """
 
     def __init__(self, grid, values, decaying=True, check=True):
         self.values = _payload(grid, values, (3,), check)
         self.grid = grid
         self.decaying = bool(decaying)
+        self._moments = () if check else None
         if check:
             self.check_invariants()
 

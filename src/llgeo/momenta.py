@@ -6,7 +6,13 @@ moments of one object, the topological 2-form F_ij = n . (d_i n x d_j n)
 (_two_form): the degree integrates F_xy, the curl form of P reads F as a
 vector (the vorticity), and the P-density is sum_j x_j F_ij / (p-1), so
 the curl form and the general-dimension form of P are one moment of F
-summed in two orders.
+summed in two orders.  degree, momentum_P_general, rotational_momentum and
+dynamics.make_report all read moments, which keeps (deg, P, L) on a checked
+(frozen) SpinField after its first pass and returns copies of it from then
+on, so a snapshot pays for one pass however many of them run; the memo is
+three small values, never a grid-sized array, and a check=False field
+(a reused buffer) gets a fresh pass on every call.  momentum_P_cross keeps
+its own pass: it is the curl-form check on the same quantity.
 Besides these: the rotation charge N, the rotational momentum, and the three
 routes to the Euclidean momentum of the reduced system (P-density, rotation
 lift + group gradient, closed-form lift identity), each the first moments
@@ -34,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLiftError
-from .fields import K_AXIS, RotationField, _c_view, _dot3, _Workspace, plane_pairs
+from .fields import K_AXIS, RotationField, _c_view, _dot3, _frozen, _Workspace, plane_pairs
 from .generators import make_gauge_field
 from .calculus import (
     cross3,
@@ -172,11 +178,19 @@ def moments(n, work=None):
     arrays) and the stepper's two planes.  Each value keeps the operation
     order of the allocating composition, so the results are bit-identical
     to it.
+
+    On a checked field (see fields.SpinField) the first call keeps
+    (deg, P, L) on n, read-only copies of three small values, and every
+    later call returns them, P and L copied, without a pass or any scratch.
+    A check=False field keeps none: its buffer may be overwritten.
     """
     n.require_decaying("moments")
     grid, p = n.grid, n.grid.p
     if p < 2:
         raise ValueError("translation momentum needs p >= 2")
+    if n._moments:
+        deg, P, L = n._moments
+        return deg, P.copy(), L.copy()
     work = _Workspace(n) if work is None else work
     grads = _gradients(n, [work.take() for _ in range(p)])
     spare = work.take()
@@ -186,7 +200,10 @@ def moments(n, work=None):
     rot, P = _moments(dens, grid)
     deg = _degree(F, grid, out=s) if p == 2 else None
     work.pool += grads + [spare]
-    return deg, P, -(p - 1) / p * rot
+    L = -(p - 1) / p * rot
+    if n._moments is not None:
+        n._moments = (deg, _frozen(P), _frozen(L))
+    return deg, P, L
 
 
 def _P_adjoint(n, grads):

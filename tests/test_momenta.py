@@ -18,6 +18,7 @@ from llgeo import (
     make_gauge_bump_alpha,
     make_radial_profile,
     make_random_smooth,
+    moments,
     momentum_JH,
     momentum_N,
     momentum_P_cross,
@@ -26,6 +27,7 @@ from llgeo import (
     reduced_momentum_lift,
     rotational_momentum,
 )
+from llgeo import momenta
 from llgeo.momenta import (
     MAX_SINGULAR_FRACTION,
     MomentumReport,
@@ -37,7 +39,7 @@ from llgeo.calculus import integrate, partial
 
 from allocating_report import density_P
 from so3_oracle import matrix, quaternion, so3_exp
-from conftest import relative_gap
+from conftest import off_axis_texture, relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
@@ -234,6 +236,64 @@ def test_rotational_momentum_normalization_factor():
     wedge = x[..., :, None] * dens[..., None, :] - dens[..., :, None] * x[..., None, :]
     raw = integrate(wedge, g)
     assert relative_gap(rotational_momentum(f), -0.5 * raw) < 1e-14
+
+
+# ---------- the moments memo of a checked field ----------
+
+def _memo_field(p):
+    if p == 2:
+        return make_random_smooth(Grid.centered((40, 44), 12.0), seed=3, amplitude=1.5)
+    return make_random_smooth(Grid.centered((16, 17, 18), 12.0), seed=4, amplitude=1.5)
+
+
+def _same(a, b):
+    return all((x is None and y is None) or np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("p", [2, 3], ids=["2d", "3d"])
+def test_memoized_moments_are_bitwise_a_fresh_pass(monkeypatch, p):
+    n = _memo_field(p)
+    want = moments(n.with_values(np.copy(n.values), check=False))
+    assert _same(moments(n), want)
+    passes = []
+    monkeypatch.setattr(momenta, "_gradients", lambda *args: passes.append(args))
+    for _ in range(2):  # answered from the memo, without a derivative pass
+        assert _same(moments(n), want)
+    assert passes == []
+
+
+def test_memoized_moments_hand_out_copies():
+    n = _memo_field(2)
+    deg, P, L = moments(n)
+    want = (deg, P.copy(), L.copy())
+    for _ in range(2):  # the first answer is the pass's own, later ones the memo's
+        P += 1.0
+        L[...] = 0.0
+        assert _same(moments(n), want)
+        deg, P, L = moments(n)
+
+
+def test_unchecked_field_never_answers_from_a_memo():
+    # a check=False field adopts its buffer (as the stepper's pooled fields
+    # do), so overwriting the buffer between calls changes the answer
+    a, b = _memo_field(2), make_random_smooth(Grid.centered((40, 44), 12.0), seed=5,
+                                              amplitude=1.5)
+    buf = np.copy(a.values)  # planar, like the payload, so it is adopted
+    f = a.with_values(buf, check=False)
+    assert f.values is buf
+    assert _same(moments(f), moments(a))
+    np.copyto(buf, b.values)
+    assert _same(moments(f), moments(b)) and not _same(moments(b), moments(a))
+    assert f._moments is None
+
+
+@pytest.mark.parametrize("call", [moments, degree, momentum_P_general, rotational_momentum])
+def test_moments_refusals_hold_on_every_call(call):
+    for n in (off_axis_texture(Grid.centered((24, 24), 8.0)),
+              make_constant(Grid.centered((32,), 8.0), (0, 0, -1))):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                call(n)
 
 
 # ---------- lift ----------
