@@ -15,16 +15,10 @@ J = [[0, 1], [-1, 0]].
 import numpy as np
 
 from .fields import EuclideanAlgebraElement, SemidirectAlgebraElement, SpinField, _dot3
-from .calculus import (
-    cross3,
-    integrate,
-    partial,
-    tangent_project,
-    triple,
-)
+from .calculus import cross3, integrate, partial, triple
 # momentum_P_general stays importable here: perfbench/test_smoke.py traces
 # it as a cross-module name of this module
-from .momenta import _P_adjoint, _degree, _gradients, _two_form
+from .momenta import _P_adjoint, _degree, _directional, _gradients, _two_form
 from .momenta import momentum_P_general  # noqa: F401
 
 OMEGA0_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -33,11 +27,6 @@ OMEGA0_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def omega0(a1, a2):
     """Standard symplectic pairing of two planar vectors."""
     return float(np.asarray(a1) @ OMEGA0_J @ np.asarray(a2))
-
-
-def _directional(velocity, derivs):
-    """sum_i velocity_i d_i from the per-axis derivatives d_i (any iterable)."""
-    return sum(velocity[..., i, None] * d for i, d in enumerate(derivs))
 
 
 def _directional_derivative(values, grid, velocity):
@@ -110,13 +99,13 @@ def cocycle_via_pairing(mu, e1, e2):
 
 
 def lie_poisson_bracket(dF, dG, n):
-    """{F, G}(n) = int n . (dF x dG), with both arguments projected onto the
-    tangent planes first (the normal parts cannot contribute anyway)."""
+    """{F, G}(n) = int n . (dF x dG), with dF and dG taken as given, not
+    projected onto the tangent planes: the triple product ignores a normal
+    part c n of either (n . (n x b) = n . (a x n) = 0), so a projection
+    would only move the rounding."""
     if not isinstance(n, SpinField):
         raise TypeError("n must be a SpinField")
-    dF = tangent_project(np.asarray(dF, float), n.values)
-    dG = tangent_project(np.asarray(dG, float), n.values)
-    return float(integrate(triple(n.values, dF, dG), n.grid))
+    return float(integrate(triple(n.values, np.asarray(dF, float), np.asarray(dG, float)), n.grid))
 
 
 def check_px_py_bracket(n):

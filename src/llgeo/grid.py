@@ -6,7 +6,7 @@ integrals of symmetric fields cancel cleanly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -113,27 +113,30 @@ def read_snapshot(path):
         raise SnapshotError(f"payload violates field invariants: {exc}") from exc
 
 
-def report_header(p):
-    cols = ["t", "E", "N"]
+def _columns(p):
+    """The one column rule of the report CSV, as (name, report attribute,
+    index into it): t, E, N, the P_i, the L_ij in plane_pairs order, deg
+    when p = 2, then norm_dev."""
+    cols = [("t", "t", ()), ("E", "energy", ()), ("N", "N", ())]
     if p >= 2:
-        cols += [f"P_{i + 1}" for i in range(p)]
-        cols += [f"L_{i + 1}{j + 1}" for i, j in plane_pairs(p)]
+        cols += [(f"P_{i + 1}", "P", (i,)) for i in range(p)]
+        cols += [(f"L_{i + 1}{j + 1}", "L", (i, j)) for i, j in plane_pairs(p)]
     if p == 2:
-        cols.append("deg")
-    cols.append("norm_dev")
-    return cols
+        cols.append(("deg", "deg", ()))
+    return cols + [("norm_dev", "norm_dev", ())]
+
+
+def report_header(p):
+    """The column names of the report CSV, read from the one column list
+    (_columns) that report_row reads, so header and rows cannot drift."""
+    return [name for name, _, _ in _columns(p)]
 
 
 def report_row(report, p):
-    """The report_header columns: format_float, or empty where there is no value."""
-    values = [report.t, report.energy, report.N]
-    if p >= 2:
-        values += [None] * p if report.P is None else list(report.P)
-        values += [None if report.L is None else report.L[i, j] for i, j in plane_pairs(p)]
-    if p == 2:
-        values.append(report.deg)
-    values.append(report.norm_dev)
-    return ["" if x is None else format_float(x) for x in values]
+    """The report_header columns, read from the same column list:
+    format_float, or empty where the report has None."""
+    cells = [(getattr(report, attr), index) for _, attr, index in _columns(p)]
+    return ["" if x is None else format_float(x[index] if index else x) for x, index in cells]
 
 
 def write_report_csv(reports, p, path):

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLiftError
-from .fields import K_AXIS, RotationField, _c_view, _dot3, _frozen, _Workspace, plane_pairs
+from .fields import K_AXIS, RotationField, _c_view, _dot3, _frozen, _qmul, _Workspace, plane_pairs
 from .generators import make_gauge_field
 from .calculus import (
     cross3,
@@ -206,14 +206,18 @@ def moments(n, work=None):
     return deg, P, L
 
 
+def _directional(velocity, derivs):
+    """sum_i velocity_i d_i from the per-axis derivatives d_i (any iterable),
+    with velocity a vector field of shape dims + (p,)."""
+    return sum(velocity[..., i, None] * d for i, d in enumerate(derivs))
+
+
 def _P_adjoint(n, grads):
     """momentum_P_derivative from a derivative list (see there)."""
     grid = n.grid
     if grid.p < 2:
         raise ValueError("translation momentum needs p >= 2")
-    s = grid.coord_component(0)[..., None] * grads[0]
-    for j in range(1, grid.p):
-        s += grid.coord_component(j)[..., None] * grads[j]
+    s = _directional(grid.coords(), grads)
     s_x_n = cross3(s, n.values)
     out = np.empty((grid.p,) + n.values.shape)
     for k in range(grid.p):
@@ -353,13 +357,15 @@ def gauge_invariance_residual(n, alpha):
     A about k by alpha (make_gauge_field), at the lifted point
     psi = lift_psi(n), mu = n.
 
-    The right action sends psi to psi A^-1 and leaves mu alone.  For p >= 2
+    The right action sends psi to psi A^-1 = psi A* and leaves mu alone:
+    one a b* product (fields._qmul with conj, the kernel of the right
+    gradient's one-step motions), with no conjugate copy of A.  For p >= 2
     and boundary-constant alpha this vanishes in the continuum; for p = 1
     with winding alpha it equals 2*pi times the winding.
     """
     psi = lift_psi(n)
     gauge = make_gauge_field(n.grid, alpha)
-    psi_moved = psi.compose(gauge.inverse(), check=False)
+    psi_moved = RotationField(n.grid, _qmul(psi.values, gauge.values, conj=True), check=False)
     rot0, trans0 = momentum_JH(psi, n)
     rot1, trans1 = momentum_JH(psi_moved, n)
     return float(

@@ -46,6 +46,8 @@ from test_generators import profile_bump
 
 E1 = EuclideanAlgebraElement.translation((1.0, 0.0))
 E2 = EuclideanAlgebraElement.translation((0.0, 1.0))
+# the random-field criteria run at their pinned seed and at each of these
+SWEEP_SEEDS = range(6)
 
 
 def verdict(num, ok, detail):
@@ -90,41 +92,59 @@ def test_criterion_2_cocycle_identity(bp_m1_96, bp_m2_96):
     verdict(2, all(checks), "; ".join(details))
 
 
+def refinement(residual, seed):
+    """The residuals of residual(grid, seed) on the 48^2, 96^2 and 192^2
+    grids (box 16), and the factor each halving of h shrinks them by."""
+    residuals = [residual(Grid.centered((nn, nn), 16.0), seed) for nn in (48, 96, 192)]
+    return residuals, [residuals[i] / residuals[i + 1] for i in range(2)]
+
+
 def test_criterion_3_gauge_invariance_dichotomy():
-    residuals = []
-    for nn in (48, 96, 192):
-        g = Grid.centered((nn, nn), 16.0)
-        n = make_random_smooth(g, seed=9, amplitude=1.5)
-        residuals.append(gauge_invariance_residual(n, make_gauge_bump_alpha(g, 1, 0.5)))
-    factors = [residuals[i] / residuals[i + 1] for i in range(2)]
-    p2_ok = all(f >= 1.8 for f in factors)
+    def p2_residual(g, seed):
+        n = make_random_smooth(g, seed=seed, amplitude=1.5)
+        return gauge_invariance_residual(n, make_gauge_bump_alpha(g, 1, 0.5))
 
     g1 = Grid.centered((2048,), 16.0)
-    n1 = make_random_smooth(g1, seed=17, amplitude=1.5)
-    res1 = gauge_invariance_residual(n1, make_gauge_bump_alpha(g1, winding=1))
-    p1_ok = abs(res1 - 2.0 * np.pi) < 1e-4
+
+    def p1_error(seed):
+        n1 = make_random_smooth(g1, seed=seed, amplitude=1.5)
+        return abs(gauge_invariance_residual(n1, make_gauge_bump_alpha(g1, winding=1)) - 2.0 * np.pi)
+
+    residuals, factors = refinement(p2_residual, 9)
+    shrinks = {seed: refinement(p2_residual, seed)[1] for seed in SWEEP_SEEDS}
+    p2_ok = all(f >= 1.8 for pair in [factors, *shrinks.values()] for f in pair)
+
+    err1 = p1_error(17)
+    errors = {seed: p1_error(seed) for seed in SWEEP_SEEDS}
+    p1_ok = all(e < 1e-4 for e in [err1] + list(errors.values()))
     vac = make_constant(g1, (0, 0, -1))
     res_vac = gauge_invariance_residual(vac, make_gauge_bump_alpha(g1, winding=1))
     p1_ok = p1_ok and abs(res_vac - 2.0 * np.pi) < 1e-4
 
+    f_seed = min(shrinks, key=lambda seed: min(shrinks[seed]))
+    e_seed = max(errors, key=errors.get)
     verdict(
         3, p2_ok and p1_ok,
         f"p=2 residuals {['%.2e' % r for r in residuals]} shrink x{factors[0]:.2f},x{factors[1]:.2f}"
-        f" (need >=1.8); p=1 winding |res-2pi|={abs(res1 - 2*np.pi):.2e} (tol 1e-4)",
+        f" (need >=1.8); p=1 winding |res-2pi|={err1:.2e} (tol 1e-4);"
+        f" seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} worst: p=2 shrink x{min(shrinks[f_seed]):.2f}"
+        f" (seed {f_seed}), p=1 |res-2pi|={errors[e_seed]:.2e} (seed {e_seed})",
     )
 
 
 def test_criterion_4_lift_identity_convergence():
-    residuals = []
-    for nn in (48, 96, 192):
-        g = Grid.centered((nn, nn), 16.0)
-        residuals.append(check_lift_identity(make_random_smooth(g, seed=7, amplitude=1.8)))
-    factors = [residuals[i] / residuals[i + 1] for i in range(2)]
-    ok = all(f >= 1.8 for f in factors)
+    def residual(g, seed):
+        return check_lift_identity(make_random_smooth(g, seed=seed, amplitude=1.8))
+
+    residuals, factors = refinement(residual, 7)
+    shrinks = {seed: refinement(residual, seed)[1] for seed in SWEEP_SEEDS}
+    ok = all(f >= 1.8 for pair in [factors, *shrinks.values()] for f in pair)
+    worst = min(shrinks, key=lambda seed: min(shrinks[seed]))
     verdict(
         4, ok,
         f"lift identity residuals {['%.2e' % r for r in residuals]}"
-        f" shrink x{factors[0]:.2f},x{factors[1]:.2f} (need >=1.8)",
+        f" shrink x{factors[0]:.2f},x{factors[1]:.2f} (need >=1.8);"
+        f" seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} worst: shrink x{min(shrinks[worst]):.2f} (seed {worst})",
     )
 
 

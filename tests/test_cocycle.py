@@ -238,6 +238,11 @@ def test_bracket_antisymmetric_and_degenerate():
     assert abs(ab + lie_poisson_bracket(dG, dF, n)) < 1e-12 * max(abs(ab), 1.0)
     # bilinear
     assert abs(lie_poisson_bracket(2.0 * dF, dG, n) - 2.0 * ab) < 1e-10 * max(abs(ab), 1.0)
+    # blind to normal parts, so the arguments need no projection
+    rng = np.random.default_rng(23)
+    alpha, beta = (rng.normal(size=g.dims + (1,)) for _ in range(2))
+    moved = lie_poisson_bracket(dF + alpha * n.values, dG + beta * n.values, n)
+    assert abs(moved - ab) <= 1e-12 * abs(ab)
 
 
 def test_bracket_vanishes_at_equilibrium_factor():

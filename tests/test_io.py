@@ -19,7 +19,8 @@ from llgeo import (
     read_snapshot,
     write_snapshot,
 )
-from llgeo.io import report_header, write_report_csv
+from llgeo.fields import plane_pairs
+from llgeo.io import format_float, report_header, report_row, write_report_csv
 from llgeo.dynamics import EnergyParams, make_report
 
 
@@ -281,3 +282,28 @@ def test_report_csv_p1_omits_momentum_columns(tmp_path):
     write_report_csv([rep], 1, path)
     header = path.read_text().strip().split("\n")[0]
     assert header == "t,E,N,norm_dev"
+
+
+@pytest.mark.parametrize("decaying", [True, False], ids=["decaying", "non-decaying"])
+@pytest.mark.parametrize("p, header", [
+    (1, "t,E,N,norm_dev"),
+    (2, "t,E,N,P_1,P_2,L_12,deg,norm_dev"),
+    (3, "t,E,N,P_1,P_2,P_3,L_12,L_13,L_23,norm_dev"),
+])
+def test_report_row_fills_each_named_column(p, header, decaying):
+    # the header and the row read one column list: each named column holds
+    # its entry of the report, and the cell is empty where the entry is None
+    n = make_random_smooth(Grid.centered((16,) * p, 8.0), seed=p)
+    rep = make_report(SpinField(n.grid, n.values, decaying=decaying), 0.5)
+    expected = {"t": rep.t, "E": rep.energy, "N": rep.N, "norm_dev": rep.norm_dev}
+    if p >= 2:
+        expected.update({f"P_{i + 1}": None if rep.P is None else rep.P[i] for i in range(p)})
+        expected.update({f"L_{i + 1}{j + 1}": None if rep.L is None else rep.L[i, j]
+                         for i, j in plane_pairs(p)})
+    if p == 2:
+        expected["deg"] = rep.deg
+    assert (rep.energy is None) != decaying
+    row = report_row(rep, p)
+    assert report_header(p) == header.split(",") and len(row) == len(report_header(p))
+    assert dict(zip(report_header(p), row)) == {
+        name: "" if x is None else format_float(x) for name, x in expected.items()}

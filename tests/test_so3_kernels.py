@@ -182,3 +182,14 @@ def test_lift_and_gauge_agree_with_the_matrix_oracle(bp_m1_96):
     gauge = so3_oracle.matrix(make_gauge_field(g, alpha).values)
     assert np.abs(gauge - so3_oracle.so3_exp(alpha[..., None] * K_AXIS)).max() <= 1e-15
     assert gauge[0, 0] == pytest.approx(np.eye(3), abs=1e-15)
+
+
+@pytest.mark.parametrize("dims", [(40, 44), (256,)], ids=["p=2 bump", "p=1 winding"])
+def test_gauge_move_is_one_conjugate_product(dims):
+    # gauge_invariance_residual moves psi by _qmul(psi, A, conj=True): the
+    # bits of psi.compose(A.inverse()), without the negated copy of A
+    g = Grid.centered(dims, 12.0)
+    gauge = make_gauge_field(g, make_gauge_bump_alpha(g, winding=1, support=0.5))
+    psi = lift_psi(make_random_smooth(g, seed=4, amplitude=1.5))
+    assert np.array_equal(_qmul(psi.values, gauge.values, conj=True),
+                          psi.compose(gauge.inverse(), check=False).values)
