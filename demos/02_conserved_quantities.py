@@ -1,8 +1,11 @@
 """Run the conservative spin flow and tabulate the conserved quantities.
 
-A shifted soliton under easy-axis anisotropy: energy, rotation charge N,
-translation momenta P and the degree all hold along the trajectory.  The
-drift attributable to the integrator is measured against a step-halved run.
+A shifted soliton under easy-axis anisotropy.  Energy, rotation charge N
+and the degree hold along the trajectory.  The translation momenta P do
+not: the glued soliton profile sheds waves that reach the frozen boundary
+layer of this 16-wide box, and P_x moves from 6.162 to 6.013 (-2.4%) by
+t = 1.  The drift table compares t = 1 with a step-halved run, so it
+measures the integrator's error only, not conservation from t = 0.
 """
 import numpy as np
 

@@ -1,10 +1,11 @@
 """Semidirect-product algebra, the nonequivariance cocycle and the
 Lie-Poisson bracket on spin fields.
 
-The cocycle is computed two ways: directly, as a moment of the topological
-2-form of momenta weighted by the two affine velocity fields, and through
-the algebra, by pairing the field with the bracket of two wedge lifts,
-which differentiates the lifted algebra fields as well.
+The cocycle is computed two ways: directly, as the bilinear form of the
+moment tensor G of the topological 2-form (momenta._moment_tensor) in the
+two elements, which makes no derivative pass on a checked field whose G is
+kept; and through the algebra, by pairing the field with the bracket of two
+wedge lifts, which differentiates the lifted algebra fields as well.
 
 The headline identity tied together here: for unit translations i, j on a
 degree-m field, the measured bracket {P_x, P_y} equals -Sigma(i, j)
@@ -18,7 +19,7 @@ from .fields import EuclideanAlgebraElement, SemidirectAlgebraElement, SpinField
 from .calculus import cross3, integrate, partial, triple
 # momentum_P_general stays importable here: perfbench/test_smoke.py traces
 # it as a cross-module name of this module
-from .momenta import _P_adjoint, _degree, _directional, _gradients, _two_form
+from .momenta import _P_adjoint, _directional, _gradients, _moment_tensor, _tensor
 from .momenta import momentum_P_general  # noqa: F401
 
 OMEGA0_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -78,15 +79,14 @@ def semidirect_bracket(u, v):
 def cocycle_direct(mu, e1, e2):
     """Nonequivariance cocycle, direct quadrature:
     Sigma(e1, e2) = -int mu . (grad_{c1} mu x grad_{c2} mu)
-                  = -int sum_{i<j} (c1_i c2_j - c1_j c2_i) F_ij,
-    with c_a the affine velocity field of e_a and F the 2-form of mu."""
+                  = -int sum_{i,j} c1_i c2_j F_ij
+                  = -sum A1_ia A2_jb G[i, j, a, b],
+    with c = A (x, 1) the affine velocity field of e, A = [Omega | adot],
+    F the 2-form of mu and G its moment tensor (momenta._tensor: no pass on
+    a checked mu whose G is kept)."""
     mu.require_decaying("cocycle_direct")
-    c1 = e1.velocity_field(mu.grid)
-    c2 = e2.velocity_field(mu.grid)
-    dens = np.zeros(mu.grid.dims)
-    for (i, j), f in _two_form(mu, _gradients(mu)).items():
-        dens += (c1[..., i] * c2[..., j] - c1[..., j] * c2[..., i]) * f
-    return -float(integrate(dens, mu.grid))
+    A1, A2 = (e._affine(mu.grid) for e in (e1, e2))
+    return -float(np.einsum("ia,jb,ijab->", A1, A2, _tensor(mu)))
 
 
 def cocycle_via_pairing(mu, e1, e2):
@@ -116,12 +116,12 @@ def check_px_py_bracket(n):
     The gradients are those of the discrete P quadrature itself, so the
     only error left is the discretization of the bracket and the degree;
     the tests compare them against the finite-difference oracle.  Both
-    sides come from one derivative pass.
+    sides come from one derivative pass: 4*pi*deg is the entry G[0, 1, 2, 2]
+    of the moment tensor built from the derivatives the adjoint reads.
     """
     if n.grid.p != 2:
         raise ValueError("the bracket check is a p = 2 diagnostic")
     n.require_decaying("check_px_py_bracket")
     grads = _gradients(n)
     dpx, dpy = _P_adjoint(n, grads)
-    bracket = lie_poisson_bracket(dpx, dpy, n)
-    return bracket, 4.0 * np.pi * _degree(_two_form(n, grads), n.grid)
+    return lie_poisson_bracket(dpx, dpy, n), float(_moment_tensor(n, grads)[0, 1, 2, 2])

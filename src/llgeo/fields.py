@@ -98,11 +98,6 @@ class _Workspace:
     condition; none for non-decaying fields)."""
 
     def __init__(self, n):
-        if n.decaying and n.grid.p >= 2:
-            # the moments of such a field read the grid's cached coordinates;
-            # built now, the long-lived cache does not land above borrowed
-            # scratch, where it would keep the heap from shrinking
-            n.grid.coord_component(0)
         self._like = n.values
         self._planes = []
         self.frozen = n.grid.boundary_slabs() if n.decaying else ()
@@ -162,12 +157,14 @@ class SpinField:
     legal inputs for pointwise operations but are rejected by the integral
     diagnostics that need decay.
 
-    A checked field's planes are a frozen copy, so its (deg, P, L) is a
-    function of the field: momenta.moments keeps the triple in _moments
-    the first time it runs and answers later calls with it (P and L
-    copied), holding no grid-sized array.  A check=False field may adopt a
-    buffer that is overwritten later, such as the stepper's pooled arrays,
-    so its _moments is None and moments never keeps one for it.
+    A checked field's planes are a frozen copy, so the moment tensor G of
+    its 2-form (momenta._moment_tensor) is a function of the field: the
+    first pass keeps G, read-only, in _moments (empty until then), and
+    moments, degree and cocycle_direct contract it from then on without a
+    pass; it is (p + 1)^2 p^2 floats, never a grid-sized array.  A
+    check=False field may adopt a buffer that is overwritten later, such as
+    the stepper's pooled arrays, so its _moments is None and no G is kept
+    for it.
     """
 
     def __init__(self, grid, values, decaying=True, check=True):
@@ -293,12 +290,17 @@ class EuclideanAlgebraElement:
     def scaled(self, c):
         return EuclideanAlgebraElement(self.p, c * self.omega_upper, c * self.adot)
 
-    def velocity_field(self, grid):
-        """The affine spatial vector field x -> Omega x + adot, shape dims + (p,)."""
+    def _affine(self, grid):
+        """A = [Omega | adot], the p x (p + 1) matrix of the affine field
+        c = A (x, 1) on grid."""
         if grid.p != self.p:
             raise ValueError("algebra element dimension must match the grid")
-        x = grid.coords()
-        return x @ self.omega.T + self.adot
+        return np.column_stack([self.omega, self.adot])
+
+    def velocity_field(self, grid):
+        """The affine spatial vector field x -> Omega x + adot, shape dims + (p,)."""
+        A = self._affine(grid)
+        return grid.coords() @ A[:, :-1].T + A[:, -1]
 
 
 class SemidirectAlgebraElement:

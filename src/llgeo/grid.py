@@ -87,6 +87,13 @@ class Grid:
         planes.setflags(write=False)
         return planes
 
+    @cached_property
+    def _coord_powers(self):
+        """The rows (1, x, x^2) of each axis's cell-center coordinates, one
+        C-contiguous (3, dims[axis]) array per axis, which momenta's moment
+        tensor contracts the planes of the 2-form with."""
+        return tuple(np.array([x ** 0, x, x * x]) for x in map(self.axis_coords, range(self.p)))
+
     def coords(self):
         """Cell-center coordinates, shape dims + (p,): a view of the cached
         coordinate planes."""

@@ -3,23 +3,24 @@
 Everything here is a quadrature of first derivatives of the field, taken in
 one derivative pass (_gradients) per field.  The winding diagnostics are
 moments of one object, the topological 2-form F_ij = n . (d_i n x d_j n)
-(_two_form): the degree integrates F_xy, the curl form of P reads F as a
-vector (the vorticity), and the P-density is sum_j x_j F_ij / (p-1), so
-the curl form and the general-dimension form of P are one moment of F
-summed in two orders.  degree, momentum_P_general, rotational_momentum and
-dynamics.make_report all read moments, which keeps (deg, P, L) on a checked
-(frozen) SpinField after its first pass and returns copies of it from then
-on, so a snapshot pays for one pass however many of them run; the memo is
-three small values, never a grid-sized array, and a check=False field
-(a reused buffer) gets a fresh pass on every call.  momentum_P_cross keeps
-its own pass: it is the curl-form check on the same quantity.
-Besides these: the rotation charge N, the rotational momentum, and the three
-routes to the Euclidean momentum of the reduced system (P-density, rotation
-lift + group gradient, closed-form lift identity), each the first moments
-(integral of x wedge w, integral of w) of one density w, stored as p
-contiguous planes (p,) + dims like the component planes of a spin field
-(fields._payload); every lift route starts from _lift_frame, which refuses
-a fat singular set n -> +k.
+(_two_form), and _moment_tensor is the one place they are taken: the
+homogeneous second-moment tensor G[i, j, a, b] = integral of
+xt_a xt_b F_ij, with xt = (x, 1).  The degree, P, L and the direct cocycle
+(cocycle.cocycle_direct) are contractions of G.  moments builds G on a
+checked (frozen) SpinField once, keeps it there (a few small values, never
+a grid-sized array) and contracts it on every call, so degree,
+momentum_P_general, rotational_momentum, dynamics.make_report and
+cocycle_direct make no derivative pass on a checked field after the first;
+a check=False field (a reused buffer) gets a fresh pass on every call.
+momentum_P_cross keeps its own pass: it is the curl-form check on P.
+Besides these: the rotation charge N, and the three routes to the
+Euclidean momentum of the reduced system: (L, P) of moments, and the
+rotation lift + group gradient and the closed-form lift identity, each of
+those two the first moments (integral of x wedge w, integral of w) of one
+density w, stored as p contiguous planes (p,) + dims like the component
+planes of a spin field (fields._payload); every lift route starts from
+_lift_frame, which refuses a fat singular set n -> +k.  No sum here goes through BLAS (every one is np.sum or np.einsum),
+so no value depends on the BLAS thread count.
 
 Orientation conventions are pinned in one place:
 
@@ -102,10 +103,26 @@ def _two_form(n, grads, out=None, scratch=None):
             for (i, j), f in zip(pairs, out)}
 
 
-def _degree(F, grid, out=None):
-    """deg = integral of F_xy / 4pi for p = 2; the density goes into the
-    C-contiguous plane out (allocated when None)."""
-    return float(integrate(np.divide(F[0, 1], 4.0 * np.pi, out=out), grid))
+def _moment_tensor(n, grads, out=None, scratch=None):
+    """G[i, j, a, b] = integral of xt_a xt_b F_ij with xt = (x, 1), shape
+    (p, p, p + 1, p + 1), from the derivative list; out and scratch are
+    _two_form's.  The one place moments of F are taken.
+
+    A grid is a lattice, so x_a varies along axis a only: each plane of F
+    is contracted axis by axis with the rows (1, x_a, x_a^2) of
+    Grid._coord_powers, into T[e_0, .., e_p-1] = sum of prod_a x_a^e_a F_ij,
+    whose entries of total degree <= 2 are G's: xt_a xt_b sits at the flat
+    offset off[a] + off[b] of T, with off[a] = 3^(p-1-a) and off[p] = 0
+    (xt_p = 1).  The first contraction is one pass over the plane into
+    3/N_0 of a plane; each is an np.einsum, never BLAS."""
+    grid, p = n.grid, n.grid.p
+    off = [3 ** a for a in range(p - 1, -1, -1)] + [0]
+    G = np.zeros((p, p, p + 1, p + 1))
+    for (i, j), f in _two_form(n, grads, out, scratch).items():
+        for r in grid._coord_powers:
+            f = np.einsum("k...,ck->...c", f, r)
+        G[i, j] = f.ravel()[np.add.outer(off, off)]
+    return (G - G.swapaxes(0, 1)) * grid.cell_volume  # F_ji = -F_ij
 
 
 def degree(n):
@@ -135,75 +152,69 @@ def momentum_P_cross(n):
     return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vort), n.grid)
 
 
-def _density_P(F, grid, out, scratch):
-    """P-density from the planes of F, accumulated plane by plane into out,
-    p contiguous planes (p,) + dims, with the products taken through the
-    plane scratch: P_i = n . (d_i n x sum_j x_j d_j n) / (p-1)
-    = sum_j x_j F_ij / (p-1)."""
-    out.fill(0.0)
-    for (i, j), f in F.items():
-        np.add(out[i], np.multiply(grid.coord_component(j), f, out=scratch), out=out[i])
-        np.subtract(out[j], np.multiply(grid.coord_component(i), f, out=scratch), out=out[j])
-    return np.divide(out, grid.p - 1, out=out)
-
-
 def _moments(w, grid):
     """(integral of x wedge w, integral of w) for a density w of p
     contiguous planes, (p,) + dims.  Each plane is integrated on its own,
     and the wedge moment is M - M^T with M = integral of x w^T, exactly
-    skew, each entry one dot product of a coordinate plane with a plane of
-    w, neither of them copied."""
+    skew, each entry one np.einsum dot product (not BLAS) of a coordinate
+    plane with a plane of w, neither of them copied."""
     total = np.array([integrate(plane, grid) for plane in w])
-    m = np.array([[np.vdot(grid.coord_component(i), plane) for plane in w]
-                  for i in range(grid.p)]) * grid.cell_volume
+    m = np.array([[np.einsum("i,i->", grid.coord_component(i).ravel(), plane.ravel())
+                   for plane in w] for i in range(grid.p)]) * grid.cell_volume
     return m - m.T, total
 
 
-def moments(n, work=None):
-    """(deg, P, L) from one derivative pass; deg is None unless p = 2.
-    L is -(p-1)/p times the wedge moment of the P-density.  The factor is
-    load-bearing: the raw moment is exactly p/(p-1) times the charge that
-    generates spatial rotations through the Lie-Poisson flow and that both
-    lift routes produce (the Hamiltonian-flow test pins it numerically).
+def _tensor(n, work=None):
+    """n's _moment_tensor, read-only: kept on a checked field the first time
+    (see fields.SpinField) and read from there on, without a pass.
 
-    Every grid-sized temporary comes from work, a fields._Workspace for
-    n's grid (built for this call when None).  The p derivatives and one
-    more field array are borrowed from its pool and handed back.  _two_form
-    writes the planes of F and the two products of its triple products into
-    p + 1 planes: the three planes of that spare array and, for p = 3, one
-    of the workspace's planes, except that the last plane of F for p = 3,
-    (1, 2), the first that does not read d_0 n, goes into d_0 n's memory.
-    The P-density goes into the memory of the last derivative, as p planes.
-    So a report fits in the pool that a run's stepper leaves (four field
-    arrays) and the stepper's two planes.  Each value keeps the operation
-    order of the allocating composition, so the results are bit-identical
-    to it.
-
-    On a checked field (see fields.SpinField) the first call keeps
-    (deg, P, L) on n, read-only copies of three small values, and every
-    later call returns them, P and L copied, without a pass or any scratch.
-    A check=False field keeps none: its buffer may be overwritten.
-    """
-    n.require_decaying("moments")
+    Every grid-sized temporary of a pass comes from work, a
+    fields._Workspace for n's grid (built for this call when None).  The p
+    derivatives and one more field array are borrowed from its pool and
+    handed back.  _two_form writes the planes of F and the two products of
+    its triple products into p + 1 planes: the three planes of that spare
+    array and, for p = 3, one of the workspace's planes, except that the
+    last plane of F for p = 3, (1, 2), the first that does not read d_0 n,
+    goes into d_0 n's memory.  So a report fits in the pool that a run's
+    stepper leaves (four field arrays) and the stepper's two planes.  Each
+    value keeps the operation order of the allocating composition, so G is
+    bit-identical to it."""
+    if n._moments is not None and len(n._moments):
+        return n._moments
     grid, p = n.grid, n.grid.p
-    if p < 2:
-        raise ValueError("translation momentum needs p >= 2")
-    if n._moments:
-        deg, P, L = n._moments
-        return deg, P.copy(), L.copy()
     work = _Workspace(n) if work is None else work
     grads = _gradients(n, [work.take() for _ in range(p)])
     spare = work.take()
     *kept, s, t = list(_c_view(spare, (3,) + grid.dims)) + work.planes(p - 2)
-    F = _two_form(n, grads, kept + [_c_view(grads[0], grid.dims)], (s, t))
-    dens = _density_P(F, grid, _c_view(grads[-1], (p,) + grid.dims), s)
-    rot, P = _moments(dens, grid)
-    deg = _degree(F, grid, out=s) if p == 2 else None
+    G = _frozen(_moment_tensor(n, grads, kept + [_c_view(grads[0], grid.dims)], (s, t)))
     work.pool += grads + [spare]
-    L = -(p - 1) / p * rot
     if n._moments is not None:
-        n._moments = (deg, _frozen(P), _frozen(L))
-    return deg, P, L
+        n._moments = G
+    return G
+
+
+def moments(n, work=None):
+    """(deg, P, L), contractions of the moment tensor G (_tensor, which
+    takes work); deg is None unless p = 2.
+
+        deg = G[0, 1, p, p] / 4pi,  P_i = sum_j G[i, j, j, p] / (p-1),
+        L = -(m - m^T) / p  with  m_ai = sum_j G[i, j, a, j],
+
+    so P is the integral of the P-density sum_j x_j F_ij / (p-1), and L is
+    -(p-1)/p times the wedge moment of that density.  The factor is
+    load-bearing: the raw moment is exactly p/(p-1) times the charge that
+    generates spatial rotations through the Lie-Poisson flow and that both
+    lift routes produce (the Hamiltonian-flow test pins it numerically).
+    Each call contracts G afresh, so P and L are the caller's own arrays.
+    """
+    n.require_decaying("moments")
+    p = n.grid.p
+    if p < 2:
+        raise ValueError("translation momentum needs p >= 2")
+    G = _tensor(n, work)
+    deg = float(G[0, 1, 2, 2] / (4.0 * np.pi)) if p == 2 else None
+    m = np.einsum("ijaj->ai", G[:, :, :p, :p])
+    return deg, np.einsum("ijj->i", G[:, :, :p, p]) / (p - 1), -(m - m.T) / p
 
 
 def _directional(velocity, derivs):
@@ -245,7 +256,8 @@ def momentum_P_derivative(n):
 
 
 def momentum_P_general(n):
-    """Translation momentum as the integral of the density form; a p-vector."""
+    """Translation momentum, the integral of the P-density: the P of
+    moments, a p-vector."""
     return moments(n)[1]
 
 

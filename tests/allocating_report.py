@@ -4,11 +4,16 @@ llgeo.dynamics.make_report.
 Every quantity is built from fresh arrays: np.diff exchange differences of
 the component planes, np.linalg.norm, n @ K_AXIS, the per-axis central
 differences, the planes of the 2-form as one triple-product expression each,
-and the P-density summed plane by plane into p planes.  Every sum runs over
-contiguous planes, as the in-place kernels' do.  llgeo.dynamics.make_report
-and llgeo.momenta.moments must reproduce it exactly (np.array_equal), with or
-without a workspace.  It allocates as make_report did before it took a
-workspace, so its peak memory is the bound for make_report without one.
+and the moment tensor G of the 2-form contracted axis by axis, which deg,
+P and L are read from.  Every sum runs over contiguous planes, as the
+in-place kernels' do.  llgeo.dynamics.make_report and llgeo.momenta.moments
+must reproduce it exactly (np.array_equal), with or without a workspace.
+It allocates as make_report did before it took a workspace, so its peak
+memory is the bound for make_report without one.
+
+density_route takes P and L as integrals of the P-density instead, summed
+plane by plane: the same quadrature in another summation order, an oracle
+at a stated bound.
 """
 
 import numpy as np
@@ -75,12 +80,41 @@ def density_P(n):
     return _density_P(two_form(n), n.grid)
 
 
+def density_route(n):
+    """(P, L) as the integral and -(p-1)/p times the wedge moment of the
+    P-density."""
+    rot, P = _moments(density_P(n), n.grid)
+    return P, -(n.grid.p - 1) / n.grid.p * rot
+
+
+def moment_tensor(n):
+    """G[i, j, a, b] = integral of xt_a xt_b F_ij with xt = (x, 1): each
+    plane of F contracted along each axis in turn with the rows (1, x, x^2)
+    of that axis's coordinates, then read at the exponents of xt_a xt_b."""
+    grid, p = n.grid, n.grid.p
+    G = np.zeros((p, p, p + 1, p + 1))
+    for (i, j), f in two_form(n).items():
+        T = f
+        for axis in range(p):
+            x = grid.axis_coords(axis)
+            T = np.einsum("k...,ck->...c", T, np.stack([np.ones_like(x), x, x * x]))
+        for a in range(p + 1):
+            for b in range(p + 1):
+                e = [0] * p
+                for c in (a, b):
+                    if c < p:
+                        e[c] += 1
+                G[i, j, a, b] = T[tuple(e)]
+        G[j, i] = -G[i, j]
+    return G * grid.cell_volume
+
+
 def moments(n):
-    grid = n.grid
-    F = two_form(n)
-    rot, P = _moments(_density_P(F, grid), grid)
-    deg = float(integrate(F[0, 1] / (4.0 * np.pi), grid)) if grid.p == 2 else None
-    return deg, P, -(grid.p - 1) / grid.p * rot
+    p = n.grid.p
+    G = moment_tensor(n)
+    deg = float(G[0, 1, 2, 2] / (4.0 * np.pi)) if p == 2 else None
+    m = np.einsum("ijaj->ai", G[:, :, :p, :p])
+    return deg, np.einsum("ijj->i", G[:, :, :p, p]) / (p - 1), -(m - m.T) / p
 
 
 def make_report(n, t, params=EnergyParams()):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import llgeo.cocycle
 import llgeo.momenta
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -28,12 +29,13 @@ def test_every_workload_operation_runs_at_tiny_scale(name, run):
         assert isinstance(run(inputs, op), workloads.Outcome), (name, op)
 
 
-@pytest.mark.parametrize("snap, passes", [("s2d", 1), ("s3d", 2), ("bp", 1)])
+@pytest.mark.parametrize("snap, passes", [("s2d", 2), ("s3d", 2), ("bp", 2)])
 def test_each_survey_snapshot_shares_one_moments_pass(monkeypatch, snap, passes):
-    # make_report, the momenta of the route gap and P_general against the
-    # curl form all read moments, which keeps (deg, P, L) on the frozen
-    # snapshot; the curl form (s3d) makes the second pass.  Counted through
-    # the derivative pass that moments and momentum_P_cross look up in momenta.
+    # make_report, the momenta of the route gap, P_general and the direct
+    # cocycle all read the moment tensor that the first moments pass keeps
+    # on the frozen snapshot; the second pass is the pairing cocycle's (s2d,
+    # bp) or the curl form's (s3d).  Counted through both bindings of the
+    # derivative pass: momenta's and the one cocycle imports by name.
     inputs = workloads.make_inputs("survey", 0, "tiny")
     gradients, calls = llgeo.momenta._gradients, []
 
@@ -41,6 +43,7 @@ def test_each_survey_snapshot_shares_one_moments_pass(monkeypatch, snap, passes)
         calls.append(n)
         return gradients(n, out)
 
-    monkeypatch.setattr(llgeo.momenta, "_gradients", counted)
+    for module in (llgeo.momenta, llgeo.cocycle):
+        monkeypatch.setattr(module, "_gradients", counted)
     workloads.survey_snapshot(inputs, snap)
     assert len(calls) == passes

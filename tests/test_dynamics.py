@@ -702,3 +702,17 @@ def test_winding_diagnostics_differentiate_once_per_axis(partial_calls, diagnost
     n = _field(kind)
     diagnostic(n)
     assert sorted(partial_calls) == sorted(list(range(n.grid.p)) * passes)
+
+
+@pytest.mark.parametrize("kind", ["soliton_2d", "random_3d"])
+def test_cocycle_direct_reads_the_kept_moment_tensor(partial_calls, kind):
+    # the first call's pass leaves G on the checked field; a second call,
+    # and moments, contract it without a pass
+    n = _field(kind)
+    direct = _with_rotations(cocycle.cocycle_direct)
+    first = direct(n)
+    assert sorted(partial_calls) == list(range(n.grid.p))
+    partial_calls.clear()
+    assert direct(n) == first
+    momenta.moments(n)
+    assert partial_calls == []

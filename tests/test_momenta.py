@@ -37,7 +37,7 @@ from llgeo.momenta import (
 )
 from llgeo.calculus import integrate, partial
 
-from allocating_report import density_P
+from allocating_report import density_P, density_route
 from so3_oracle import matrix, quaternion, so3_exp
 from conftest import off_axis_texture, relative_gap
 from fd_oracle import functional_derivative
@@ -153,10 +153,19 @@ def test_momentum_P_radial_zero():
     assert np.abs(density_P(f)).max() < 1e-10
 
 
-def test_momentum_P_integral_of_density_exactly():
-    g = Grid.centered((64, 64), 16.0)
-    f = make_bp_soliton(g, 1, 1.5, 5.0, center=(0.8, -0.4))
-    assert np.array_equal(momentum_P_general(f), [integrate(plane, g) for plane in density_P(f)])
+@pytest.mark.parametrize("field", [
+    lambda: make_bp_soliton(Grid.centered((64, 64), 16.0), 1, 1.5, 5.0, center=(0.8, -0.4)),
+    lambda: make_random_smooth(Grid.centered((48, 52), 12.0), seed=4, amplitude=1.5),
+    lambda: make_random_smooth(Grid.centered((20, 22, 24), 12.0), seed=0, amplitude=1.5),
+], ids=["soliton_2d", "random_2d", "random_3d"])
+def test_momentum_P_and_L_are_the_moments_of_the_density(field):
+    # the moment tensor sums x_j F_ij axis by axis; the density route sums
+    # the P-density plane by plane: the same quadrature in another order
+    # (worst 6.1e-15 over solitons and random fields at 48^2 to 64^3)
+    f = field()
+    _, P, L = moments(f)
+    P_dens, L_dens = density_route(f)
+    assert relative_gap(P, P_dens) < 1e-13 and relative_gap(L, L_dens) < 1e-13
 
 
 def test_momentum_P_shift_identity():
