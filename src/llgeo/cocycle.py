@@ -2,7 +2,8 @@
 Lie-Poisson bracket on spin fields.
 
 The cocycle is computed two ways: directly, as the bilinear form of the
-moment tensor G of the topological 2-form (momenta._moment_tensor) in the
+moment tensor G of the topological 2-form (momenta._moment_tensor, which
+takes each plane's moments by the one rule momenta._plane_moments) in the
 two elements, which makes no derivative pass on a checked field whose G is
 kept; and through the algebra, by pairing the field with the bracket of two
 wedge lifts, which differentiates the lifted algebra fields as well.
@@ -83,10 +84,11 @@ def cocycle_direct(mu, e1, e2):
                   = -sum A1_ia A2_jb G[i, j, a, b],
     with c = A (x, 1) the affine velocity field of e, A = [Omega | adot],
     F the 2-form of mu and G its moment tensor (momenta._tensor: no pass on
-    a checked mu whose G is kept)."""
+    a checked mu whose G is kept).  The sign is taken as 0 - sum, which is
+    -sum to the bit except that a zero comes out +0, never -0."""
     mu.require_decaying("cocycle_direct")
     A1, A2 = (e._affine(mu.grid) for e in (e1, e2))
-    return -float(np.einsum("ia,jb,ijab->", A1, A2, _tensor(mu)))
+    return 0.0 - float(np.einsum("ia,jb,ijab->", A1, A2, _tensor(mu)))
 
 
 def cocycle_via_pairing(mu, e1, e2):

@@ -108,9 +108,9 @@ class _Workspace:
         return self.pool.pop() if self.pool else np.empty_like(self._like)
 
     def planes(self, k):
-        """The first k scratch planes, each allocated on first need: a
-        stepper uses two, and moments one for p = 3, so a report built
-        without a run's workspace allocates no plane it does not use."""
+        """The first k scratch planes, each allocated on first need.  Only
+        the stepper uses them (two); a report borrows field arrays from the
+        pool and no plane."""
         while len(self._planes) < k:
             self._planes.append(np.empty(self._like.shape[:-1]))
         return self._planes[:k]
@@ -158,10 +158,11 @@ class SpinField:
     diagnostics that need decay.
 
     A checked field's planes are a frozen copy, so the moment tensor G of
-    its 2-form (momenta._moment_tensor) is a function of the field: the
-    first pass keeps G, read-only, in _moments (empty until then), and
-    moments, degree and cocycle_direct contract it from then on without a
-    pass; it is (p + 1)^2 p^2 floats, never a grid-sized array.  A
+    its 2-form (momenta._moment_tensor, which takes each plane's moments
+    with momenta._plane_moments as the plane is built) is a function of the
+    field: the first pass keeps G, read-only, in _moments (empty until
+    then), and moments, degree and cocycle_direct contract it from then on
+    without a pass; it is (p + 1)^2 p^2 floats, never a grid-sized array.  A
     check=False field may adopt a buffer that is overwritten later, such as
     the stepper's pooled arrays, so its _moments is None and no G is kept
     for it.

@@ -90,8 +90,9 @@ class Grid:
     @cached_property
     def _coord_powers(self):
         """The rows (1, x, x^2) of each axis's cell-center coordinates, one
-        C-contiguous (3, dims[axis]) array per axis, which momenta's moment
-        tensor contracts the planes of the 2-form with."""
+        C-contiguous (3, dims[axis]) array per axis, which
+        momenta._plane_moments, their one reader, contracts every density
+        plane with."""
         return tuple(np.array([x ** 0, x, x * x]) for x in map(self.axis_coords, range(self.p)))
 
     def coords(self):

@@ -3,8 +3,8 @@
 Everything here is a quadrature of first derivatives of the field, taken in
 one derivative pass (_gradients) per field.  The winding diagnostics are
 moments of one object, the topological 2-form F_ij = n . (d_i n x d_j n)
-(_two_form), and _moment_tensor is the one place they are taken: the
-homogeneous second-moment tensor G[i, j, a, b] = integral of
+(_two_form, which yields one plane at a time), gathered by _moment_tensor
+into the homogeneous second-moment tensor G[i, j, a, b] = integral of
 xt_a xt_b F_ij, with xt = (x, 1).  The degree, P, L and the direct cocycle
 (cocycle.cocycle_direct) are contractions of G.  moments builds G on a
 checked (frozen) SpinField once, keeps it there (a few small values, never
@@ -19,8 +19,10 @@ rotation lift + group gradient and the closed-form lift identity, each of
 those two the first moments (integral of x wedge w, integral of w) of one
 density w, stored as p contiguous planes (p,) + dims like the component
 planes of a spin field (fields._payload); every lift route starts from
-_lift_frame, which refuses a fat singular set n -> +k.  No sum here goes through BLAS (every one is np.sum or np.einsum),
-so no value depends on the BLAS thread count.
+_lift_frame, which refuses a fat singular set n -> +k.  The routes differ
+in their density only: every moment of a density plane, of F or of w, is
+taken by one rule, _plane_moments.  No sum here goes through BLAS (every
+one is np.sum or np.einsum), so no value depends on the BLAS thread count.
 
 Orientation conventions are pinned in one place:
 
@@ -92,36 +94,45 @@ def _gradients(n, out=None):
 
 def _two_form(n, grads, out=None, scratch=None):
     """The topological 2-form F_ij = n . (d_i n x d_j n) from the derivative
-    list, one plane per entry of plane_pairs, keyed (i, j).  triple writes
-    them in plane_pairs order into the leading planes of out, its products
-    taken through the two planes of scratch (each allocated when None).
-    Every winding diagnostic (deg, P in either form, L and the cocycle) is a
-    moment of F, and this is the one place F is built."""
-    pairs = plane_pairs(n.grid.p)
-    out = [None] * len(pairs) if out is None else out
-    return {(i, j): triple(n.values, grads[i], grads[j], out=f, scratch=scratch)
-            for (i, j), f in zip(pairs, out)}
+    list, yielded one plane at a time as ((i, j), plane) in plane_pairs
+    order.  triple writes each plane into out, overwriting the one before
+    (a fresh plane for each when out is None), its products taken through
+    the two planes of scratch (allocated when None).  Every winding
+    diagnostic (deg, P in either form, L and the cocycle) is a moment of F,
+    and this is the one place F is built."""
+    for i, j in plane_pairs(n.grid.p):
+        yield (i, j), triple(n.values, grads[i], grads[j], out=out, scratch=scratch)
+
+
+def _plane_moments(f, grid):
+    """The homogeneous second moments S[a, b] = sum of xt_a xt_b f of one
+    density plane f (shape dims), xt = (x, 1), unscaled by the cell volume:
+    shape (p + 1, p + 1), its last row (sum of x f, sum of f).  The one
+    place a moment of a density is taken, and the one reader of
+    Grid._coord_powers.
+
+    A grid is a lattice, so x_a varies along axis a only: f is contracted
+    axis by axis with the rows (1, x_a, x_a^2) of _coord_powers, into
+    T[e_0, .., e_p-1] = sum of prod_a x_a^e_a f, whose entries of total
+    degree <= 2 are S's: xt_a xt_b sits at the flat offset off[a] + off[b]
+    of T, with off[a] = 3^(p-1-a) and off[p] = 0 (xt_p = 1).  The first
+    contraction is one pass over the plane into 3/N_0 of a plane; each is
+    an np.einsum, never BLAS."""
+    off = [3 ** a for a in range(grid.p - 1, -1, -1)] + [0]
+    for r in grid._coord_powers:
+        f = np.einsum("k...,ck->...c", f, r)
+    return f.ravel()[np.add.outer(off, off)]
 
 
 def _moment_tensor(n, grads, out=None, scratch=None):
     """G[i, j, a, b] = integral of xt_a xt_b F_ij with xt = (x, 1), shape
-    (p, p, p + 1, p + 1), from the derivative list; out and scratch are
-    _two_form's.  The one place moments of F are taken.
-
-    A grid is a lattice, so x_a varies along axis a only: each plane of F
-    is contracted axis by axis with the rows (1, x_a, x_a^2) of
-    Grid._coord_powers, into T[e_0, .., e_p-1] = sum of prod_a x_a^e_a F_ij,
-    whose entries of total degree <= 2 are G's: xt_a xt_b sits at the flat
-    offset off[a] + off[b] of T, with off[a] = 3^(p-1-a) and off[p] = 0
-    (xt_p = 1).  The first contraction is one pass over the plane into
-    3/N_0 of a plane; each is an np.einsum, never BLAS."""
+    (p, p, p + 1, p + 1), from the derivative list: each plane of F
+    (_two_form, which takes out and scratch) goes through _plane_moments
+    before the next one is written."""
     grid, p = n.grid, n.grid.p
-    off = [3 ** a for a in range(p - 1, -1, -1)] + [0]
     G = np.zeros((p, p, p + 1, p + 1))
-    for (i, j), f in _two_form(n, grads, out, scratch).items():
-        for r in grid._coord_powers:
-            f = np.einsum("k...,ck->...c", f, r)
-        G[i, j] = f.ravel()[np.add.outer(off, off)]
+    for (i, j), f in _two_form(n, grads, out, scratch):
+        G[i, j] = _plane_moments(f, grid)
     return (G - G.swapaxes(0, 1)) * grid.cell_volume  # F_ji = -F_ij
 
 
@@ -147,21 +158,19 @@ def momentum_P_cross(n):
     if n.grid.p != 3:
         raise ValueError("the cross form needs p = 3")
     n.require_decaying("momentum_P_cross")
-    F = _two_form(n, _gradients(n))
+    F = dict(_two_form(n, _gradients(n)))
     vort = np.stack([F[1, 2], -F[0, 2], F[0, 1]], axis=-1) / (4.0 * np.pi)
     return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vort), n.grid)
 
 
 def _moments(w, grid):
     """(integral of x wedge w, integral of w) for a density w of p
-    contiguous planes, (p,) + dims.  Each plane is integrated on its own,
-    and the wedge moment is M - M^T with M = integral of x w^T, exactly
-    skew, each entry one np.einsum dot product (not BLAS) of a coordinate
-    plane with a plane of w, neither of them copied."""
-    total = np.array([integrate(plane, grid) for plane in w])
-    m = np.array([[np.einsum("i,i->", grid.coord_component(i).ravel(), plane.ravel())
-                   for plane in w] for i in range(grid.p)]) * grid.cell_volume
-    return m - m.T, total
+    contiguous planes, (p,) + dims, read off the last row of each plane's
+    _plane_moments: the wedge moment is M - M^T with M = integral of x w^T,
+    exactly skew."""
+    first = np.array([_plane_moments(plane, grid)[-1] for plane in w]) * grid.cell_volume
+    m = first[:, :-1].T
+    return m - m.T, first[:, -1]
 
 
 def _tensor(n, work=None):
@@ -169,24 +178,22 @@ def _tensor(n, work=None):
     (see fields.SpinField) and read from there on, without a pass.
 
     Every grid-sized temporary of a pass comes from work, a
-    fields._Workspace for n's grid (built for this call when None).  The p
-    derivatives and one more field array are borrowed from its pool and
-    handed back.  _two_form writes the planes of F and the two products of
-    its triple products into p + 1 planes: the three planes of that spare
-    array and, for p = 3, one of the workspace's planes, except that the
-    last plane of F for p = 3, (1, 2), the first that does not read d_0 n,
-    goes into d_0 n's memory.  So a report fits in the pool that a run's
-    stepper leaves (four field arrays) and the stepper's two planes.  Each
-    value keeps the operation order of the allocating composition, so G is
-    bit-identical to it."""
+    fields._Workspace for n's grid (built for this call when None): the p
+    derivatives and one spare field array are borrowed from its pool and
+    handed back.  The spare's three C-order planes hold the plane of F
+    that _two_form is writing and the two products of its triple products,
+    so a report fits in the pool that a run's stepper leaves (four field
+    arrays) and takes none of the workspace's planes.  Each value keeps the
+    operation order of the allocating composition, so G is bit-identical
+    to it."""
     if n._moments is not None and len(n._moments):
         return n._moments
     grid, p = n.grid, n.grid.p
     work = _Workspace(n) if work is None else work
     grads = _gradients(n, [work.take() for _ in range(p)])
     spare = work.take()
-    *kept, s, t = list(_c_view(spare, (3,) + grid.dims)) + work.planes(p - 2)
-    G = _frozen(_moment_tensor(n, grads, kept + [_c_view(grads[0], grid.dims)], (s, t)))
+    f, *scratch = _c_view(spare, (3,) + grid.dims)
+    G = _frozen(_moment_tensor(n, grads, f, scratch))
     work.pool += grads + [spare]
     if n._moments is not None:
         n._moments = G
@@ -198,13 +205,14 @@ def moments(n, work=None):
     takes work); deg is None unless p = 2.
 
         deg = G[0, 1, p, p] / 4pi,  P_i = sum_j G[i, j, j, p] / (p-1),
-        L = -(m - m^T) / p  with  m_ai = sum_j G[i, j, a, j],
+        L = (m^T - m) / p  with  m_ai = sum_j G[i, j, a, j],
 
     so P is the integral of the P-density sum_j x_j F_ij / (p-1), and L is
     -(p-1)/p times the wedge moment of that density.  The factor is
     load-bearing: the raw moment is exactly p/(p-1) times the charge that
     generates spatial rotations through the Lie-Poisson flow and that both
     lift routes produce (the Hamiltonian-flow test pins it numerically).
+    L is written m^T - m, not -(m - m^T), so its diagonal is +0, not -0.
     Each call contracts G afresh, so P and L are the caller's own arrays.
     """
     n.require_decaying("moments")
@@ -214,7 +222,7 @@ def moments(n, work=None):
     G = _tensor(n, work)
     deg = float(G[0, 1, 2, 2] / (4.0 * np.pi)) if p == 2 else None
     m = np.einsum("ijaj->ai", G[:, :, :p, :p])
-    return deg, np.einsum("ijj->i", G[:, :, :p, p]) / (p - 1), -(m - m.T) / p
+    return deg, np.einsum("ijj->i", G[:, :, :p, p]) / (p - 1), (m.T - m) / p
 
 
 def _directional(velocity, derivs):

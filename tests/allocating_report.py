@@ -11,9 +11,11 @@ must reproduce it exactly (np.array_equal), with or without a workspace.
 It allocates as make_report did before it took a workspace, so its peak
 memory is the bound for make_report without one.
 
-density_route takes P and L as integrals of the P-density instead, summed
-plane by plane: the same quadrature in another summation order, an oracle
-at a stated bound.
+first_moments takes the first moments of a density plane by plane, each
+entry one dot product with a coordinate plane, and density_route takes P
+and L through it as integrals of the P-density: the same quadratures as
+llgeo.momenta's axis-by-axis contraction in another summation order, an
+oracle at a stated bound.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from llgeo import K_AXIS, integrate
 from llgeo.dynamics import EnergyParams
 from llgeo.fields import plane_pairs
-from llgeo.momenta import MomentumReport, _moments
+from llgeo.momenta import MomentumReport
 
 
 def energy(n, params):
@@ -80,10 +82,21 @@ def density_P(n):
     return _density_P(two_form(n), n.grid)
 
 
+def first_moments(w, grid):
+    """(integral of x wedge w, integral of w) for a density w of p
+    contiguous planes, (p,) + dims: each plane integrated on its own, and
+    the wedge moment M - M^T with M = integral of x w^T, each entry one
+    np.einsum dot product of a coordinate plane with a plane of w."""
+    total = np.array([integrate(plane, grid) for plane in w])
+    m = np.array([[np.einsum("i,i->", grid.coord_component(i).ravel(), plane.ravel())
+                   for plane in w] for i in range(grid.p)]) * grid.cell_volume
+    return m - m.T, total
+
+
 def density_route(n):
     """(P, L) as the integral and -(p-1)/p times the wedge moment of the
     P-density."""
-    rot, P = _moments(density_P(n), n.grid)
+    rot, P = first_moments(density_P(n), n.grid)
     return P, -(n.grid.p - 1) / n.grid.p * rot
 
 
@@ -114,7 +127,7 @@ def moments(n):
     G = moment_tensor(n)
     deg = float(G[0, 1, 2, 2] / (4.0 * np.pi)) if p == 2 else None
     m = np.einsum("ijaj->ai", G[:, :, :p, :p])
-    return deg, np.einsum("ijj->i", G[:, :, :p, p]) / (p - 1), -(m - m.T) / p
+    return deg, np.einsum("ijj->i", G[:, :, :p, p]) / (p - 1), (m.T - m) / p
 
 
 def make_report(n, t, params=EnergyParams()):

@@ -244,6 +244,22 @@ def test_diagnose_vacuum_zeros(tmp_path, capsys):
     assert float(pairs["E"]) == 0.0
     assert float(pairs["P_1"]) == 0.0 and float(pairs["P_2"]) == 0.0
     assert float(pairs["DEG"]) == 0.0
+    # every zero prints as 0, in the text and in the CSV row: L = (m^T - m)/p
+    # has no -0 on its diagonal
+    assert pairs["L_12"] == "0" and "-0" not in out
+    code, out, _ = run_cli(capsys, "diagnose", "--in", str(path))
+    assert code == 0 and out.strip().split("\n")[1] == "0,0,0,0,0,0,0,0"
+
+
+@pytest.mark.parametrize("dims", [(32, 32), (32,)], ids=["2d", "1d"])
+def test_cocycle_of_a_vacuum_prints_no_negative_zero(tmp_path, capsys, dims):
+    path = tmp_path / "vac.llgf"
+    write_snapshot(make_constant(Grid.centered(dims, 8.0), (0, 0, -1)), path)
+    e1, e2 = ("0,1,0", "0,0,1") if len(dims) == 2 else ("1", "1")
+    code, out, _ = run_cli(capsys, "cocycle", "--in", str(path), "--e1", e1, "--e2", e2)
+    assert code == 0
+    assert kv(out)["SIGMA_DIRECT"] == "0" and kv(out)["SIGMA_PAIRING"] == "0"
+    assert "-0" not in out
 
 
 def test_simulate_zero_steps_header_and_row(tmp_path, capsys):

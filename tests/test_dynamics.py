@@ -651,6 +651,17 @@ def test_make_report_allocates_no_field_array_in_a_run_workspace(dims):
     assert _peak_bytes(lambda: make_report(n, 0.0, params)) <= oracle
 
 
+def test_a_3d_report_borrows_no_workspace_plane():
+    # the moments pass takes p derivative arrays and one spare field array,
+    # whose three planes hold the plane of F being written and the two
+    # products of its triple products; the workspace's planes are the
+    # stepper's alone
+    n = make_random_smooth(Grid.centered((16, 18, 20), 12.0), seed=2, amplitude=1.5)
+    work = _Workspace(n)
+    make_report(n, 0.0, EnergyParams(a=0.5), work)
+    assert work._planes == [] and len(work.pool) == n.grid.p + 1
+
+
 @pytest.fixture
 def partial_calls(monkeypatch):
     """The axis of every partial call made through momenta or cocycle."""
