@@ -21,9 +21,10 @@ dt*rho/2, so step refuses a midpoint dt*rho > 2 too.
 
 Stepping and reporting write in place into a workspace (fields._Workspace):
 a pool of spare field arrays for the stages, the effective field, the
-derivatives and the energy differences, scratch planes, and the frozen
-boundary slabs.  step, energy and make_report build one per call unless
-they are given one; simulate builds one per run, hands each field's array
+derivatives and the energy differences, scratch planes, and the stepper's
+axis-0 slabs with their frozen boundary cells.  step, energy and
+make_report build one per call unless they are given one; simulate
+builds one per run, hands each field's array
 back to its pool once the step after it is taken (n0's excepted: it is
 only read) and passes it to every report, so after the first report
 neither a step nor a report allocates a grid-sized array.  Every field is
@@ -39,6 +40,16 @@ bit-identical to theirs, and every sum runs over contiguous planes in
 memory order.  They are not bit-identical to the stages of the unscaled
 n x H, from which they differ in the last bits unless h0^2 is a power of
 two.
+
+A step runs over the workspace's axis-0 slabs: two on a grid of at least
+fields.SLAB_CELLS cells when two CPUs are available, else one, run inline.
+Each RK4 stage and each midpoint iteration is one phase in which every
+slab builds the effective field, the cross product, the frozen zeros and
+the stage's updates on its own rows, reading its neighbors' rows of the
+phase before; the phases are joined.  Since each value is still computed
+elementwise in the same order, the stepped fields are the same bits on
+any number of slabs, and so on any number of cores.  Reports run on one
+thread.
 """
 
 import math
@@ -101,7 +112,8 @@ class SimConfig:
 
 
 def energy(n, params=EnergyParams(), work=None):
-    """E = 1/2 int |grad n|^2 + a/2 int (n.n - (n.k)^2).
+    """E = 1/2 int |grad n|^2 + a/2 int (n.n - (n.k)^2), the anisotropy
+    density summed as n_x^2 + n_y^2.
 
     The exchange part sums squared nearest-neighbor differences (midpoint
     consistent, second order).  Rejects non-decaying fields: without decay
@@ -125,19 +137,22 @@ def energy(n, params=EnergyParams(), work=None):
         np.subtract(ahead, behind, out=np.moveaxis(d, 0, -1))
         np.divide(d, h, out=d)
         exch += 0.5 * float(np.multiply(d, d, out=d).sum()) * grid.cell_volume
-    # n.n - (n.k)^2, K_AXIS being e_z
+    # n.n - (n.k)^2 = n_x^2 + n_y^2, K_AXIS being e_z; the difference would
+    # cancel near the vacuum n = -k
     s, t = _c_view(buf, (2,) + grid.dims)
-    _dot3(values, values, s, t)
-    np.subtract(s, np.multiply(values[..., 2], values[..., 2], out=t), out=s)
+    np.multiply(values[..., 0], values[..., 0], out=s)
+    np.add(s, np.multiply(values[..., 1], values[..., 1], out=t), out=s)
     aniso = 0.5 * params.a * float(integrate(s, grid))
     work.pool.append(buf)
     return exch + aniso
 
 
-def _effective_field(values, grid, a, out, scratch):
+def _effective_field(values, grid, a, out, scratch, rows=slice(None)):
     """out = h0^2 H = sum over axes of (h0/h)^2 (n[i+1] + n[i-1]) + a h0^2 n_z k,
-    h0 = grid.spacing[0] and a missing neighbor left out, built in place and
-    returned; scratch is a field array it overwrites.  K_AXIS is e_z, so the
+    h0 = grid.spacing[0] and a missing neighbor left out, built in place on
+    the axis-0 rows `rows` (all by default) and returned; scratch is a field
+    array it overwrites on those rows.  Only the first axis's sum reads
+    values outside them, on the row next to each end.  K_AXIS is e_z, so the
     anisotropy term adds to the z component only.  The exchange weight 1/h0^2
     is left to the caller (step folds it into its stage weights), so no pass
     divides, and only an axis whose spacing differs from h0 multiplies.
@@ -145,29 +160,38 @@ def _effective_field(values, grid, a, out, scratch):
     values, out and scratch must each be three contiguous component planes
     (fields._payload's layout); their flat views are taken without a copy,
     so any other layout raises ValueError.  Per axis the neighbor sum is one
-    contiguous add over the flat planes at offsets +-stride (in out for the
-    first axis, in scratch after it), whose wrapped end cells are then
-    overwritten by their one present neighbor.  -dE/dn of the discrete
-    energy is H - (D + a) n, D the sum of 1/h^2 over the present neighbors
-    (the Laplacian's diagonal and its free-edge rule), and n x n = 0, so
-    n x H is the Landau-Lifshitz field -n x dE/dn up to rounding.
+    add over the flat planes at offsets +-stride (in out for the first axis,
+    in scratch after it), whose wrapped end cells are then overwritten by
+    their one present neighbor.  -dE/dn of the discrete energy is
+    H - (D + a) n, D the sum of 1/h^2 over the present neighbors (the
+    Laplacian's diagonal and its free-edge rule), and n x n = 0, so n x H is
+    the Landau-Lifshitz field -n x dE/dn up to rounding.
     """
-    h0 = grid.spacing[0]
+    h0, d0 = grid.spacing[0], grid.dims[0]
+    lo, hi, _ = rows.indices(d0)
     axes = (grid.p,) + tuple(range(grid.p))  # np.moveaxis(x, -1, 0), at less cost
-    flat_v, flat_o, flat_s = (np.reshape(x.transpose(axes), -1, copy=False)
-                              for x in (values, out, scratch))
-    for axis, h in enumerate(grid.spacing):
+    flat_v, flat_o, flat_s = [x.transpose(axes).reshape(-1, copy=False).reshape(3, -1)
+                              for x in (values, out, scratch)]
+    stride = math.prod(grid.dims[1:])
+    first, last = max(lo, 1) * stride, min(hi, d0 - 1) * stride  # rows with both neighbors
+    np.add(flat_v[:, first + stride:last + stride], flat_v[:, first - stride:last - stride],
+           out=flat_o[:, first:last])
+    if lo == 0:
+        out[0] = values[1]
+    if hi == d0:
+        out[-1] = values[-2]
+    v, o, s = values[lo:hi], out[lo:hi], scratch[lo:hi]  # every other axis stays in the rows
+    flat_v, flat_o, flat_s = [x[:, lo * stride:hi * stride] for x in (flat_v, flat_o, flat_s)]
+    for axis, h in enumerate(grid.spacing[1:], 1):
         at = _along(axis, grid.p)
-        buf, flat = (out, flat_o) if axis == 0 else (scratch, flat_s)
         stride = math.prod(grid.dims[axis + 1:])
-        np.add(flat_v[2 * stride:], flat_v[:-2 * stride], out=flat[stride:-stride])
-        buf[at(0)], buf[at(-1)] = values[at(1)], values[at(-2)]
+        np.add(flat_v[:, 2 * stride:], flat_v[:, :-2 * stride], out=flat_s[:, stride:-stride])
+        s[at(0)], s[at(-1)] = v[at(1)], v[at(-2)]
         if h != h0:
-            np.multiply(flat, (h0 / h) ** 2, out=flat)
-        if axis:
-            np.add(flat_o, flat_s, out=flat_o)
-    np.multiply(values[..., 2], a * h0 ** 2, out=scratch[..., 2])
-    np.add(out[..., 2], scratch[..., 2], out=out[..., 2])
+            np.multiply(flat_s, (h0 / h) ** 2, out=flat_s)
+        np.add(flat_o, flat_s, out=flat_o)
+    np.multiply(v[..., 2], a * h0 ** 2, out=s[..., 2])
+    np.add(o[..., 2], s[..., 2], out=o[..., 2])
     return out
 
 
@@ -194,12 +218,21 @@ def step(n, cfg, work=None):
     in the norm's squares, sum, sqrt and division.
 
     Every effective field, cross product and renormalization writes into
-    work, a _Workspace for fields with n's grid and decay, built
-    for this call when None.  The effective field and the stage arrays come
-    from its pool and go back, except the new field's, which the field owns;
-    n.values is only read.
-    Every stage keeps the operation order of the allocating formulas of the
-    scaled right-hand side, so the result is bit-identical to them.
+    work, a _Workspace for fields with n's grid and decay, built for this
+    call (and its threads shut down on return) when None.  The effective
+    field and the stage arrays come from its pool and go back, except the
+    new field's, which the field owns; n.values is only read.
+
+    Each RK4 stage, and each midpoint iteration, is one phase that work.run
+    runs on every axis-0 slab of work and joins: a slab writes its own rows
+    only and reads its neighbors' rows of the phase before.  So a stage
+    reads one array and writes the next stage into another, alternating
+    between stage and k (a slab's H holds 2 k_i once the cross product has
+    read it), and a midpoint iteration writes the next iterate's average,
+    renormalized, over the iterate it replaces; the update maxima of the
+    slabs are combined by np.maximum, which keeps a NaN.  Every value keeps
+    the operation order of the allocating formulas of the scaled right-hand
+    side, so the result is bit-identical to them for any slab count.
     """
     y = n.values
     dt = cfg.dt
@@ -211,61 +244,95 @@ def step(n, cfg, work=None):
                    (2.0, "the midpoint contraction limit 2"))
     if dt * rho > limit:
         raise ValueError(f"dt*rho = {dt * rho:.4g} exceeds {name}; use dt <= {limit / rho:.4g}")
-    work = _Workspace(n) if work is None else work
+    own = work is None
+    work = _Workspace(n) if own else work
     planes, H = work.planes(2), work.take()
+    slabs = [(rows, [p[rows] for p in planes], frozen) for rows, frozen in work.slabs]
 
-    def rhs(values, out):
-        """out = values x (h0^2 H), zero on the frozen cells; out is the
-        effective field's scratch until the cross product fills it."""
-        _effective_field(values, n.grid, params.a, H, out)
-        cross3(values, H, out, planes)
-        for slab in work.frozen:
-            out[slab] = 0.0
-        return out
+    def rhs(values, out, rows, planes, frozen):
+        """out = values x (h0^2 H) on the axis-0 rows `rows`, zero on their
+        frozen cells, and that slab of out returned; out is the effective
+        field's scratch until the cross product fills it."""
+        _effective_field(values, n.grid, params.a, H, out, rows)
+        slab = cross3(values[rows], H[rows], out[rows], planes)
+        for index in frozen:
+            out[index] = 0.0
+        return slab
 
-    if cfg.scheme == "rk4_project":
-        # acc = k1 + 2 k2 + 2 k3 + k4; stage holds 2 k_i, then the next stage
-        acc, k, stage = work.take(), work.take(), work.take()
-        rhs(y, acc)
-        np.multiply(acc, 0.5 * tau, out=stage)
-        np.add(y, stage, out=stage)
-        for weight in (0.5 * tau, tau):
-            rhs(stage, k)
-            np.multiply(k, 2.0, out=stage)
-            np.add(acc, stage, out=acc)
-            np.multiply(k, weight, out=stage)
-            np.add(y, stage, out=stage)
-        rhs(stage, k)
-        np.add(acc, k, out=acc)
-        np.multiply(acc, tau / 6.0, out=acc)
-        out = _renormalize(np.add(y, acc, out=acc), planes)
-        work.pool += [H, k, stage]
-    else:
-        out, mid, f = work.take(), work.take(), work.take()
-        np.copyto(out, y)
-        for iteration in range(50):
-            _renormalize(np.add(y, out, out=mid), planes)
-            rhs(mid, f)
-            np.multiply(f, tau, out=f)
-            np.add(y, f, out=f)
-            delta = np.abs(np.subtract(f, out, out=mid), out=mid).max()
-            if not np.isfinite(delta):
-                raise ConvergenceError(
-                    f"implicit midpoint update went non-finite ({delta}) "
-                    f"at iteration {iteration + 1}",
-                    iterations=iteration + 1,
-                )
-            out, f = f, out
-            if delta < 1e-12:
-                break
-        else:
+    try:
+        scheme = _rk4 if cfg.scheme == "rk4_project" else _midpoint
+        return n.with_values(scheme(y, tau, rhs, H, work, slabs), check=False)
+    finally:
+        work.pool.append(H)
+        if own:
+            work.close()
+
+
+def _rk4(y, tau, rhs, H, work, slabs):
+    """Projected classical RK4 in four phases; returns the new field's array."""
+    # acc = k1 + 2 k2 + 2 k3 + k4
+    acc, k, stage = work.take(), work.take(), work.take()
+
+    def first(rows, planes, frozen):
+        k1, s = rhs(y, acc, rows, planes, frozen), stage[rows]
+        np.multiply(k1, 0.5 * tau, out=s)
+        np.add(y[rows], s, out=s)
+
+    def middle(weight, src, dst):
+        def phase(rows, planes, frozen):
+            ki, twice, total = rhs(src, dst, rows, planes, frozen), H[rows], acc[rows]
+            np.multiply(ki, 2.0, out=twice)
+            np.add(total, twice, out=total)
+            np.multiply(ki, weight, out=ki)
+            np.add(y[rows], ki, out=ki)
+        return phase
+
+    def last(rows, planes, frozen):
+        k4, total = rhs(stage, k, rows, planes, frozen), acc[rows]
+        np.add(total, k4, out=total)
+        np.multiply(total, tau / 6.0, out=total)
+        _renormalize(np.add(y[rows], total, out=total), planes)
+
+    for phase in (first, middle(0.5 * tau, stage, k), middle(tau, k, stage), last):
+        work.run(phase, slabs)
+    work.pool += [k, stage]
+    return acc
+
+
+def _midpoint(y, tau, rhs, H, work, slabs):
+    """The spherical midpoint, one phase per fixed-point iteration; returns
+    the new field's array."""
+    out, mid, f = work.take(), work.take(), work.take()
+    np.copyto(out, y)
+    _renormalize(np.add(y, out, out=mid), work.planes(2))
+    for iteration in range(50):
+        def phase(rows, planes, frozen, out=out, mid=mid, f=f):
+            new, yr, old, d = rhs(mid, f, rows, planes, frozen), y[rows], out[rows], H[rows]
+            np.multiply(new, tau, out=new)
+            np.add(yr, new, out=new)
+            delta = np.abs(np.subtract(new, old, out=d), out=d).max()
+            if math.isfinite(delta):  # else it raises below; the next average over the old iterate
+                _renormalize(np.add(yr, new, out=old), planes)
+            return delta
+
+        delta = np.maximum.reduce(work.run(phase, slabs))  # keeps a NaN, as max would not
+        if not math.isfinite(delta):
             raise ConvergenceError(
-                f"implicit midpoint did not converge in 50 iterations "
-                f"(last update {delta:.3e})",
-                iterations=50,
+                f"implicit midpoint update went non-finite ({delta}) "
+                f"at iteration {iteration + 1}",
+                iterations=iteration + 1,
             )
-        work.pool += [H, mid, f]
-    return n.with_values(out, check=False)
+        out, mid, f = f, out, mid
+        if delta < 1e-12:
+            break
+    else:
+        raise ConvergenceError(
+            f"implicit midpoint did not converge in 50 iterations "
+            f"(last update {delta:.3e})",
+            iterations=50,
+        )
+    work.pool += [mid, f]
+    return out
 
 
 def make_report(n, t, params=EnergyParams(), work=None):
@@ -306,7 +373,9 @@ def simulate(n0, cfg, report_sink=None):
 
     The steps run in one workspace, and each stepped field's array goes back
     to the workspace's pool once the next step is taken.  Each report reads
-    the field being stepped and writes into the same workspace.
+    the field being stepped and writes into the same workspace.  The
+    workspace's slab threads, if a step started them, are shut down before
+    simulate returns or raises.
     """
     reports = []
     n = n0
@@ -317,14 +386,17 @@ def simulate(n0, cfg, report_sink=None):
         if report_sink is not None:
             report_sink(reports[-1])
 
-    report(n, 0.0)
-    for i in range(1, cfg.steps + 1):
-        new = step(n, cfg, work)
-        if n is not n0:
-            work.pool.append(n.values)
-        n = new
-        if not np.isfinite(n.values).all():
-            raise NumericsError(f"non-finite field values at step {i}")
-        if i % cfg.report_every == 0 or i == cfg.steps:
-            report(n, i * cfg.dt)
+    try:
+        report(n, 0.0)
+        for i in range(1, cfg.steps + 1):
+            new = step(n, cfg, work)
+            if n is not n0:
+                work.pool.append(n.values)
+            n = new
+            if not np.isfinite(n.values).all():
+                raise NumericsError(f"non-finite field values at step {i}")
+            if i % cfg.report_every == 0 or i == cfg.steps:
+                report(n, i * cfg.dt)
+    finally:
+        work.close()
     return reports, n

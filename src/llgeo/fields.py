@@ -15,10 +15,14 @@ and the densities the momenta sum are planes too.
 
 The kernels that step and measure spin fields write into a _Workspace: the
 grid-sized scratch of one run (spare field arrays and scratch planes), so
-that a run allocates its buffers once instead of once per step and report.
+that a run allocates its buffers once instead of once per step and report,
+and the axis-0 slabs that the stepper splits a large grid into, with the
+threads that step them.
 """
 
+import contextvars
 import math
+import os
 from itertools import combinations
 
 import numpy as np
@@ -89,19 +93,79 @@ def _c_view(buf, shape):
     return buf.ravel(order="K")[:math.prod(shape)].reshape(shape)
 
 
+SLAB_CELLS = 32768  # the fewest cells stepped over two slabs; crossover measured on two cores
+MAX_SLABS = 2  # two cores is the most this split was measured on
+
+
+def _slab_count(grid):
+    """How many axis-0 slabs the stepper splits grid into: MAX_SLABS, or as
+    many CPUs as this process may run on if fewer, for a grid of at least
+    SLAB_CELLS cells, else 1.  Below SLAB_CELLS a second thread costs more
+    than it saves; above it each core's cache holds its half."""
+    if math.prod(grid.dims) < SLAB_CELLS:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(MAX_SLABS, cpus, grid.dims[0])
+
+
 class _Workspace:
     """Scratch for the kernels that step and measure fields on one grid:
     a pool of spare field arrays laid out like the field it is built from
     (take borrows one, allocating it if the pool is empty; appending to pool
-    hands it back), C-contiguous scratch planes, and the frozen boundary
-    slabs (the boundary layer of decaying fields, the reduction's boundary
-    condition; none for non-decaying fields)."""
+    hands it back), C-contiguous scratch planes, and the stepper's axis-0
+    slabs.
+
+    slabs holds the stepper's slabs (_slab_count of them, split evenly),
+    each as its rows, a slice of axis 0, and the index tuples of its frozen
+    cells: the boundary layer of decaying fields (the reduction's boundary
+    condition) in those rows, none for non-decaying fields.  run calls a
+    phase once per slab and returns once all calls are done: inline when
+    there is one slab, else on a pool of MAX_SLABS threads that the
+    workspace builds on the first run with more than one slab and that
+    close shuts down, so no thread outlives the stepping call that owns the
+    workspace and none starts at import.
+    """
 
     def __init__(self, n):
         self._like = n.values
         self._planes = []
-        self.frozen = n.grid.boundary_slabs() if n.decaying else ()
+        self._threads = None
+        frozen = n.grid.boundary_slabs() if n.decaying else ()
+        d0, count = n.grid.dims[0], _slab_count(n.grid)
+        self.slabs = []
+        for rows in (slice(d0 * i // count, d0 * (i + 1) // count) for i in range(count)):
+            cut = []
+            for index in frozen:
+                r = range(d0)[index[0]]  # the frozen slab's axis-0 rows
+                lo, hi = max(r.start, rows.start), min(r.stop, rows.stop)
+                if lo < hi:
+                    cut.append((slice(lo, hi),) + index[1:])
+            self.slabs.append((rows, cut))
         self.pool = []
+
+    def run(self, phase, args):
+        """phase(*a) for the arguments a of every slab (args, one tuple per
+        slab, in slab order), joined: the results in slab order.  Every
+        slab's result is read, so a phase that raises in any slab raises
+        here, once every slab has returned."""
+        if len(args) == 1:
+            return [phase(*args[0])]
+        if self._threads is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._threads = ThreadPoolExecutor(MAX_SLABS, thread_name_prefix="llgeo-slab")
+        # each slab runs in a copy of the caller's context, so np.errstate holds there too
+        futures = [self._threads.submit(contextvars.copy_context().run, phase, *a) for a in args]
+        errors = [future.exception() for future in futures]  # waits for every slab
+        if any(errors):
+            raise next(filter(None, errors))
+        return [future.result() for future in futures]
+
+    def close(self):
+        """Shut the slab threads down, if any were started, and wait for them."""
+        if self._threads is not None:
+            self._threads.shutdown()
+            self._threads = None
 
     def take(self):
         """A spare field array from the pool, allocated if the pool is empty."""

@@ -33,8 +33,8 @@ def energy(n, params):
     for axis in range(n.grid.p):
         d = np.diff(planes, axis=axis + 1) / n.grid.spacing[axis]
         exch += 0.5 * float((d * d).sum()) * n.grid.cell_volume
-    kdot = values @ K_AXIS
-    aniso_dens = (values * values).sum(axis=-1) - kdot * kdot
+    perp = values - (values @ K_AXIS)[..., None] * K_AXIS  # n - (n.k) k
+    aniso_dens = (perp * perp).sum(axis=-1)
     return exch + 0.5 * params.a * float(integrate(aniso_dens, n.grid))
 
 

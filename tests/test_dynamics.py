@@ -1,4 +1,8 @@
 import dataclasses
+import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -22,7 +26,7 @@ from llgeo import (
     step,
     tangent_project,
 )
-from llgeo import EuclideanAlgebraElement, calculus, cocycle, momenta
+from llgeo import EuclideanAlgebraElement, calculus, cocycle, fields, momenta
 from llgeo.calculus import cross3, integrate
 from llgeo.dynamics import (
     _effective_field,
@@ -57,6 +61,18 @@ def test_energy_rejects_non_decaying():
     n = make_constant(g, (1, 0, 0))
     with pytest.raises(ValueError):
         energy(n)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_energy_near_the_vacuum_matches_an_exactly_summed_reference(seed):
+    # the anisotropy density n.n - n_z^2 cancelled near n = -k: 9.5e-11 and 5.7e-11 off here
+    n = make_random_smooth(Grid.centered((64, 64), 16.0), seed=seed, amplitude=1e-3)
+    v, g, a = n.values, n.grid, 0.5
+    exch = sum(0.5 * math.fsum(((np.diff(v, axis=axis) / h) ** 2).ravel())
+               for axis, h in enumerate(g.spacing))
+    aniso = 0.5 * a * math.fsum((v[..., 0] ** 2 + v[..., 1] ** 2).ravel())
+    want = (exch + aniso) * g.cell_volume
+    assert abs(energy(n, EnergyParams(a=a)) - want) <= 1e-14 * want
 
 
 def test_bp_exchange_energy_harmonic_map_law():
@@ -230,26 +246,39 @@ def test_midpoint_divergence_reports_iterations():
     assert err.value.iterations == 50
 
 
-def test_midpoint_stops_at_the_first_non_finite_update(monkeypatch):
-    # it used to spend all 50 iterations and report "last update nan"
-    g = Grid.centered((32, 32), 12.0)
-    n = make_random_smooth(g, seed=12, amplitude=1.2)
-    calls = {"count": 0}
+def _poison(monkeypatch, after, cell=(5, 5)):
+    """Make _effective_field write NaN into cell on each of its calls past
+    the first `after` that reach the cell's row (one per phase, whatever the
+    slab count); returns the count of those calls."""
     import llgeo.dynamics as dyn
 
+    calls = {"count": 0}
     true_field = dyn._effective_field
 
-    def poisoned(values, grid, a, out, scratch):
-        calls["count"] += 1
-        out = true_field(values, grid, a, out, scratch)
-        if calls["count"] == 3:
-            out[5, 5] = np.nan
+    def poisoned(values, grid, a, out, scratch, rows=slice(None)):
+        out = true_field(values, grid, a, out, scratch, rows)
+        if cell[0] in range(*rows.indices(grid.dims[0])):
+            calls["count"] += 1
+            if calls["count"] > after:
+                out[cell] = np.nan
         return out
 
     monkeypatch.setattr(dyn, "_effective_field", poisoned)
+    return calls
+
+
+def _check_midpoint_stops_at_iteration_3(monkeypatch, cell=(5, 5)):
+    g = Grid.centered((32, 32), 12.0)
+    n = make_random_smooth(g, seed=12, amplitude=1.2)
+    calls = _poison(monkeypatch, 2, cell)
     with pytest.raises(ConvergenceError, match=r"non-finite \(nan\) at iteration 3") as err:
         step(n, _stable_cfg(n, "midpoint"))
     assert err.value.iterations == 3 and calls["count"] == 3
+
+
+def test_midpoint_stops_at_the_first_non_finite_update(monkeypatch):
+    # it used to spend all 50 iterations and report "last update nan"
+    _check_midpoint_stops_at_iteration_3(monkeypatch)
 
 
 def test_midpoint_step_refuses_dt_beyond_contraction_limit():
@@ -400,6 +429,10 @@ def test_step_equals_the_allocating_stepper_bitwise(case):
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_simulate_equals_the_allocating_stepper_bitwise(case):
+    _check_simulate_equals_the_allocating_stepper(case)
+
+
+def _check_simulate_equals_the_allocating_stepper(case):
     make, scheme = _ORACLE_CASES[case]
     n0 = make()
     before = n0.values.copy()
@@ -421,6 +454,123 @@ def test_simulate_equals_the_allocating_stepper_bitwise(case):
         for f in dataclasses.fields(got):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), (got.t, f.name)
+
+
+def _slab_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("llgeo-slab")]
+
+
+@pytest.fixture
+def two_slabs(monkeypatch):
+    """Step every grid, however small, over two axis-0 slabs on two threads."""
+    monkeypatch.setattr(fields, "SLAB_CELLS", 0)
+    if fields._slab_count(Grid.centered((8, 8), 1.0)) < 2:
+        pytest.skip("this process may run on one CPU only")
+
+
+@pytest.mark.parametrize("scheme", ["rk4_project", "midpoint"])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_step_on_two_slabs_equals_the_allocating_stepper_bitwise(case, scheme, two_slabs):
+    n = _ORACLE_CASES[case][0]()
+    cfg = _stable_cfg(n, scheme)
+    work = _Workspace(n)
+    assert len(work.slabs) == 2
+    new = old = n
+    try:
+        for _ in range(10):
+            new, old = step(new, cfg, work), allocating_stepper.step(old, cfg)
+    finally:
+        work.close()
+    assert np.array_equal(new.values, old.values)
+    assert np.abs(new.values - n.values).max() > 1e-6  # the field moved
+    assert not _slab_threads()
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_simulate_on_two_slabs_equals_the_allocating_stepper_bitwise(case, two_slabs):
+    _check_simulate_equals_the_allocating_stepper(case)
+    assert not _slab_threads()
+
+
+@pytest.mark.parametrize("scheme", ["rk4_project", "midpoint"])
+def test_a_grid_below_slab_cells_steps_inline_with_no_thread(scheme):
+    n = _ORACLE_CASES["2d_decaying_rk4"][0]()
+    work = _Workspace(n)
+    step(n, _stable_cfg(n, scheme), work)
+    assert len(work.slabs) == 1 and work._threads is None
+
+
+def test_a_48_cubed_field_steps_to_the_same_bits_on_two_slabs_as_on_one(monkeypatch):
+    # at 48^3 the default SLAB_CELLS gives two slabs on two CPUs; inf gives one
+    n = make_random_smooth(Grid.centered((48,) * 3, 8.0), seed=4)
+    results = []
+    for cells in (fields.SLAB_CELLS, math.inf):
+        monkeypatch.setattr(fields, "SLAB_CELLS", cells)
+        work = _Workspace(n)
+        try:
+            rk4 = n
+            for _ in range(3):
+                rk4 = step(rk4, _stable_cfg(n, "rk4_project"), work)
+            results.append((len(work.slabs), rk4.values,
+                            step(n, _stable_cfg(n, "midpoint"), work).values))
+        finally:
+            work.close()
+    (two, *fields_two), (one, *fields_one) = results
+    assert one == 1 and two == min(2, len(os.sched_getaffinity(0)))
+    assert all(np.array_equal(a, b) for a, b in zip(fields_two, fields_one))
+
+
+@pytest.mark.parametrize("cell", [(5, 5), (20, 5)])
+def test_midpoint_on_two_slabs_stops_at_the_same_non_finite_update(monkeypatch, two_slabs, cell):
+    # row 20 is in the second slab: Python's max(d, nan) would keep d there
+    _check_midpoint_stops_at_iteration_3(monkeypatch, cell)
+    assert not _slab_threads()
+
+
+def test_an_error_in_one_slab_surfaces_and_leaves_no_thread(monkeypatch, two_slabs):
+    import llgeo.dynamics as dyn
+
+    true_field = dyn._effective_field
+
+    def poisoned(values, grid, a, out, scratch, rows=slice(None)):
+        if rows.start:  # the second slab only
+            raise RuntimeError("poisoned slab")
+        return true_field(values, grid, a, out, scratch, rows)
+
+    n = _ORACLE_CASES["2d_decaying_rk4"][0]()
+    monkeypatch.setattr(dyn, "_effective_field", poisoned)
+    for scheme in ("rk4_project", "midpoint"):
+        with pytest.raises(RuntimeError, match="poisoned slab"):
+            step(n, _stable_cfg(n, scheme))
+        with pytest.raises(RuntimeError, match="poisoned slab"):
+            simulate(n, dataclasses.replace(_stable_cfg(n, scheme), steps=3))
+        assert not _slab_threads()
+    monkeypatch.setattr(dyn, "_effective_field", true_field)
+    _poison(monkeypatch, after=10)
+    with pytest.raises(NumericsError, match=r"step \d+"):
+        simulate(n, SimConfig(dt=1e-3, steps=50))
+    assert not _slab_threads()
+
+
+def test_more_slabs_than_cores_under_a_short_switch_interval(monkeypatch):
+    # every slab writes its own rows and reads its neighbors' rows of the
+    # phase before: a lost or early write would change the bits
+    monkeypatch.setattr(fields, "_slab_count", lambda grid: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for case, scheme in (("2d_decaying_rk4", "rk4_project"),
+                             ("2d_decaying_midpoint", "midpoint"), ("3d_rk4", "rk4_project")):
+            n = _ORACLE_CASES[case][0]()
+            cfg = dataclasses.replace(_stable_cfg(n, scheme), steps=4)
+            _, final = simulate(n, cfg)
+            old = n
+            for _ in range(cfg.steps):
+                old = allocating_stepper.step(old, cfg)
+            assert np.array_equal(final.values, old.values), case
+    finally:
+        sys.setswitchinterval(interval)
+    assert not _slab_threads()
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
@@ -529,20 +679,7 @@ def test_simulate_steps_and_reports_in_one_workspace(monkeypatch):
 def test_simulate_aborts_on_nan_with_step_index(monkeypatch):
     g = Grid.centered((32, 32), 12.0)
     n = make_random_smooth(g, seed=12, amplitude=1.2)
-
-    calls = {"count": 0}
-    import llgeo.dynamics as dyn
-
-    true_field = dyn._effective_field
-
-    def poisoned(values, grid, a, out, scratch):
-        calls["count"] += 1
-        out = true_field(values, grid, a, out, scratch)
-        if calls["count"] > 10:
-            out[5, 5] = np.nan
-        return out
-
-    monkeypatch.setattr(dyn, "_effective_field", poisoned)
+    _poison(monkeypatch, after=10)
     with pytest.raises(NumericsError, match=r"step \d+"):
         simulate(n, SimConfig(dt=1e-3, steps=50))
 
