@@ -9,6 +9,14 @@ Conventions pinned here once and used everywhere:
   gradient), are one second-order stencil (_stencil): central differences
   in the interior, 4 (one-step) - (two-step) at each edge, all divided by
   2h once, in place;
+* a cell's neighbors are flat offsets: partial, partial_T and the right
+  gradient read the (components, cells) flat view of their arrays through
+  grid._flat, and take the interior in one contiguous pass over the flat
+  rows at +-stride along any axis; the cells whose neighbor wraps into the
+  next row lie on the axis's two edge rows, which the edge formulas then
+  overwrite.  dynamics.energy is the one stencil left on slices: it sums
+  each axis's differences as one compact C-order block without the
+  wrapped cells, and that sum order pins E's bits;
 * integrals are midpoint-rule sums (cell value times cell volume);
 * group-valued differencing uses the group logarithm of one-step motions
   q(x+h) q(x)*, one quaternion product each, never subtraction;
@@ -24,18 +32,19 @@ Conventions pinned here once and used everywhere:
 import numpy as np
 
 from .fields import RotationField, _dot3, _qmul, _vector_norm2
-from .grid import _along
+from .grid import _along, _flat
 
 ROTATION_TOL = 1e-8  # so3_log rejects quaternions with | |q|^2 - 1 | beyond this
 
 
 def _stencil(out, h, sl=None, step=None):
     """The one owner of the second-order stencil's edges and scale: with
-    step, out's edge cell at each end e (0, then -1) of the axis that sl
+    step, out's edge row at each end e (0, then -1) of the axis that sl
     indexes gets 4 step(e, 1) - step(e, 2), the one-step and two-step
-    differences into the grid, each formed only while it is used; then all
-    of out (partial_T's transposed edges already in place) is divided by 2h
-    in one in-place pass, contiguous for a contiguous out.  Returns out."""
+    differences into the grid, each formed only while it is used, over
+    whatever the flat interior pass wrote there; then all of out
+    (partial_T's transposed edges already in place) is divided by 2h in one
+    in-place pass, contiguous for a contiguous out.  Returns out."""
     for e in (0, -1) if step else ():
         edge = out[sl(e) + (...,)]  # a view, a 0-d one for a 1-d scalar field
         np.subtract(np.multiply(4.0, step(e, 1), out=edge), step(e, 2), out=edge)
@@ -45,38 +54,48 @@ def _stencil(out, h, sl=None, step=None):
 def partial(values, grid, axis, out=None):
     """d(values)/dx_axis with second-order stencils (central in the interior,
     one-sided at the edges), written into out (allocated like values when
-    None) and returned.  Works for any trailing component shape."""
+    None) and returned.  Works for any trailing component shape.
+
+    out must share the memory order of values (any order that grid._flat
+    views: C order, component planes, Fortran order), else ValueError; a
+    values without a flat view, such as a strided slice, is copied once.
+    The interior is one subtraction over the flat rows at +-stride, whose
+    wrapped cells fall on the two edge rows that _stencil then overwrites.
+    """
     sl = _along(axis, grid.p)
     values = np.asarray(values, float)
     out = np.empty_like(values) if out is None else out
-    np.subtract(values[sl(slice(2, None))], values[sl(slice(None, -2))],
-                out=out[sl(slice(1, -1))])
-    # differences from the edge cell, so constants map to exactly zero
+    (v, o), strides = _flat(grid.p, values, out)
+    s = strides[axis]
+    np.subtract(v[:, 2 * s:], v[:, :-2 * s], out=o[:, s:-s])
+    # the k-step difference into the grid from the edge cell e (0 or -1), so
+    # constants map to exactly zero
     return _stencil(out, grid.spacing[axis], sl,
-                    lambda e, k: (values[sl(k)] - values[sl(0)] if e == 0
-                                  else values[sl(-1)] - values[sl(-1 - k)]))
+                    lambda e, k: values[sl(k + e * (k + 1))] - values[sl(e * (k + 1))])
 
 
 def partial_T(cot, grid, axis):
     """Exact transpose of the partial stencil, edge rows included:
-    sum(partial(v) * c) == sum(v * partial_T(c)) for every v and c.
+    sum(partial(v) * c) == sum(v * partial_T(c)) for every v and c,
+    returned laid out like cot.
 
     Pulls a cotangent of d(values)/dx_axis back to a cotangent of values,
     which is how the adjoint gradients of quadrature functionals are built.
+    The interior c[i - s] - c[i + s] is one subtraction over the flat rows
+    (grid._flat); the six edge rows, the two wrapped ones among them, are
+    then written in place, each with its terms in the order of the
+    scatter of the edge stencils' transposes.
     """
     sl = _along(axis, grid.p)
     cot = np.asarray(cot, float)
-    out = np.zeros_like(cot)
-    inner = cot[sl(slice(1, -1))]
-    out[sl(slice(2, None))] += inner
-    out[sl(slice(None, -2))] -= inner
+    out = np.empty_like(cot)
+    (c, o), strides = _flat(grid.p, cot, out)
+    s = strides[axis]
+    np.subtract(c[:, :-2 * s], c[:, 2 * s:], out=o[:, s:-s])
     lo, hi = cot[sl(0)], cot[sl(-1)]
-    out[sl(0)] -= 3.0 * lo
-    out[sl(1)] += 4.0 * lo
-    out[sl(2)] -= lo
-    out[sl(-1)] += 3.0 * hi
-    out[sl(-2)] -= 4.0 * hi
-    out[sl(-3)] += hi
+    out[sl(0)], out[sl(-1)] = 0.0 - cot[sl(1)] - 3.0 * lo, 0.0 + cot[sl(-2)] + 3.0 * hi
+    out[sl(1)], out[sl(-2)] = 0.0 - cot[sl(2)] + 4.0 * lo, 0.0 + cot[sl(-3)] - 4.0 * hi
+    out[sl(2)], out[sl(-3)] = out[sl(2)] - lo, out[sl(-3)] + hi
     return _stencil(out, grid.spacing[axis])
 
 
@@ -153,22 +172,28 @@ def right_gradient_axis(psi, axis):
     psi(x + eps e_axis) psi(x)^-1.
 
     Central in the group in the interior, second-order one-sided at the edges.
-    Each one-step motion q(x+h) q(x)* is one quaternion product, logged
-    once: the backward motion at x is the inverse of the forward one at
-    x-h, and log q* = -log q.
+    Each one-step motion q(x+h) q(x)* is one quaternion product over the
+    flat pairs of cells at +-stride (grid._flat), logged once: the backward
+    motion at x is the inverse of the forward one at x-h, and log q* = -log q.
+    The pairs that wrap fall on the two edge rows, whose one-sided stencils
+    take their one-step and two-step motions from one 4-row product.
     """
     if not isinstance(psi, RotationField):
         raise TypeError("psi must be a RotationField")
     sl = _along(axis, psi.grid.p)
     q = psi.values
-    fwd = so3_log(_qmul(q[sl(slice(1, None))], q[sl(slice(None, -1))], conj=True))
-    # the two-step motions enter only the one-sided edge stencils; the high
-    # end's runs backward, q(x-2h) q(x)*, so it enters negated
-    two = so3_log(_qmul(q[sl([2, -3])], q[sl([0, -1])], conj=True))
-    np.negative(two[sl(1)], out=two[sl(1)])
-    out = np.moveaxis(np.empty((3,) + psi.grid.dims), 0, -1)
-    np.add(fwd[sl(slice(1, None))], fwd[sl(slice(None, -1))], out=out[sl(slice(1, -1))])
-    return _stencil(out, psi.grid.spacing[axis], sl, lambda e, k: (fwd, two)[k - 1][sl(e)])
+    (qf,), strides = _flat(psi.grid.p, q)
+    s = strides[axis]
+    fwd = so3_log(_qmul(qf[:, s:].T, qf[:, :-s].T, conj=True))
+    out = np.moveaxis(np.empty((3,) + psi.grid.dims), 0, -1)  # after the logs' scratch is freed
+    (_, of), _ = _flat(psi.grid.p, q, out)
+    np.add(fwd[s:], fwd[:-s], out=of[:, s:-s].T)
+    # the edge rows' motions q(x+h) q(x)* and q(x+2h) q(x)* at the low end,
+    # and at the high end; its two-step one runs backward, q(x-2h) q(x)*,
+    # so it enters negated
+    edge = so3_log(_qmul(q[sl([1, 2, -1, -3])], q[sl([0, 0, -2, -1])], conj=True))
+    np.negative(edge[sl(3)], out=edge[sl(3)])
+    return _stencil(out, psi.grid.spacing[axis], sl, lambda e, k: edge[sl(k - 1 - 2 * e)])
 
 
 def tangent_project(vec_values, n_values):

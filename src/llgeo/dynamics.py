@@ -31,15 +31,18 @@ neither a step nor a report allocates a grid-sized array.  Every field is
 component-major (fields._payload), and every field buffer is laid out
 like it (np.empty_like), so the per-component passes of the effective
 field, the cross product and the renormalization stream contiguous
-planes; each axis's neighbor sum is one add over the flat planes.  Every
-value is computed elementwise with the operation order of the textbook
-allocating formulas of the scaled right-hand side (np.pad neighbor sums,
-the componentwise cross product, np.linalg.norm, the weights tau; the
-oracle in tests/allocating_stepper.py), so the stepped fields are
-bit-identical to theirs, and every sum runs over contiguous planes in
-memory order.  They are not bit-identical to the stages of the unscaled
-n x H, from which they differ in the last bits unless h0^2 is a power of
-two.
+planes.  Neighbors are flat offsets, as in every stencil of calculus: each
+axis's neighbor sum is one add over the flat planes at +-stride that
+grid._flat views, and energy is the one stencil left on slices, since it
+sums each axis's differences as one compact block and that order pins
+E's bits.  Every value is computed elementwise with the operation order
+of the textbook allocating formulas of the scaled right-hand side (np.pad
+neighbor sums, the componentwise cross product, np.linalg.norm, the
+weights tau; the oracle in tests/allocating_stepper.py), so the stepped
+fields are bit-identical to theirs, and every sum runs over contiguous
+planes in memory order.  They are not bit-identical to the stages of the
+unscaled n x H, from which they differ in the last bits unless h0^2 is a
+power of two.
 
 A step runs over the workspace's axis-0 slabs: two on a grid of at least
 fields.SLAB_CELLS cells when two CPUs are available, else one, run inline.
@@ -61,7 +64,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericsError
 from .fields import _c_view, _dot3, _Workspace
 from .calculus import cross3, integrate
-from .grid import _along
+from .grid import _along, _flat
 from . import momenta
 
 
@@ -158,38 +161,36 @@ def _effective_field(values, grid, a, out, scratch, rows=slice(None)):
     divides, and only an axis whose spacing differs from h0 multiplies.
 
     values, out and scratch must each be three contiguous component planes
-    (fields._payload's layout); their flat views are taken without a copy,
-    so any other layout raises ValueError.  Per axis the neighbor sum is one
-    add over the flat planes at offsets +-stride (in out for the first axis,
-    in scratch after it), whose wrapped end cells are then overwritten by
-    their one present neighbor.  -dE/dn of the discrete energy is
-    H - (D + a) n, D the sum of 1/h^2 over the present neighbors (the
-    Laplacian's diagonal and its free-edge rule), and n x n = 0, so n x H is
-    the Landau-Lifshitz field -n x dE/dn up to rounding.
+    (fields._payload's layout), which grid._flat views as flat planes
+    without a copy, and any other layout raises ValueError.  Per axis the
+    neighbor sum is one add over the flat planes at offsets +-stride, the
+    axis's flat stride (in out for the first axis, in scratch after it,
+    where a slab's rows are a contiguous run of each flat plane), whose
+    wrapped end cells are then overwritten by their one present neighbor.
+    -dE/dn of the discrete energy is H - (D + a) n, D the sum of 1/h^2 over
+    the present neighbors (the Laplacian's diagonal and its free-edge rule),
+    and n x n = 0, so n x H is the Landau-Lifshitz field -n x dE/dn up to
+    rounding.
     """
     h0, d0 = grid.spacing[0], grid.dims[0]
     lo, hi, _ = rows.indices(d0)
-    axes = (grid.p,) + tuple(range(grid.p))  # np.moveaxis(x, -1, 0), at less cost
-    flat_v, flat_o, flat_s = [x.transpose(axes).reshape(-1, copy=False).reshape(3, -1)
-                              for x in (values, out, scratch)]
-    stride = math.prod(grid.dims[1:])
-    first, last = max(lo, 1) * stride, min(hi, d0 - 1) * stride  # rows with both neighbors
-    np.add(flat_v[:, first + stride:last + stride], flat_v[:, first - stride:last - stride],
-           out=flat_o[:, first:last])
-    if lo == 0:
-        out[0] = values[1]
-    if hi == d0:
-        out[-1] = values[-2]
+    (fv, fo, fs), strides = _flat(grid.p, values, out, scratch)
+    stride = strides[0]
+    if stride * d0 != fv.shape[1] or not all(x.flags.c_contiguous for x in (fv, fo, fs)):
+        raise ValueError("values, out and scratch must be component planes, viewed without a copy")
+    i0, i1 = max(lo, 1) * stride, min(hi, d0 - 1) * stride  # the cells of rows with both neighbors
+    np.add(fv[:, i0 + stride:i1 + stride], fv[:, i0 - stride:i1 - stride], out=fo[:, i0:i1])
+    # each end row's one neighbor, where the rows hold it (else the slices are empty)
+    out[lo:1], out[max(lo, d0 - 1):hi] = values[1:2], values[-2:-1]
     v, o, s = values[lo:hi], out[lo:hi], scratch[lo:hi]  # every other axis stays in the rows
-    flat_v, flat_o, flat_s = [x[:, lo * stride:hi * stride] for x in (flat_v, flat_o, flat_s)]
+    fv, fo, fs = [x[:, lo * stride:hi * stride] for x in (fv, fo, fs)]
     for axis, h in enumerate(grid.spacing[1:], 1):
-        at = _along(axis, grid.p)
-        stride = math.prod(grid.dims[axis + 1:])
-        np.add(flat_v[:, 2 * stride:], flat_v[:, :-2 * stride], out=flat_s[:, stride:-stride])
+        at, stride = _along(axis, grid.p), strides[axis]
+        np.add(fv[:, 2 * stride:], fv[:, :-2 * stride], out=fs[:, stride:-stride])
         s[at(0)], s[at(-1)] = v[at(1)], v[at(-2)]
         if h != h0:
-            np.multiply(flat_s, (h0 / h) ** 2, out=flat_s)
-        np.add(flat_o, flat_s, out=flat_o)
+            np.multiply(fs, (h0 / h) ** 2, out=fs)
+        np.add(fo, fs, out=fo)
     np.multiply(v[..., 2], a * h0 ** 2, out=s[..., 2])
     np.add(o[..., 2], s[..., 2], out=o[..., 2])
     return out

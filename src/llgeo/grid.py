@@ -24,6 +24,25 @@ def _along(axis, p):
     return lambda s: (slice(None),) * axis + (s,)
 
 
+def _flat(p, x, *others):
+    """The (components, cells) flat views of arrays laid out as dims + comp
+    (a p-dimensional grid's dims, then any per-cell shape), x and then
+    others, and the flat stride of each grid axis: the neighbors of cell i
+    along an axis of flat stride s are cells i +- s, except on the axis's
+    two edge rows, where i +- s wraps into another row.  The grid axes of x,
+    and apart from them its component axes, are taken in memory order
+    (np.empty_like's), so C order, component planes and Fortran order each
+    give a view without a copy, and every array is viewed in that order.
+    x is only read, and is copied once when it has no such view; each of
+    the others is written through its view, so one that has none (its axes
+    lie in another memory order) raises ValueError rather than be copied
+    and left unwritten."""
+    axes = sorted(range(x.ndim), key=lambda a: (a < p, -abs(x.strides[a])))
+    views = [y.transpose(axes).reshape(-1, math.prod(y.shape[:p]), copy=None if y is x else False)
+             for y in (x,) + others]
+    return views, tuple(math.prod(x.shape[b] for b in axes[axes.index(a) + 1:]) for a in range(p))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered lattice descriptor.

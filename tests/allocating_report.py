@@ -16,6 +16,11 @@ entry one dot product with a coordinate plane, and density_route takes P
 and L through it as integrals of the P-density: the same quadratures as
 llgeo.momenta's axis-by-axis contraction in another summation order, an
 oracle at a stated bound.
+
+partial and partial_T are the allocating forms of the stencil and of its
+transpose (a scatter into a zero-filled array, edge rows last), which
+llgeo.calculus.partial and partial_T must reproduce exactly in every
+layout.
 """
 
 import numpy as np
@@ -55,6 +60,25 @@ def partial(values, grid, axis):
     out[sl(-1)] = (4.0 * (values[sl(-1)] - values[sl(-2)])
                    - (values[sl(-1)] - values[sl(-3)])) / (2.0 * h)
     return out
+
+
+def partial_T(cot, grid, axis):
+    """The transpose of partial as a scatter into a zero-filled array: the
+    interior rows added at +-1, then the edge rows' transposed weights, and
+    one division by 2h."""
+    sl = lambda s: (slice(None),) * axis + (s,)  # noqa: E731
+    out = np.zeros_like(cot)
+    inner = cot[sl(slice(1, -1))]
+    out[sl(slice(2, None))] += inner
+    out[sl(slice(None, -2))] -= inner
+    lo, hi = cot[sl(0)], cot[sl(-1)]
+    out[sl(0)] -= 3.0 * lo
+    out[sl(1)] += 4.0 * lo
+    out[sl(2)] -= lo
+    out[sl(-1)] += 3.0 * hi
+    out[sl(-2)] -= 4.0 * hi
+    out[sl(-3)] += hi
+    return out / (2.0 * grid.spacing[axis])
 
 
 def two_form(n):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,21 +90,59 @@ def test_partial_T_is_exact_transpose(dims):
 @pytest.mark.parametrize("trailing", [(), (3,), (2, 3)], ids=["scalar", "vector", "matrix"])
 @pytest.mark.parametrize("dims", [(11,), (9, 13), (8, 10, 9)], ids=["1d", "2d", "3d"])
 def test_partial_is_bitwise_the_allocating_stencil(dims, trailing):
-    # the in-place stencil (central interior, 4 one - two at the edges, one
-    # division by 2h) gives the allocating form's bits on every axis, in C
-    # order, in component planes and in Fortran order, with and without out
+    # the flat stencils (one pass over the flat rows at +-stride, the edge
+    # rows written in place, one division by 2h) give the allocating forms'
+    # bits on every axis, in C order, in component planes, in Fortran order
+    # and from a strided view (copied once), partial with and without out;
+    # an out in another memory order than values has no flat view in
+    # values' order and is refused, as a copy of it would be left unwritten
     g = Grid(dims, tuple(0.3 + 0.07 * i for i in range(len(dims))), (0.0,) * len(dims))
     v = np.random.default_rng(len(dims) + len(trailing)).standard_normal(dims + trailing)
-    copies = {"C": np.array(v, order="C"), "F": np.array(v, order="F")}
+    every_other = (slice(None),) * (g.p - 1) + (slice(None, None, 2),)
+    copies = {"C": np.array(v, order="C"), "F": np.array(v, order="F"),
+              "strided": np.repeat(v, 2, axis=g.p - 1)[every_other]}
     if trailing:
         copies["planar"] = component_major(v, len(trailing))
     for axis in range(g.p):
         want = allocating_report.partial(v, g, axis)
+        want_T = allocating_report.partial_T(v, g, axis)
         for layout, values in copies.items():
             assert np.array_equal(partial(values, g, axis), want), (axis, layout)
             out = np.empty_like(values)
             assert partial(values, g, axis, out=out) is out
             assert np.array_equal(out, want), (axis, layout)
+            assert np.array_equal(partial_T(values, g, axis), want_T), (axis, layout)
+        if g.p > 1:
+            with pytest.raises(ValueError, match="copy"):
+                partial(copies["C"], g, axis, out=np.empty_like(copies["F"]))
+
+
+def _peak_bytes(call):
+    call()  # warm
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("layout", ["planar", "C", "F"])
+@pytest.mark.parametrize("dims", [(128, 128), (32, 32, 32)], ids=["128^2", "32^3"])
+def test_stencils_allocate_only_edge_slabs(dims, layout):
+    # the interior is one pass over the flat rows at +-stride, which numpy
+    # need not buffer along any axis: partial into a given out allocates at
+    # most 6 edge slabs (one index's values along the axis), and partial_T
+    # its own output and 6 edge slabs more
+    g = Grid.centered(dims, 12.0)
+    n = make_random_smooth(g, seed=1, amplitude=1.5)
+    v = {"planar": n.values, "C": np.ascontiguousarray(n.values),
+         "F": np.asfortranarray(n.values)}[layout]
+    out = np.empty_like(v)
+    for axis in range(g.p):
+        slab = v.nbytes // g.dims[axis]
+        assert _peak_bytes(lambda: partial(v, g, axis, out=out)) <= 6 * slab, axis
+        assert _peak_bytes(lambda: partial_T(v, g, axis)) <= v.nbytes + 6 * slab, axis
 
 
 # ---------- integrate ----------
@@ -321,14 +361,17 @@ def test_right_gradient_3d_all_axes_and_edges():
 def test_right_gradient_is_bitwise_the_allocating_assembly(dims):
     # the in-place stencil on component planes, its high edge passing the
     # negated two-step motion, gives the bits of the C-order assembly of the
-    # same logged motions, from either layout of psi
+    # same logged motions
     g = Grid.centered(dims, 6.0)
     psi = random_rotation_field(g, seed=11, amplitude=2.5)
-    c_order = RotationField(g, np.ascontiguousarray(psi.values), check=False)
     for axis in range(g.p):
         want = so3_oracle.right_gradient(psi, axis)
-        for field in (psi, c_order):
-            assert np.array_equal(right_gradient_axis(field, axis), want), axis
+        assert np.array_equal(right_gradient_axis(psi, axis), want), axis
+    # every payload is four contiguous planes, whatever it is built from, so
+    # the flat rows of one-step pairs read contiguous memory
+    for check in (True, False):
+        for source in (psi.values, np.ascontiguousarray(psi.values)):
+            assert _is_planar(RotationField(g, source, check=check).values)
 
 
 def test_right_gradient_of_gauge_field_is_grad_alpha_times_k():
