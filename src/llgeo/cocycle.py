@@ -34,12 +34,13 @@ def omega0(a1, a2):
 def _directional_derivative(values, grid, velocity):
     """Derivative of a field along the spatial vector field `velocity`
     (shape dims + (p,)): sum_i velocity_i d_i values."""
-    return _directional(velocity, (partial(values, grid, i) for i in range(grid.p)))
+    derivs = (partial(values, grid, i) for i in range(grid.p))
+    return _directional(np.moveaxis(velocity, -1, 0), derivs)
 
 
 def _wedge_lift(mu, grads, e):
     """wedge_lift from the derivative list of mu (see there)."""
-    xi = cross3(mu.values, _directional(e.velocity_field(mu.grid), grads))
+    xi = cross3(mu.values, _directional(np.moveaxis(e.velocity_field(mu.grid), -1, 0), grads))
     xi[mu.grid.boundary_mask()] = 0.0
     return SemidirectAlgebraElement(mu.grid, xi, e)
 

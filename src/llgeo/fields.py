@@ -100,13 +100,14 @@ MAX_SLABS = 2  # two cores is the most this split was measured on
 def _slab_count(grid):
     """How many axis-0 slabs the stepper splits grid into: MAX_SLABS, or as
     many CPUs as this process may run on if fewer, for a grid of at least
-    SLAB_CELLS cells, else 1.  Below SLAB_CELLS a second thread costs more
+    SLAB_CELLS cells, else 1 (a Grid has at least 8 rows, so no slab is
+    empty).  Below SLAB_CELLS a second thread costs more
     than it saves; above it each core's cache holds its half."""
     if math.prod(grid.dims) < SLAB_CELLS:
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(MAX_SLABS, cpus, grid.dims[0])
+    return min(MAX_SLABS, cpus)
 
 
 class _Workspace:
@@ -224,11 +225,11 @@ class SpinField:
     A checked field's planes are a frozen copy, so the moment tensor G of
     its 2-form (momenta._moment_tensor, which takes each plane's moments
     with momenta._plane_moments as the plane is built) is a function of the
-    field: the first pass keeps G, read-only, in _moments (empty until
+    field: the first pass keeps G, read-only, in _G (empty until
     then), and moments, degree and cocycle_direct contract it from then on
     without a pass; it is (p + 1)^2 p^2 floats, never a grid-sized array.  A
     check=False field may adopt a buffer that is overwritten later, such as
-    the stepper's pooled arrays, so its _moments is None and no G is kept
+    the stepper's pooled arrays, so its _G is None and no G is kept
     for it.
     """
 
@@ -236,7 +237,7 @@ class SpinField:
         self.values = _payload(grid, values, (3,), check)
         self.grid = grid
         self.decaying = bool(decaying)
-        self._moments = () if check else None
+        self._G = () if check else None
         if check:
             self.check_invariants()
 

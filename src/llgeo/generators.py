@@ -31,26 +31,31 @@ def bump(r2):
     return np.where(r2 < 1.0, np.exp(1.0 - 1.0 / np.clip(1.0 - r2, 1e-12, None)), 0.0)
 
 
+def _box_rows(grid):
+    """The box coordinates u = x / half-widths as an open mesh (Grid._rows),
+    one row per axis broadcast along that axis."""
+    return [x / h for x, h in zip(grid._rows(), grid.half_widths())]
+
+
 def bump_envelope(grid, support):
     """bump(|u|^2 / support^2) in the box coordinates u = x / half-widths:
     1 at the centre, identically 0 where |u| >= support."""
-    u = grid.coords() / np.array(grid.half_widths())
-    return bump((u ** 2).sum(axis=-1) / support ** 2)
+    return bump(sum(u * u for u in _box_rows(grid)) / support ** 2)
 
 
 def band_limited(grid, rng, modes):
     """Seeded low-mode scalar field in the box coordinates u = x / half-widths:
-    the mean of `modes` weighted products of cosines, each mode drawing its
-    wave numbers (1-3), phases and weight (in [0.3, 1)) from rng in that
-    order."""
-    u = grid.coords() / np.array(grid.half_widths())
+    the mean of `modes` (a positive int) weighted products of cosines, each
+    mode drawing its wave numbers (1-3), phases and weight (in [0.3, 1))
+    from rng in that order.  Each cosine is taken on its axis's row only."""
+    if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)) or modes < 1:
+        raise ValueError(f"modes must be a positive int, got {modes!r}")
+    u = _box_rows(grid)
     out = np.zeros(grid.dims)
     for _ in range(modes):
         kvec = rng.integers(1, 4, size=grid.p)
         phase = rng.uniform(0, 2 * np.pi, size=grid.p)
-        term = np.ones(grid.dims)
-        for i in range(grid.p):
-            term = term * np.cos(np.pi * kvec[i] * u[..., i] + phase[i])
+        term = math.prod(np.cos(np.pi * k * x + ph) for k, ph, x in zip(kvec, phase, u))
         out += rng.uniform(0.3, 1.0) * term
     return out / modes
 
@@ -81,10 +86,11 @@ def make_bp_soliton(grid, m, lam, cutoff_radius, center=None):
     if m == 0:
         return make_constant(grid, -K_AXIS)
 
-    xy = grid.coords() - center
-    z = (xy[..., 0] + 1j * xy[..., 1]) / lam
+    x, y = (row - c for row, c in zip(grid._rows(), center))
+    xy = x + 1j * y
+    z = xy / lam
     w = z ** m if m > 0 else np.conj(z) ** (-m)
-    r = np.abs(xy[..., 0] + 1j * xy[..., 1])
+    r = np.abs(xy)
 
     # inverse stereographic projection from the south pole: w=0 -> +k, w=inf -> -k
     absw2 = np.abs(w) ** 2
@@ -191,7 +197,7 @@ def make_gauge_bump_alpha(grid, winding=1, support=0.6):
     both ends.  p >= 2: a compactly supported 2*pi * winding bump.
     """
     if grid.p == 1:
-        u = grid.coords()[..., 0] / grid.half_widths()[0]
+        (u,) = _box_rows(grid)
         t = np.clip((u + support) / (2 * support), 0.0, 1.0)
         return 2.0 * np.pi * winding * _cutoff_blend(t)
     return 2.0 * np.pi * winding * bump_envelope(grid, support)

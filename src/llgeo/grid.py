@@ -45,7 +45,10 @@ def _flat(p, x, *others):
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-centered lattice descriptor.
+    """Cell-centered lattice descriptor.  A grid keeps no grid-sized array:
+    its coordinates are per-axis rows (axis_coords, the open mesh _rows and
+    the power rows _coord_powers), and coords() builds the full planes on
+    each call for the callers that need a dims + (p,) field.
 
     dims     -- cell counts per axis (at least 8 per axis)
     spacing  -- cell width per axis
@@ -97,14 +100,12 @@ class Grid:
         """1-d array of cell-center coordinates along one axis."""
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
 
-    @cached_property
-    def _coord_planes(self):
-        """The one cached, read-only stack of the p contiguous coordinate
-        planes of the cell centers, (p,) + dims."""
-        axes = [self.axis_coords(i) for i in range(self.p)]
-        planes = np.stack(np.meshgrid(*axes, indexing="ij"))
-        planes.setflags(write=False)
-        return planes
+    def _rows(self):
+        """The cell-center coordinates as an open mesh: p arrays, the `axis`
+        one holding axis_coords(axis) along that axis and of length 1 along
+        the others (np.ix_), so any elementwise formula in them broadcasts
+        to dims with no grid-sized coordinate array made or kept."""
+        return np.ix_(*map(self.axis_coords, range(self.p)))
 
     @cached_property
     def _coord_powers(self):
@@ -115,18 +116,14 @@ class Grid:
         return tuple(np.array([x ** 0, x, x * x]) for x in map(self.axis_coords, range(self.p)))
 
     def coords(self):
-        """Cell-center coordinates, shape dims + (p,): a view of the cached
-        coordinate planes."""
-        return np.moveaxis(self._coord_planes, 0, -1)
-
-    def coord_component(self, axis):
-        """The contiguous, read-only plane (shape dims) of the `axis`
-        coordinate of every cell center, which coords() views."""
-        return self._coord_planes[axis]
+        """Cell-center coordinates, shape dims + (p,), built on each call
+        (the grid keeps none): the (..., p) view of a fresh C-contiguous
+        stack of the p coordinate planes, (p,) + dims."""
+        return np.moveaxis(np.stack(np.broadcast_arrays(*self._rows())), 0, -1)
 
     def radius(self):
         """Distance of every cell center from the coordinate origin."""
-        return np.sqrt((self.coords() ** 2).sum(axis=-1))
+        return np.sqrt(sum(x * x for x in self._rows()))
 
     def boundary_slabs(self):
         """The 2p index tuples of the BOUNDARY_LAYER slabs, the first and the

@@ -163,7 +163,7 @@ def momentum_P_cross(n):
     return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vort), n.grid)
 
 
-def _moments(w, grid):
+def _first_moments(w, grid):
     """(integral of x wedge w, integral of w) for a density w of p
     contiguous planes, (p,) + dims, read off the last row of each plane's
     _plane_moments: the wedge moment is M - M^T with M = integral of x w^T,
@@ -186,8 +186,8 @@ def _tensor(n, work=None):
     arrays) and takes none of the workspace's planes.  Each value keeps the
     operation order of the allocating composition, so G is bit-identical
     to it."""
-    if n._moments is not None and len(n._moments):
-        return n._moments
+    if n._G is not None and len(n._G):
+        return n._G
     grid, p = n.grid, n.grid.p
     work = _Workspace(n) if work is None else work
     grads = _gradients(n, [work.take() for _ in range(p)])
@@ -195,8 +195,8 @@ def _tensor(n, work=None):
     f, *scratch = _c_view(spare, (3,) + grid.dims)
     G = _frozen(_moment_tensor(n, grads, f, scratch))
     work.pool += grads + [spare]
-    if n._moments is not None:
-        n._moments = G
+    if n._G is not None:
+        n._G = G
     return G
 
 
@@ -226,9 +226,10 @@ def moments(n, work=None):
 
 
 def _directional(velocity, derivs):
-    """sum_i velocity_i d_i from the per-axis derivatives d_i (any iterable),
-    with velocity a vector field of shape dims + (p,)."""
-    return sum(velocity[..., i, None] * d for i, d in enumerate(derivs))
+    """sum_i v_i d_i from the per-axis derivatives d_i (any iterable), with
+    velocity the components v_i, each a scalar field that broadcasts to dims
+    (the planes of a vector field, or Grid._rows for x itself)."""
+    return sum(v[..., None] * d for v, d in zip(velocity, derivs))
 
 
 def _P_adjoint(n, grads):
@@ -236,14 +237,15 @@ def _P_adjoint(n, grads):
     grid = n.grid
     if grid.p < 2:
         raise ValueError("translation momentum needs p >= 2")
-    s = _directional(grid.coords(), grads)
+    x = grid._rows()
+    s = _directional(x, grads)
     s_x_n = cross3(s, n.values)
     out = np.empty((grid.p,) + n.values.shape)
     for k in range(grid.p):
         n_x_a = cross3(n.values, grads[k])
         total = cross3(grads[k], s) + partial_T(s_x_n, grid, k)
-        for j in range(grid.p):
-            total += partial_T(grid.coord_component(j)[..., None] * n_x_a, grid, j)
+        for j, x_j in enumerate(x):
+            total += partial_T(x_j[..., None] * n_x_a, grid, j)
         out[k] = tangent_project(total, n.values) / (grid.p - 1)
     return out
 
@@ -338,7 +340,7 @@ def momentum_JH(psi, mu):
     """
     if psi.grid is not mu.grid and psi.grid != mu.grid:
         raise ValueError("psi and mu must share a grid")
-    rot, total = _moments(_JH_density(psi, mu), psi.grid)
+    rot, total = _first_moments(_JH_density(psi, mu), psi.grid)
     return rot, -total
 
 
@@ -368,7 +370,7 @@ def reduced_momentum_lift(n):
     singular set (see _lift_integrand)."""
     n.require_decaying("reduced_momentum_lift")
     wbar, _ = _lift_integrand(n)
-    rot, total = _moments(wbar, n.grid)
+    rot, total = _first_moments(wbar, n.grid)
     return rot, -total
 
 

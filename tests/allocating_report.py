@@ -95,9 +95,10 @@ def two_form(n):
 
 def _density_P(F, grid):
     dens = np.zeros((grid.p,) + grid.dims)
+    x = grid.coords()
     for (i, j), f in F.items():
-        dens[i] += grid.coord_component(j) * f
-        dens[j] -= grid.coord_component(i) * f
+        dens[i] += x[..., j] * f
+        dens[j] -= x[..., i] * f
     return dens / (grid.p - 1)
 
 
@@ -112,7 +113,8 @@ def first_moments(w, grid):
     the wedge moment M - M^T with M = integral of x w^T, each entry one
     np.einsum dot product of a coordinate plane with a plane of w."""
     total = np.array([integrate(plane, grid) for plane in w])
-    m = np.array([[np.einsum("i,i->", grid.coord_component(i).ravel(), plane.ravel())
+    x = grid.coords()
+    m = np.array([[np.einsum("i,i->", x[..., i].ravel(), plane.ravel())
                    for plane in w] for i in range(grid.p)]) * grid.cell_volume
     return m - m.T, total
 

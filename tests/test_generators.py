@@ -192,3 +192,11 @@ def test_random_smooth_names_the_grid_it_is_too_small_for():
     with pytest.raises(ValueError, match="need at least 15 cells"):
         make_random_smooth(Grid.centered((14, 16), 8.0), 0, support=0.8)
     make_random_smooth(Grid.centered((15, 16), 8.0), 0, support=0.8).check_invariants()
+
+
+@pytest.mark.parametrize("modes", [0, -1, 2.5, True])
+def test_random_smooth_refuses_a_mode_count_that_is_not_a_positive_int(modes):
+    # unrefused, 0 would divide by zero, -1 give the vacuum and True count as 1
+    with pytest.raises(ValueError, match=rf"modes must be a positive int, got {modes!r}"):
+        make_random_smooth(Grid.centered((32, 32), 12.0), seed=0, modes=modes)
+    make_random_smooth(Grid.centered((32, 32), 12.0), seed=0, modes=np.int64(2)).check_invariants()

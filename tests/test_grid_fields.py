@@ -61,11 +61,6 @@ def test_cell_coords_are_exact():
     assert coords.shape == (16, 12, 2)
     assert np.array_equal(coords[0, 0], [-4.0, -1.5])
     assert np.array_equal(coords[3, 5], [-4.0 + 3 * 0.5, -1.5 + 5 * 0.25])
-    # one cached stack: each coordinate plane is a read-only contiguous view
-    for axis in range(2):
-        plane = g.coord_component(axis)
-        assert plane.flags.c_contiguous and not plane.flags.writeable
-        assert np.shares_memory(plane, coords) and np.array_equal(plane, coords[..., axis])
 
 
 def test_centered_grid_is_symmetric():

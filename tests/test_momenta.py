@@ -304,7 +304,7 @@ def test_unchecked_field_never_answers_from_a_memo():
     assert _same(moments(f), moments(a))
     np.copyto(buf, b.values)
     assert _same(moments(f), moments(b)) and not _same(moments(b), moments(a))
-    assert f._moments is None
+    assert f._G is None
 
 
 @pytest.mark.parametrize("call", [moments, degree, momentum_P_general, rotational_momentum])

@@ -7,9 +7,11 @@ parsed with ast, and every name an import binds must be read (an
 ast.Name in a Load context) somewhere in the module.  An import whose
 line is marked `# noqa` is skipped, for a name kept importable on purpose.
 Every private name (a leading underscore) that a module binds at its top
-level, by def, class or assignment, must be read somewhere in src/llgeo:
-as an ast.Name in a Load context or as the attribute of an
-ast.Attribute, which is how module.name reads it.
+level, by def, class or assignment, or that a top-level class body binds
+by def (a method, property or cached property), must be read somewhere in
+src/llgeo: as an ast.Name in a Load context or as the attribute of an
+ast.Attribute, which is how module.name and self.name read it.  So a
+cache or helper left with no reader fails.
 """
 
 import ast
@@ -61,12 +63,19 @@ def test_no_module_imports_a_name_it_never_reads():
     assert found == []
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _top_level_names(tree):
     """(line, name) of every name a module binds at its top level by def,
-    class or assignment."""
+    class or assignment, and of every def in the body of a top-level
+    class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _DEFS + (ast.ClassDef,)):
             yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((member.lineno, member.name) for member in node.body
+                            if isinstance(member, _DEFS))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -104,19 +113,32 @@ def test_the_check_finds_private_names_nothing_reads():
                 return 0
 
             class _Box:
-                pass
+                def __init__(self):
+                    self._size = 1
+
+                @property
+                def _area(self):
+                    return self._side() ** 2
+
+                def _side(self):
+                    return self._size
+
+                @property
+                def _stale(self):
+                    return 0
             """),
         "b": textwrap.dedent("""\
             from . import a
             from .a import _Box
 
             def public():
-                return a._helper(), _Box()
+                return a._helper(), _Box()._area
             """),
     }
-    # a dunder is not private; _helper is read as an attribute in b, and
-    # _Box as a name
-    assert unread_private_names(sources) == [("a", 1, "_UNUSED"), ("a", 7, "_leftover")]
+    # a dunder is not private; _helper and _area are read as attributes in
+    # b, _side as an attribute in a, and _Box as a name
+    assert unread_private_names(sources) == [("a", 1, "_UNUSED"), ("a", 7, "_leftover"),
+                                             ("a", 22, "_stale")]
 
 
 def test_every_private_name_is_read_somewhere_in_the_package():
