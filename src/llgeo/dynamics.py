@@ -13,11 +13,18 @@ layer of decaying fields is frozen.  Two steppers are provided: projected
 classical RK4 (default), stable only for dt*rho <= 2*sqrt(2) with
 rho = 4 sum 1/h_i^2 + |a| (beyond it renormalization hides a blow-up, so
 step refuses such a dt), and the spherical midpoint rule, the implicit
-midpoint taken at the renormalized average and solved by fixed-point
-iteration (McLachlan, Modin & Verdier, Phys. Rev. E 89 (2014) 061301): it
-is symplectic on the product of spheres, keeps |n| and N exact to solver
-tolerance, and conserves E nearly.  Its iteration contracts by about
-dt*rho/2, so step refuses a midpoint dt*rho > 2 too.
+midpoint taken at the renormalized average (McLachlan, Modin & Verdier,
+Phys. Rev. E 89 (2014) 061301): it is symplectic on the product of
+spheres, keeps |n| and N exact to solver tolerance, and conserves E
+nearly.  Its fixed point is solved by a two-step sweep with fixed
+coefficients (second-order Richardson, or Chebyshev iteration on the
+segment i[-r, r] near which a sweep's spectrum lies, r = dt*rho/2; Golub &
+Varga, Numer. Math. 3 (1961) 147): it took at most 31 sweeps at every
+dt*rho <= 2 on the fields of the tests.  step still refuses a midpoint
+dt*rho > 2.  The sweep would converge beyond it, but the work per unit
+time barely falls while the error grows: a 64^2 soliton run to t = 0.5
+took 1088, 896 and 826 effective fields at dt*rho = 1, 2 and 4, and ended
+3.6e-3, 9.4e-3 and 1.9e-2 (max abs) from a run at dt*rho = 1/16.
 
 Stepping and reporting write in place into a workspace (fields._Workspace):
 a pool of spare field arrays for the stages, the effective field, the
@@ -209,8 +216,10 @@ def _renormalize(values, planes):
 def step(n, cfg, work=None):
     """Advance dn/dt = n x H one time step and return the new field, laid
     out like n.values.  A dt beyond RK4's stability limit dt*rho = 2*sqrt(2),
-    or beyond dt*rho = 2 for the midpoint, whose fixed point contracts by
-    about dt*rho/2 per iteration, raises ValueError before any work.
+    or beyond dt*rho = 2 for the midpoint, raises ValueError before any
+    work.  The midpoint's sweep would still converge beyond 2, but the work
+    per unit time barely falls there while the error grows, so 2 stays its
+    cap.
 
     Each stage evaluates n x (h0^2 H) from _effective_field and carries the
     exchange weight 1/h0^2 in its weight: tau = dt/h0^2 stands in for dt in
@@ -229,9 +238,10 @@ def step(n, cfg, work=None):
     only and reads its neighbors' rows of the phase before.  So a stage
     reads one array and writes the next stage into another, alternating
     between stage and k (a slab's H holds 2 k_i once the cross product has
-    read it), and a midpoint iteration writes the next iterate's average,
-    renormalized, over the iterate it replaces; the update maxima of the
-    slabs are combined by np.maximum, which keeps a NaN.  Every value keeps
+    read it), and a midpoint sweep writes the next iterate over G of the
+    current one and the next iterate's average, renormalized, over the
+    iterate before the current one; the update maxima of the slabs are
+    combined by np.maximum, which keeps a NaN.  Every value keeps
     the operation order of the allocating formulas of the scaled right-hand
     side, so the result is bit-identical to them for any slab count.
     """
@@ -261,8 +271,9 @@ def step(n, cfg, work=None):
         return slab
 
     try:
-        scheme = _rk4 if cfg.scheme == "rk4_project" else _midpoint
-        return n.with_values(scheme(y, tau, rhs, H, work, slabs), check=False)
+        new = (_rk4(y, tau, rhs, H, work, slabs) if cfg.scheme == "rk4_project" else
+               _midpoint(y, tau, dt * rho / 2.0, rhs, H, work, slabs))
+        return n.with_values(new, check=False)
     finally:
         work.pool.append(H)
         if own:
@@ -300,20 +311,45 @@ def _rk4(y, tau, rhs, H, work, slabs):
     return acc
 
 
-def _midpoint(y, tau, rhs, H, work, slabs):
-    """The spherical midpoint, one phase per fixed-point iteration; returns
-    the new field's array."""
-    out, mid, f = work.take(), work.take(), work.take()
+def _midpoint(y, tau, r, rhs, H, work, slabs):
+    """The spherical midpoint's fixed point x = G(x) = y + tau rhs(y + x),
+    rhs read at the renormalized average, one phase per sweep; returns the
+    new field's array.
+
+    A sweep is a precession, so the spectrum of its linearization lies near
+    the imaginary segment i[-r, r], r = dt*rho/2, on which the plain sweep
+    x_{k+1} = G(x_k) contracts by about r.  Every sweep after the first
+    (plain: there is no x_{-1}) is instead the two-step
+    x_{k+1} = G(x_k) + q^2 (x_{k-1} - G(x_k)), q = r / (1 + sqrt(1 + r^2)),
+    the best stationary two-step iteration for that segment, which
+    contracts by q: 0.236 at r = 0.5, 0.414 at r = 1.  The fixed point is
+    the same; the solve stops once |G(x_k) - x_k| < 1e-12 and returns
+    x_{k+1}, raises ConvergenceError after 50 sweeps, and stops at the
+    first non-finite update.
+
+    Four field arrays hold x_{k-1}, x_k, the average and G(x_k).  A phase
+    writes G(x_k), then x_{k+1} over it, and then the next average over
+    x_{k-1}, which only its own rows read; the average it reads, its
+    neighbors' rows included, it leaves alone.
+    """
+    q = r / (1.0 + math.sqrt(1.0 + r * r))
+    q2 = q * q
+    prev, out, mid, f = work.take(), work.take(), work.take(), work.take()
     np.copyto(out, y)
     _renormalize(np.add(y, out, out=mid), work.planes(2))
     for iteration in range(50):
-        def phase(rows, planes, frozen, out=out, mid=mid, f=f):
+        def phase(rows, planes, frozen, prev=prev, out=out, mid=mid, f=f, first=iteration == 0):
             new, yr, old, d = rhs(mid, f, rows, planes, frozen), y[rows], out[rows], H[rows]
             np.multiply(new, tau, out=new)
             np.add(yr, new, out=new)
             delta = np.abs(np.subtract(new, old, out=d), out=d).max()
-            if math.isfinite(delta):  # else it raises below; the next average over the old iterate
-                _renormalize(np.add(yr, new, out=old), planes)
+            if math.isfinite(delta):  # else it raises below
+                before = prev[rows]
+                if not first:
+                    np.subtract(before, new, out=before)
+                    np.multiply(before, q2, out=before)
+                    np.add(new, before, out=new)
+                _renormalize(np.add(yr, new, out=before), planes)
             return delta
 
         delta = np.maximum.reduce(work.run(phase, slabs))  # keeps a NaN, as max would not
@@ -323,7 +359,7 @@ def _midpoint(y, tau, rhs, H, work, slabs):
                 f"at iteration {iteration + 1}",
                 iterations=iteration + 1,
             )
-        out, mid, f = f, out, mid
+        prev, out, mid, f = out, f, prev, mid
         if delta < 1e-12:
             break
     else:
@@ -332,7 +368,7 @@ def _midpoint(y, tau, rhs, H, work, slabs):
             f"(last update {delta:.3e})",
             iterations=50,
         )
-    work.pool += [mid, f]
+    work.pool += [prev, mid, f]
     return out
 
 

@@ -6,8 +6,12 @@ scaled effective field h0^2 H (h0 the first axis's spacing), its own
 textbook cross product (not llgeo's cross3, which the stepper runs),
 np.linalg.norm renormalisation and the textbook stage formulas with the
 weight tau = dt/h0^2 in place of dt (the midpoint renormalizes y + n_k, not
-its half).  llgeo.dynamics.step and llgeo.dynamics.simulate must reproduce
-it exactly (np.array_equal).  Its effective_field, H divided by h^2 per
+its half, and solves its fixed point with the stepper's two-step sweep).
+llgeo.dynamics.step and llgeo.dynamics.simulate must reproduce it exactly
+(np.array_equal).  plain_midpoint solves the same fixed point with the
+plain sweep x_{k+1} = G(x_k) and no cap on the sweeps, an oracle of the
+fixed point that shares no iteration with the stepper.  Its
+effective_field, H divided by h^2 per
 axis, and ll_rhs, n x H, are the unscaled reference field and right-hand
 side the tests use, and its variational_derivative_energy, the np.diff
 plus np.pad dE/dn, is the tests' gradient of the discrete energy.
@@ -78,7 +82,7 @@ def renormalize(values):
     return values / np.linalg.norm(values, axis=-1, keepdims=True)
 
 
-def step(n, cfg):
+def _rhs(n, cfg):
     mask = n.grid.boundary_mask() if n.decaying else None
 
     def rhs(values):
@@ -86,24 +90,43 @@ def step(n, cfg):
         if mask is not None:
             f[mask] = 0.0
         return f
+    return rhs
 
+
+def _midpoint(n, cfg, q2, sweeps):
+    """The fixed point x = y + tau rhs(renormalize(y + x)) from x_0 = y: the
+    first sweep plain, every later one x_{k+1} = G(x_k) + q2 (x_{k-1} - G(x_k))
+    (plain too when q2 is 0), until |G(x_k) - x_k| < 1e-12; returns x_{k+1}."""
+    rhs, y = _rhs(n, cfg), np.array(n.values)
+    tau = cfg.dt / n.grid.spacing[0] ** 2
+    prev, out = None, y.copy()
+    for _ in range(sweeps):
+        g = y + tau * rhs(renormalize(y + out))
+        delta = np.abs(g - out).max()
+        prev, out = out, (g if prev is None or not q2 else g + q2 * (prev - g))
+        if delta < 1e-12:
+            return out
+    raise ConvergenceError("implicit midpoint did not converge", iterations=sweeps)
+
+
+def plain_midpoint(n, cfg):
+    """The spherical midpoint step by the plain sweep x_{k+1} = G(x_k)."""
+    return n.with_values(_midpoint(n, cfg, 0.0, 100000), check=False)
+
+
+def step(n, cfg):
     y = np.array(n.values)
     tau = cfg.dt / n.grid.spacing[0] ** 2
     if cfg.scheme == "rk4_project":
+        rhs = _rhs(n, cfg)
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * tau * k1)
         k3 = rhs(y + 0.5 * tau * k2)
         k4 = rhs(y + tau * k3)
         out = renormalize(y + tau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     else:
-        out = y.copy()
-        for _ in range(50):
-            mid = renormalize(y + out)
-            new = y + tau * rhs(mid)
-            delta = np.abs(new - out).max()
-            out = new
-            if delta < 1e-12:
-                break
-        else:
-            raise ConvergenceError("implicit midpoint did not converge", iterations=50)
+        rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(cfg.params.a)
+        r = cfg.dt * rho / 2.0
+        q = r / (1.0 + np.sqrt(1.0 + r * r))
+        out = _midpoint(n, cfg, q * q, 50)
     return n.with_values(out, check=False)

@@ -237,19 +237,11 @@ def test_midpoint_norm_preservation():
     assert cur.norm_deviation() < 1e-9
 
 
-def test_midpoint_divergence_reports_iterations():
-    g = Grid.centered((32, 32), 4.0)  # fine spacing: stiff exchange term, rho = 512
-    n = make_random_smooth(g, seed=4, amplitude=1.5)
-    cfg = SimConfig(dt=1.8 / 512.0, steps=1, scheme="midpoint")  # dt*rho = 1.8
-    with pytest.raises(ConvergenceError) as err:
-        step(n, cfg)
-    assert err.value.iterations == 50
-
-
-def _poison(monkeypatch, after, cell=(5, 5)):
-    """Make _effective_field write NaN into cell on each of its calls past
-    the first `after` that reach the cell's row (one per phase, whatever the
-    slab count); returns the count of those calls."""
+def _poison(monkeypatch, after, cell=(5, 5), value=lambda count: np.nan):
+    """Make _effective_field write value(count) into cell on each of its
+    calls past the first `after` that reach the cell's row (one per phase,
+    whatever the slab count), count being the number of those calls so far;
+    returns that count."""
     import llgeo.dynamics as dyn
 
     calls = {"count": 0}
@@ -260,11 +252,29 @@ def _poison(monkeypatch, after, cell=(5, 5)):
         if cell[0] in range(*rows.indices(grid.dims[0])):
             calls["count"] += 1
             if calls["count"] > after:
-                out[cell] = np.nan
+                out[cell] = value(calls["count"])
         return out
 
     monkeypatch.setattr(dyn, "_effective_field", poisoned)
     return calls
+
+
+def unsettle(monkeypatch):
+    """Make the midpoint's sweep never settle: each phase's effective field
+    holds a new finite value in one cell, so every update stays far above
+    the solve's tolerance."""
+    return _poison(monkeypatch, 0, value=float)
+
+
+def test_midpoint_divergence_reports_iterations(monkeypatch):
+    # the plain sweep failed to converge here at dt*rho = 1.8; the two-step
+    # sweep converges at every admitted dt, so a field that moves every
+    # sweep stands in for a solve that cannot settle
+    n = make_random_smooth(Grid.centered((32, 32), 4.0), seed=4, amplitude=1.5)
+    calls = unsettle(monkeypatch)
+    with pytest.raises(ConvergenceError, match="did not converge in 50 iterations") as err:
+        step(n, SimConfig(dt=1.8 / 512.0, steps=1, scheme="midpoint"))  # dt*rho = 1.8
+    assert err.value.iterations == 50 and calls["count"] == 50
 
 
 def _check_midpoint_stops_at_iteration_3(monkeypatch, cell=(5, 5)):
@@ -294,8 +304,87 @@ def test_midpoint_step_refuses_dt_beyond_contraction_limit():
     dt_max = 2.0 / 512.0
     with pytest.raises(ValueError, match=r"dt\*rho = 2 "):
         step(n, SimConfig(dt=dt_max * (1 + 1e-9), steps=1, scheme="midpoint"))
-    with pytest.raises(ConvergenceError):  # just inside, the solve runs and fails to converge
-        step(n, SimConfig(dt=dt_max * (1 - 1e-9), steps=1, scheme="midpoint"))
+    # just inside, the solve converges (the plain sweep did not)
+    out = step(n, SimConfig(dt=dt_max * (1 - 1e-9), steps=1, scheme="midpoint"))
+    assert np.isfinite(out.values).all() and out.norm_deviation() < 1e-12
+
+
+# the fields the midpoint's sweeps are counted on: the refusal test's stiff
+# random field, the benchmark's 96^2 soliton, a random texture, a soliton on
+# unequal spacings, and a 32^3 texture, which steps on two slabs
+SWEEP_FIELDS = {
+    "32^2_random_box_4": lambda: make_random_smooth(Grid.centered((32, 32), 4.0), seed=4,
+                                                    amplitude=1.5),
+    "96^2_soliton": lambda: make_bp_soliton(Grid.centered((96, 96), 16.0), 1, 1.5, 6.0),
+    "96^2_random": lambda: make_random_smooth(Grid.centered((96, 96), 16.0), seed=3,
+                                              amplitude=1.8),
+    "96x80_soliton": lambda: make_bp_soliton(Grid.centered((96, 80), 16.0), 1, 1.5, 6.0),
+    "32^3_random": lambda: make_random_smooth(Grid.centered((32,) * 3, 8.0), seed=3),
+}
+
+
+def _count_sweeps(monkeypatch):
+    """Count the midpoint's sweeps, as the calls of _effective_field that
+    reach row 5 (one per phase, whatever the slab count), writing nothing."""
+    return _poison(monkeypatch, math.inf)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_the_midpoint_converges_at_every_admitted_dt(monkeypatch, name):
+    # the plain sweep took 27 sweeps on the soliton at dt*rho = 1 and ran out
+    # of its 50 from dt*rho = 1.4-1.5; the two-step sweep took at most 31
+    n = SWEEP_FIELDS[name]()
+    work = _Workspace(n)
+    if n.grid.p == 3:
+        assert len(work.slabs) == min(2, len(os.sched_getaffinity(0)))
+    calls = _count_sweeps(monkeypatch)
+    try:
+        for a in (0.0, 0.5, -2.0):
+            rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(a)
+            for dt_rho in (0.5, 1.0, 1.5, 1.8, 1.999):
+                calls["count"] = 0
+                cfg = SimConfig(dt=dt_rho / rho, steps=1, scheme="midpoint",
+                                params=EnergyParams(a=a))
+                step(n, cfg, work)
+                bound = 18 if (name, dt_rho) == ("96^2_soliton", 1.0) else 35
+                assert calls["count"] <= bound, (a, dt_rho, calls["count"])
+    finally:
+        work.close()
+
+
+def test_the_benchmark_midpoint_run_takes_at_most_18_sweeps_per_step(monkeypatch):
+    # the benchmark's midpoint leg: 30 steps of the 96^2 soliton at dt*rho = 1
+    n = SWEEP_FIELDS["96^2_soliton"]()
+    calls = _count_sweeps(monkeypatch)
+    simulate(n, dataclasses.replace(_stable_cfg(n, "midpoint"), steps=30, report_every=30))
+    assert calls["count"] <= 18 * 30
+
+
+@pytest.mark.parametrize("dt_rho", [1.0, 1.8])
+@pytest.mark.parametrize("make", [SWEEP_FIELDS["32^2_random_box_4"],
+                                  lambda: make_random_smooth(Grid.centered((16, 18, 20), 8.0),
+                                                             seed=3)], ids=["2d", "3d"])
+def test_the_two_step_sweep_reaches_the_plain_sweeps_fixed_point(make, dt_rho):
+    # the bitwise oracle runs the stepper's own sweep; the plain one, with no
+    # cap on its sweeps, shares only the fixed point with it
+    n = make()
+    cfg = _stable_cfg(n, "midpoint")
+    cfg = dataclasses.replace(cfg, dt=dt_rho * cfg.dt)
+    plain = allocating_stepper.plain_midpoint(n, cfg)
+    assert np.abs(step(n, cfg).values - plain.values).max() <= 1e-11
+
+
+def test_a_midpoint_step_holds_one_field_array_more_than_an_rk4_step():
+    # an RK4 step holds the effective field and three stage arrays, and so
+    # did the plain sweep (its peak was 304 bytes above RK4's at 96^2); the
+    # two-step sweep adds x_{k-1} and no more, the next average written over
+    # it; 1 KB is left for the Python objects of a step
+    n = SWEEP_FIELDS["96^2_soliton"]()
+    peaks = {}
+    for scheme in ("rk4_project", "midpoint"):
+        cfg = _stable_cfg(n, scheme)
+        peaks[scheme] = _peak_bytes(lambda: step(n, cfg))
+    assert peaks["midpoint"] <= peaks["rk4_project"] + n.values.nbytes + 1024
 
 
 def _tangent_bases(values):
