@@ -20,7 +20,7 @@ from .fields import EuclideanAlgebraElement, SemidirectAlgebraElement, SpinField
 from .calculus import cross3, integrate, partial, triple
 # momentum_P_general stays importable here: perfbench/test_smoke.py traces
 # it as a cross-module name of this module
-from .momenta import _P_adjoint, _directional, _gradients, _moment_tensor, _tensor
+from .momenta import _K_P, _gradients, _moment_adjoint, _moment_tensor, _tensor
 from .momenta import momentum_P_general  # noqa: F401
 
 OMEGA0_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -31,16 +31,22 @@ def omega0(a1, a2):
     return float(np.asarray(a1) @ OMEGA0_J @ np.asarray(a2))
 
 
+def _directional(velocity, derivs):
+    """sum_i v_i d_i from the per-axis derivatives d_i (any iterable), with
+    velocity the spatial vector field v, shape dims + (p,) (its component
+    planes, as velocity_field lays them out, are read one at a time)."""
+    return sum(v[..., None] * d for v, d in zip(np.moveaxis(velocity, -1, 0), derivs))
+
+
 def _directional_derivative(values, grid, velocity):
     """Derivative of a field along the spatial vector field `velocity`
     (shape dims + (p,)): sum_i velocity_i d_i values."""
-    derivs = (partial(values, grid, i) for i in range(grid.p))
-    return _directional(np.moveaxis(velocity, -1, 0), derivs)
+    return _directional(velocity, (partial(values, grid, i) for i in range(grid.p)))
 
 
 def _wedge_lift(mu, grads, e):
     """wedge_lift from the derivative list of mu (see there)."""
-    xi = cross3(mu.values, _directional(np.moveaxis(e.velocity_field(mu.grid), -1, 0), grads))
+    xi = cross3(mu.values, _directional(e.velocity_field(mu.grid), grads))
     xi[mu.grid.boundary_mask()] = 0.0
     return SemidirectAlgebraElement(mu.grid, xi, e)
 
@@ -113,7 +119,8 @@ def lie_poisson_bracket(dF, dG, n):
 
 def check_px_py_bracket(n):
     """Measure {P_x, P_y}(n) from the exact adjoint gradients of the two
-    translation momenta, and return it next to 4*pi*deg(n).
+    translation momenta (momenta._moment_adjoint of each K_P[k]), and return
+    it next to 4*pi*deg(n).
 
     No rotation lift is involved, so soliton fields (which hit +k) are fine.
     The gradients are those of the discrete P quadrature itself, so the
@@ -126,5 +133,5 @@ def check_px_py_bracket(n):
         raise ValueError("the bracket check is a p = 2 diagnostic")
     n.require_decaying("check_px_py_bracket")
     grads = _gradients(n)
-    dpx, dpy = _P_adjoint(n, grads)
+    dpx, dpy = (_moment_adjoint(n, grads, K) for K in _K_P(2))
     return lie_poisson_bracket(dpx, dpy, n), float(_moment_tensor(n, grads)[0, 1, 2, 2])

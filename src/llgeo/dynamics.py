@@ -252,7 +252,7 @@ def step(n, cfg, work=None):
     rho = 4.0 * sum(1.0 / h ** 2 for h in n.grid.spacing) + abs(params.a)
     limit, name = ((2.0 * np.sqrt(2.0), "the RK4 stability limit 2*sqrt(2)")
                    if cfg.scheme == "rk4_project" else
-                   (2.0, "the midpoint contraction limit 2"))
+                   (2.0, "the midpoint cap 2, set by the error per unit of work"))
     if dt * rho > limit:
         raise ValueError(f"dt*rho = {dt * rho:.4g} exceeds {name}; use dt <= {limit / rho:.4g}")
     own = work is None

@@ -364,9 +364,12 @@ class EuclideanAlgebraElement:
         return np.column_stack([self.omega, self.adot])
 
     def velocity_field(self, grid):
-        """The affine spatial vector field x -> Omega x + adot, shape dims + (p,)."""
-        A = self._affine(grid)
-        return grid.coords() @ A[:, :-1].T + A[:, -1]
+        """The affine spatial vector field x -> Omega x + adot, shape
+        dims + (p,) in component planes, each plane summed elementwise from
+        the rows of Grid._rows() (no BLAS product)."""
+        x = grid._rows()
+        planes = [sum(a * r for a, r in zip(row[:-1], x)) + row[-1] for row in self._affine(grid)]
+        return np.moveaxis(np.stack(planes), 0, -1)
 
 
 class SemidirectAlgebraElement:

@@ -47,8 +47,8 @@ def _flat(p, x, *others):
 class Grid:
     """Cell-centered lattice descriptor.  A grid keeps no grid-sized array:
     its coordinates are per-axis rows (axis_coords, the open mesh _rows and
-    the power rows _coord_powers), and coords() builds the full planes on
-    each call for the callers that need a dims + (p,) field.
+    the power rows _coord_powers), which every coordinate reader
+    broadcasts; no reader builds a grid-sized coordinate array.
 
     dims     -- cell counts per axis (at least 8 per axis)
     spacing  -- cell width per axis
@@ -114,12 +114,6 @@ class Grid:
         momenta._plane_moments, their one reader, contracts every density
         plane with."""
         return tuple(np.array([x ** 0, x, x * x]) for x in map(self.axis_coords, range(self.p)))
-
-    def coords(self):
-        """Cell-center coordinates, shape dims + (p,), built on each call
-        (the grid keeps none): the (..., p) view of a fresh C-contiguous
-        stack of the p coordinate planes, (p,) + dims."""
-        return np.moveaxis(np.stack(np.broadcast_arrays(*self._rows())), 0, -1)
 
     def radius(self):
         """Distance of every cell center from the coordinate origin."""

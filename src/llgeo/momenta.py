@@ -12,7 +12,13 @@ a grid-sized array) and contracts it on every call, so degree,
 momentum_P_general, rotational_momentum, dynamics.make_report and
 cocycle_direct make no derivative pass on a checked field after the first;
 a check=False field (a reused buffer) gets a fresh pass on every call.
-momentum_P_cross keeps its own pass: it is the curl-form check on P.
+Every such diagnostic is a linear functional Phi = sum K . G, with a
+coefficient tensor K shaped like G (P's is _K_P, stated once), and its
+exact gradient is one rule, _moment_adjoint, the transpose of
+_moment_tensor: momentum_P_derivative and cocycle.check_px_py_bracket read
+it with K_P.  momentum_P_cross keeps its own pass: it is the curl-form
+check on P.  No coordinate here is a grid-sized array: every weight is a
+product of the per-axis rows of Grid._rows().
 Besides these: the rotation charge N, and the three routes to the
 Euclidean momentum of the reduced system: (L, P) of moments, and the
 rotation lift + group gradient and the closed-form lift identity, each of
@@ -51,7 +57,6 @@ from .calculus import (
     partial,
     partial_T,
     right_gradient_axis,
-    tangent_project,
     triple,
 )
 
@@ -154,13 +159,16 @@ def momentum_N(n, out=None):
 
 def momentum_P_cross(n):
     """Translation momentum for p = 3 in the curl form 2pi * integral of
-    x x Omega, with the vorticity Omega_a = F_bc / 4pi, (a, b, c) cyclic."""
+    x x Omega, with the vorticity Omega_a = F_bc / 4pi, (a, b, c) cyclic,
+    x taken from the rows of Grid._rows() and x x Omega summed into
+    component planes, as cross3 lays them out."""
     if n.grid.p != 3:
         raise ValueError("the cross form needs p = 3")
     n.require_decaying("momentum_P_cross")
-    F = dict(_two_form(n, _gradients(n)))
-    vort = np.stack([F[1, 2], -F[0, 2], F[0, 1]], axis=-1) / (4.0 * np.pi)
-    return 2.0 * np.pi * integrate(cross3(n.grid.coords(), vort), n.grid)
+    F, x = dict(_two_form(n, _gradients(n))), n.grid._rows()
+    vort = np.stack([F[1, 2], -F[0, 2], F[0, 1]]) / (4.0 * np.pi)
+    cross = np.stack([x[b] * vort[c] - x[c] * vort[b] for b, c in ((1, 2), (2, 0), (0, 1))])
+    return 2.0 * np.pi * integrate(np.moveaxis(cross, 0, -1), n.grid)
 
 
 def _first_moments(w, grid):
@@ -204,7 +212,7 @@ def moments(n, work=None):
     """(deg, P, L), contractions of the moment tensor G (_tensor, which
     takes work); deg is None unless p = 2.
 
-        deg = G[0, 1, p, p] / 4pi,  P_i = sum_j G[i, j, j, p] / (p-1),
+        deg = G[0, 1, p, p] / 4pi,  P_k = sum K_P[k] . G (see _K_P),
         L = (m^T - m) / p  with  m_ai = sum_j G[i, j, a, j],
 
     so P is the integral of the P-density sum_j x_j F_ij / (p-1), and L is
@@ -216,53 +224,66 @@ def moments(n, work=None):
     Each call contracts G afresh, so P and L are the caller's own arrays.
     """
     n.require_decaying("moments")
-    p = n.grid.p
-    if p < 2:
-        raise ValueError("translation momentum needs p >= 2")
+    p, K_P = n.grid.p, _K_P(n.grid.p)
     G = _tensor(n, work)
     deg = float(G[0, 1, 2, 2] / (4.0 * np.pi)) if p == 2 else None
     m = np.einsum("ijaj->ai", G[:, :, :p, :p])
-    return deg, np.einsum("ijj->i", G[:, :, :p, p]) / (p - 1), (m.T - m) / p
+    return deg, np.einsum("kijab,ijab->k", K_P, G), (m.T - m) / p
 
 
-def _directional(velocity, derivs):
-    """sum_i v_i d_i from the per-axis derivatives d_i (any iterable), with
-    velocity the components v_i, each a scalar field that broadcasts to dims
-    (the planes of a vector field, or Grid._rows for x itself)."""
-    return sum(v[..., None] * d for v, d in zip(velocity, derivs))
+def _K_P(p):
+    """K_P, the coefficient tensors of the translation momentum in the
+    moment tensor, P_k = sum K_P[k] . G, shape (p,) + G's shape:
 
+        K_P[k][i, j, a, b] = delta_ik delta_aj delta_bp / (p-1),
 
-def _P_adjoint(n, grads):
-    """momentum_P_derivative from a derivative list (see there)."""
-    grid = n.grid
-    if grid.p < 2:
+    so P_k = sum_j G[k, j, j, p] / (p-1), the integral of the P-density
+    sum_j x_j F_kj / (p-1).  moments contracts G with it, and
+    momentum_P_derivative and cocycle.check_px_py_bracket hand it to
+    _moment_adjoint.  Refuses p < 2."""
+    if p < 2:
         raise ValueError("translation momentum needs p >= 2")
-    x = grid._rows()
-    s = _directional(x, grads)
-    s_x_n = cross3(s, n.values)
-    out = np.empty((grid.p,) + n.values.shape)
-    for k in range(grid.p):
-        n_x_a = cross3(n.values, grads[k])
-        total = cross3(grads[k], s) + partial_T(s_x_n, grid, k)
-        for j, x_j in enumerate(x):
-            total += partial_T(x_j[..., None] * n_x_a, grid, j)
-        out[k] = tangent_project(total, n.values) / (grid.p - 1)
+    e = np.eye(p + 1)
+    return np.einsum("ki,ja,b->kijab", e[:p, :p], e[:p], e[p]) / (p - 1)
+
+
+def _moment_adjoint(n, grads, K):
+    """The tangent gradient of Phi = sum K . G per unit cell volume, for a
+    coefficient tensor K shaped like G, from the derivative list: the exact
+    transpose of _moment_tensor, a field array laid out like n's.
+
+    Phi is V times the sum over cells of 1/2 sum_ij Ct_ij F_ij, with the
+    weights Ct_ij = sum_ab (K - K^T)[i, j, a, b] xt_a xt_b (K^T swaps i and
+    j; xt = (x, 1), x the rows of Grid._rows(); zero entries are skipped).
+    With a_i = d_i n and v_i = sum_j Ct_ij a_j its integrand has the
+    partials 1/2 sum_i a_i x v_i in n and v_i x n in a_i; the second is
+    pulled back to n through partial_T, one call per axis, and the sum is
+    projected onto the tangent planes.  The cell volume V cancels against
+    the normalisation.  Besides its result and partial_T's it holds two
+    field arrays: v_i, and c for each product (v's planes take the
+    projection's dot products)."""
+    xt = [x[..., None] for x in n.grid._rows()] + [1.0]
+    Kt = K - K.swapaxes(0, 1)
+    v, c, out = np.empty_like(n.values), np.empty_like(n.values), np.zeros_like(n.values)
+    for i, a_i in enumerate(grads):
+        v[...] = 0.0
+        for j, a, b in zip(*np.nonzero(Kt[i])):
+            v += np.multiply(Kt[i, j, a, b] * xt[a] * xt[b], grads[j], out=c)
+        out += np.multiply(0.5, cross3(a_i, v, out=c), out=c)
+        out += partial_T(cross3(v, n.values, out=c), n.grid, i)
+    out -= np.multiply(_dot3(out, n.values, v[..., 0], v[..., 1])[..., None], n.values, out=c)
     return out
 
 
 def momentum_P_derivative(n):
     """Tangent functional derivatives of every component of
     momentum_P_general, shape (p,) + dims + (3,), normalised per unit cell
-    volume like the finite-difference oracle of the tests.
-
-    This is the exact adjoint of the quadrature.  With a_k = d_k n and
-    s = sum_j x_j d_j n the integrand f_k = n . (a_k x s)/(p-1) has the
-    partials df/dn = a_k x s, df/da_k = s x n and df/ds = n x a_k; the last
-    two are pulled back to n through partial_T.  The cell volume of the
-    quadrature cancels against the normalisation.
-    """
+    volume like the finite-difference oracle of the tests: the exact
+    adjoint of the quadrature, _moment_adjoint of each K_P[k] (_K_P), from
+    one derivative pass."""
     n.require_decaying("momentum_P_derivative")
-    return _P_adjoint(n, _gradients(n))
+    K_P, grads = _K_P(n.grid.p), _gradients(n)
+    return np.stack([_moment_adjoint(n, grads, K) for K in K_P])
 
 
 def momentum_P_general(n):

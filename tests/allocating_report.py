@@ -30,6 +30,8 @@ from llgeo.dynamics import EnergyParams
 from llgeo.fields import plane_pairs
 from llgeo.momenta import MomentumReport
 
+from conftest import coords
+
 
 def energy(n, params):
     values = n.values
@@ -95,7 +97,7 @@ def two_form(n):
 
 def _density_P(F, grid):
     dens = np.zeros((grid.p,) + grid.dims)
-    x = grid.coords()
+    x = coords(grid)
     for (i, j), f in F.items():
         dens[i] += x[..., j] * f
         dens[j] -= x[..., i] * f
@@ -113,7 +115,7 @@ def first_moments(w, grid):
     the wedge moment M - M^T with M = integral of x w^T, each entry one
     np.einsum dot product of a coordinate plane with a plane of w."""
     total = np.array([integrate(plane, grid) for plane in w])
-    x = grid.coords()
+    x = coords(grid)
     m = np.array([[np.einsum("i,i->", x[..., i].ravel(), plane.ravel())
                    for plane in w] for i in range(grid.p)]) * grid.cell_volume
     return m - m.T, total

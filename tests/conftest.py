@@ -13,6 +13,14 @@ from llgeo.generators import band_limited, bump_envelope
 import so3_oracle
 
 
+def coords(grid):
+    """Cell-center coordinates, shape dims + (p,): the dense oracle of the
+    per-axis rows (Grid._rows()) that every coordinate reader of llgeo
+    broadcasts, as the (..., p) view of a fresh C-contiguous stack of the
+    p coordinate planes, (p,) + dims."""
+    return np.moveaxis(np.stack(np.broadcast_arrays(*grid._rows())), 0, -1)
+
+
 def relative_gap(a, b):
     a = np.asarray(a, float)
     b = np.asarray(b, float)

@@ -3,8 +3,9 @@
 OpenBLAS splits a long dot product across its threads, so a reduction that
 goes through BLAS rounds differently at different thread counts.  Two child
 processes, at OPENBLAS_NUM_THREADS=1 and =2 (read when numpy loads), compute
-the momenta and both cocycle routes of one 48^3 field and run `llgeo
-diagnose` on one snapshot; the bytes and the stdout must be equal.
+the momenta, both cocycle routes, the P gradient and a wedge lift of one
+48^3 field and run `llgeo diagnose` on one snapshot; the bytes and the
+stdout must be equal.
 """
 
 import os
@@ -20,7 +21,7 @@ CHILD = """
 import sys
 import numpy as np
 from llgeo import (EuclideanAlgebraElement, Grid, lift_psi, make_random_smooth, moments,
-                   momentum_JH, reduced_momentum_lift)
+                   momentum_JH, momentum_P_derivative, reduced_momentum_lift, wedge_lift)
 from llgeo.cli import main
 from llgeo.cocycle import cocycle_direct, cocycle_via_pairing
 
@@ -29,7 +30,8 @@ e1 = EuclideanAlgebraElement(3, (0.3, -1.2, 0.7), (1.0, 0.5, -0.4))
 e2 = EuclideanAlgebraElement(3, (-0.8, 0.1, 0.9), (-0.2, 1.1, 0.6))
 _, P, L = moments(n)
 values = [P, L, *reduced_momentum_lift(n), *momentum_JH(lift_psi(n), n),
-          cocycle_direct(n, e1, e2), cocycle_via_pairing(n, e1, e2)]
+          cocycle_direct(n, e1, e2), cocycle_via_pairing(n, e1, e2), momentum_P_derivative(n),
+          wedge_lift(n, e1).xi]
 print(b"".join(np.ascontiguousarray(v, float).tobytes() for v in values).hex())
 sys.exit(main(["diagnose", "--in", sys.argv[1]]))
 """

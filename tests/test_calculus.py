@@ -24,7 +24,7 @@ from llgeo.fields import _dot3, _is_planar
 
 import so3_oracle
 from so3_oracle import hat, matrix, quaternion, so3_exp, vee
-from conftest import random_rotation_field, relative_gap
+from conftest import coords, random_rotation_field, relative_gap
 from fd_oracle import functional_derivative
 import allocating_report
 from test_so3_kernels import component_major
@@ -40,7 +40,7 @@ def test_partial_annihilates_constants():
 
 def test_partial_exact_on_linear():
     g = Grid.centered((16, 16), 8.0)
-    f = g.coords()[..., 1]
+    f = coords(g)[..., 1]
     d = partial(f, g, 1)
     assert np.abs(d - 1.0).max() < 1e-13
     assert np.abs(partial(f, g, 0)).max() < 1e-13
@@ -66,7 +66,7 @@ def test_partial_second_order_convergence():
     errs = []
     for nn in (32, 64, 128):
         g = Grid.centered((nn,), 8.0)
-        x = g.coords()[..., 0]
+        x = coords(g)[..., 0]
         L = 8.0
         f = np.sin(np.pi * x / L)
         exact = np.pi / L * np.cos(np.pi * x / L)
@@ -154,14 +154,14 @@ def test_integrate_exact_on_constants():
 
 def test_integrate_odd_function_cancels():
     g = Grid.centered((32, 32), 8.0)
-    x = g.coords()[..., 0]
+    x = coords(g)[..., 0]
     f = x * np.exp(-(x ** 2))
     assert abs(integrate(f, g)) < 1e-12
 
 
 def test_integrate_gaussian():
     g = Grid.centered((128, 128), 16.0)
-    r2 = (g.coords() ** 2).sum(axis=-1)
+    r2 = (coords(g) ** 2).sum(axis=-1)
     val = integrate(np.exp(-r2), g)
     assert abs(val - np.pi) < 1e-6
 
@@ -307,7 +307,7 @@ def test_right_gradient_exponential_field():
     # psi = exp(c x1 hat(k)) has right gradient c k along axis 0, exactly here
     g = Grid.centered((48,), 8.0)
     c = 0.4
-    alpha = c * g.coords()[..., 0]
+    alpha = c * coords(g)[..., 0]
     # not a valid gauge field (boundary not 2*pi multiples): build raw
     psi = RotationField(g, quaternion(alpha[..., None] * K_AXIS), check=False)
     grad = right_gradient_axis(psi, 0)
@@ -317,7 +317,7 @@ def test_right_gradient_exponential_field():
 def _exp_field(g, c, v):
     """psi = exp(sum_i c_i x_i hat(v_i)) for one vector per axis; not the
     identity on the boundary, so built unchecked."""
-    x = g.coords()
+    x = coords(g)
     rotvec = sum(c[i] * x[..., i, None] * v[i] for i in range(g.p))
     return RotationField(g, quaternion(rotvec), check=False)
 

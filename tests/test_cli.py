@@ -318,7 +318,7 @@ def test_simulate_output_prefix_may_equal_input_path(tmp_path, capsys):
 
 
 def test_simulate_midpoint_blowup_is_numeric_error(tmp_path, capsys, monkeypatch):
-    # rho = 4 * (64 + 64) = 512, so dt*rho = 1.8: inside the contraction limit 2,
+    # rho = 4 * (64 + 64) = 512, so dt*rho = 1.8: inside the midpoint cap 2,
     # where the plain sweep did not converge in 50 iterations; the two-step
     # sweep does, so an effective field that never settles stands in for it
     unsettle(monkeypatch)
@@ -332,7 +332,7 @@ def test_simulate_midpoint_blowup_is_numeric_error(tmp_path, capsys, monkeypatch
     assert "midpoint did not converge in 50 iterations" in err
 
 
-def test_simulate_midpoint_beyond_contraction_limit_is_config_error(tmp_path, capsys):
+def test_simulate_midpoint_beyond_its_cap_is_config_error(tmp_path, capsys):
     # dt*rho = 2560: the midpoint used to overflow, warn and spend 50 iterations
     snap = tmp_path / "in.llgf"
     write_snapshot(make_bp_soliton(Grid.centered((32, 32), 4.0), 1, 0.5, 1.2), snap)
@@ -342,6 +342,7 @@ def test_simulate_midpoint_beyond_contraction_limit_is_config_error(tmp_path, ca
     )
     assert code == 2
     assert "dt*rho = 2560" in err and "use dt <= 0.003906" in err
+    assert "midpoint cap 2, set by the error per unit of work" in err
     assert not (tmp_path / "r.csv").exists()
 
 

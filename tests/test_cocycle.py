@@ -27,7 +27,7 @@ from llgeo.generators import band_limited, bump_envelope
 
 from allocating_report import two_form
 from allocating_stepper import variational_derivative_energy
-from conftest import interior, off_axis_texture, relative_gap
+from conftest import coords, interior, off_axis_texture, relative_gap
 from test_generators import profile_bump
 
 E1 = lambda: EuclideanAlgebraElement.translation((1.0, 0.0))
@@ -71,7 +71,7 @@ def test_wedge_lift_radial_matches_analytic():
     mu = make_radial_profile(g, profile_bump(amp, radius))
     lifted = wedge_lift(mu, E1())
 
-    x = g.coords()
+    x = coords(g)
     r = np.sqrt((x ** 2).sum(axis=-1))
     arg = 1.0 - (r / radius) ** 2
     w = np.where(r < radius, amp * np.exp(1.0 - 1.0 / np.clip(arg, 1e-12, None)), 0.0)

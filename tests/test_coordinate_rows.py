@@ -1,7 +1,7 @@
 """Every coordinate reader takes the grid's per-axis rows as an open mesh
 (Grid._rows) and gives the same bits as its dense form on full coordinate
-planes (Grid.coords()), kept here as the oracle.  A grid keeps no
-grid-sized array."""
+planes (conftest.coords), kept here as the oracle.  A grid keeps no
+grid-sized array, and no reader builds one."""
 
 import numpy as np
 import pytest
@@ -25,7 +25,9 @@ from llgeo import (
 from llgeo.calculus import cross3, partial, partial_T, tangent_project
 from llgeo.fields import K_AXIS, _dot3
 from llgeo.generators import _cutoff_blend, band_limited, bump, bump_envelope
-from llgeo.momenta import _P_adjoint
+from llgeo.momenta import _K_P, _gradients, _moment_adjoint
+
+from conftest import coords, relative_gap
 
 GRIDS = [
     Grid.centered((40,), 10.0),
@@ -39,11 +41,11 @@ CENTRES = [None, (0.7, -0.4), (-1.2, 1.5)]
 
 
 def _box(grid):
-    return grid.coords() / np.array(grid.half_widths())
+    return coords(grid) / np.array(grid.half_widths())
 
 
 def dense_radius(grid):
-    return np.sqrt((grid.coords() ** 2).sum(axis=-1))
+    return np.sqrt((coords(grid) ** 2).sum(axis=-1))
 
 
 def dense_bump_envelope(grid, support):
@@ -72,7 +74,7 @@ def dense_gauge_ramp(grid, winding, support):
 def dense_soliton(grid, m, lam, cutoff, center):
     """make_bp_soliton's values with its xy lines on the coordinate planes."""
     center = np.zeros(2) if center is None else np.asarray(center, float)
-    xy = grid.coords() - center
+    xy = coords(grid) - center
     z = (xy[..., 0] + 1j * xy[..., 1]) / lam
     w = z ** m if m > 0 else np.conj(z) ** (-m)
     r = np.abs(xy[..., 0] + 1j * xy[..., 1])
@@ -94,10 +96,14 @@ def dense_soliton(grid, m, lam, cutoff, center):
 
 
 def dense_P_adjoint(n, grads):
-    """_P_adjoint with its weights sum_j x_j d_j n and x_j (n x d_k n) on the
-    coordinate planes."""
+    """The hand-derived adjoint of P, an oracle for momentum_P_derivative:
+    with a_k = d_k n and s = sum_j x_j d_j n the integrand of P_k is
+    f_k = n . (a_k x s)/(p-1), whose partials are a_k x s in n, s x n in a_k
+    and n x a_k in s; the last two are pulled back to n through partial_T
+    (p + 1 calls per component), with the weights on the coordinate
+    planes."""
     grid = n.grid
-    x = grid.coords()
+    x = coords(grid)
     s = sum(x[..., j, None] * g for j, g in enumerate(grads))
     s_x_n = cross3(s, n.values)
     out = np.empty((grid.p,) + n.values.shape)
@@ -110,6 +116,22 @@ def dense_P_adjoint(n, grads):
     return out
 
 
+def dense_moment_adjoint(n, grads, K):
+    """momenta._moment_adjoint with its weights Ct_ij on the coordinate
+    planes, term for term in the same order."""
+    x = coords(n.grid)
+    xt = [x[..., a, None] for a in range(n.grid.p)] + [1.0]
+    Kt = K - K.swapaxes(0, 1)
+    out = np.zeros_like(n.values)
+    for i, a_i in enumerate(grads):
+        v = np.zeros_like(n.values)
+        for j, a, b in zip(*np.nonzero(Kt[i])):
+            v += Kt[i, j, a, b] * xt[a] * xt[b] * grads[j]
+        out += 0.5 * cross3(a_i, v)
+        out += partial_T(cross3(v, n.values), n.grid, i)
+    return tangent_project(out, n.values)
+
+
 def _same(a, b):
     """Equal values and equal signs of zero."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -118,9 +140,9 @@ def _same(a, b):
 @pytest.mark.parametrize("grid", GRIDS)
 def test_coords_are_the_meshgrid_planes_in_planar_layout(grid):
     axes = [grid.axis_coords(i) for i in range(grid.p)]
-    coords = grid.coords()
-    assert _same(coords, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
-    assert all(coords[..., i].flags.c_contiguous for i in range(grid.p))
+    x = coords(grid)
+    assert _same(x, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+    assert all(x[..., i].flags.c_contiguous for i in range(grid.p))
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -150,15 +172,40 @@ def test_soliton_matches_the_dense_form(m, center):
     assert _same(n.values, dense_soliton(SOLITON_GRID, m, 0.9, 3.0, center))
 
 
-@pytest.mark.parametrize("field", [
+ADJOINT_FIELDS = [
     lambda: make_bp_soliton(SOLITON_GRID, 1, 0.9, 3.0, (0.7, -0.4)),
     lambda: make_random_smooth(GRIDS[3], seed=2, amplitude=1.5, modes=1, support=0.6),
     lambda: make_random_smooth(GRIDS[4], seed=3, amplitude=1.5, support=0.6),
-])
+]
+
+
+@pytest.mark.parametrize("field", ADJOINT_FIELDS)
 def test_P_adjoint_matches_the_dense_weights(field):
     n = field()
     grads = [partial(n.values, n.grid, i) for i in range(n.grid.p)]
-    assert _same(_P_adjoint(n, grads), dense_P_adjoint(n, grads))
+    for K in _K_P(n.grid.p):
+        assert _same(_moment_adjoint(n, grads, K), dense_moment_adjoint(n, grads, K))
+
+
+@pytest.mark.parametrize("field", ADJOINT_FIELDS)
+def test_moment_adjoint_matches_the_dense_weights_for_any_coefficients(field):
+    # a coefficient tensor with every kind of weight (1, x_a, x_a x_b) and
+    # zero entries among them, in the shape of G
+    n = field()
+    p = n.grid.p
+    rng = np.random.default_rng(p)
+    K = rng.normal(size=(p, p, p + 1, p + 1)) * (rng.random((p, p, p + 1, p + 1)) < 0.5)
+    grads = _gradients(n)
+    assert _same(_moment_adjoint(n, grads, K), dense_moment_adjoint(n, grads, K))
+
+
+@pytest.mark.parametrize("field", ADJOINT_FIELDS)
+def test_P_derivative_matches_the_hand_formula(field):
+    # the exact transpose of sum K_P[k] . G against the hand-derived P
+    # adjoint: the same gradient, summed in another order
+    n = field()
+    want = dense_P_adjoint(n, _gradients(n))
+    assert relative_gap(momentum_P_derivative(n), want) <= 1e-14
 
 
 def _arrays(value):
@@ -173,7 +220,7 @@ def _arrays(value):
 def test_a_grid_keeps_no_grid_sized_array(dims, box):
     grid = Grid.centered(dims, box)
     p = grid.p
-    grid.coords(), grid.radius(), bump_envelope(grid, 0.7), make_gauge_bump_alpha(grid)
+    grid.radius(), bump_envelope(grid, 0.7), make_gauge_bump_alpha(grid)
     band_limited(grid, np.random.default_rng(0), 3)
     make_radial_profile(grid, lambda r: np.where(r < 2.0, np.pi * (1 - r / 2.0), 0.0))
     n = (make_bp_soliton(grid, 1, 0.9, 3.0, (0.5, 0.2)) if p == 2

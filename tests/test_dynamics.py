@@ -291,15 +291,15 @@ def test_midpoint_stops_at_the_first_non_finite_update(monkeypatch):
     _check_midpoint_stops_at_iteration_3(monkeypatch)
 
 
-def test_midpoint_step_refuses_dt_beyond_contraction_limit():
+def test_midpoint_step_refuses_dt_beyond_its_cap():
     # dt = 5 (dt*rho = 2560) used to overflow in the renormalization, with
     # three RuntimeWarnings, and then spend all 50 iterations
     g = Grid.centered((32, 32), 4.0)  # rho = 4 * (64 + 64) = 512
     n = make_random_smooth(g, seed=4, amplitude=1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"dt\*rho = 2560 exceeds the midpoint contraction "
-                                             r"limit 2; use dt <= 0\.003906"):
+        with pytest.raises(ValueError, match=r"dt\*rho = 2560 exceeds the midpoint cap 2, set by "
+                                             r"the error per unit of work; use dt <= 0\.003906"):
             step(n, SimConfig(dt=5.0, steps=1, scheme="midpoint"))
     dt_max = 2.0 / 512.0
     with pytest.raises(ValueError, match=r"dt\*rho = 2 "):

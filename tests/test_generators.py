@@ -15,6 +15,7 @@ from llgeo import (
 )
 
 from allocating_report import density_P
+from conftest import coords
 from so3_oracle import matrix
 
 
@@ -91,7 +92,7 @@ def test_bp_invariants_and_center():
     # center shift moves the +k point to the stated center
     kdot = f.values @ K_AXIS
     idx = np.unravel_index(np.argmax(kdot), kdot.shape)
-    assert np.abs(g.coords()[idx] - (2.0, -1.0)).max() < g.spacing[0]
+    assert np.abs(coords(g)[idx] - (2.0, -1.0)).max() < g.spacing[0]
 
 
 def profile_bump(amplitude, radius):

@@ -27,6 +27,7 @@ from llgeo.grid import BOUNDARY_LAYER
 from llgeo.io import report_header, report_row
 from llgeo.momenta import _gradients, _two_form
 
+from conftest import coords
 from so3_oracle import quaternion
 
 
@@ -57,10 +58,10 @@ def test_grid_rejects_non_finite_geometry(spacing, origin):
 
 def test_cell_coords_are_exact():
     g = Grid((16, 12), (0.5, 0.25), (-4.0, -1.5))
-    coords = g.coords()
-    assert coords.shape == (16, 12, 2)
-    assert np.array_equal(coords[0, 0], [-4.0, -1.5])
-    assert np.array_equal(coords[3, 5], [-4.0 + 3 * 0.5, -1.5 + 5 * 0.25])
+    x = coords(g)
+    assert x.shape == (16, 12, 2)
+    assert np.array_equal(x[0, 0], [-4.0, -1.5])
+    assert np.array_equal(x[3, 5], [-4.0 + 3 * 0.5, -1.5 + 5 * 0.25])
 
 
 def test_centered_grid_is_symmetric():
@@ -298,7 +299,7 @@ def test_velocity_field_is_affine():
     e = EuclideanAlgebraElement(2, (1.0,), (0.5, -0.5))
     g = Grid.centered((12, 12), 6.0)
     vel = e.velocity_field(g)
-    x = g.coords()
+    x = coords(g)
     expected = np.stack([x[..., 1] + 0.5, -x[..., 0] - 0.5], axis=-1)
     assert np.allclose(vel, expected, atol=1e-14)
 

@@ -8,6 +8,7 @@ from llgeo import (
     Grid,
     K_AXIS,
     SingularLiftError,
+    check_px_py_bracket,
     degree,
     gauge_invariance_residual,
     check_lift_identity,
@@ -41,7 +42,7 @@ from llgeo.calculus import integrate, partial
 
 from allocating_report import density_P, density_route, first_moments
 from so3_oracle import matrix, quaternion, so3_exp
-from conftest import off_axis_texture, relative_gap
+from conftest import coords, off_axis_texture, relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
@@ -115,7 +116,7 @@ def test_two_form_zero_for_constant_and_1d_variation():
     vacuum = make_constant(g, (0, 0, -1))
     assert _two_form_maxima(vacuum) == [((0, 1), 0.0), ((0, 2), 0.0), ((1, 2), 0.0)]
 
-    x = g.coords()[..., 0]
+    x = coords(g)[..., 0]
     theta = 0.6 * np.exp(-(x ** 2))
     vals = np.zeros(g.dims + (3,))
     vals[..., 0] = np.sin(theta)
@@ -224,6 +225,80 @@ def test_momentum_P_derivative_is_tangent_and_needs_decay():
         momentum_P_derivative(make_constant(Grid.centered((16, 16), 8.0), (1, 0, 0)))
 
 
+# ---------- the adjoint of the moment tensor ----------
+
+def K_deg():
+    """The coefficients of deg = G[0, 1, 2, 2] / 4pi (moments)."""
+    K = np.zeros((2, 2, 3, 3))
+    K[0, 1, 2, 2] = 1.0 / (4.0 * np.pi)
+    return K
+
+
+def K_L(p, a, b):
+    """The coefficients of L[a, b] = (m_ba - m_ab) / p, with
+    m_ai = sum_j G[i, j, a, j] (moments)."""
+    K = np.zeros((p, p, p + 1, p + 1))
+    j = np.arange(p)
+    K[a, j, b, j] += 1.0 / p
+    K[b, j, a, j] -= 1.0 / p
+    return K
+
+
+ADJOINT_CASES = {
+    "deg_2d": (K_deg(), lambda f: moments(f)[0]),
+    "L_01_2d": (K_L(2, 0, 1), lambda f: moments(f)[2][0, 1]),
+    "L_02_3d": (K_L(3, 0, 2), lambda f: moments(f)[2][0, 2]),
+}
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES)
+def test_moment_adjoint_matches_fd_oracle(case):
+    # the fields of the P-derivative oracle tests above
+    K, functional = ADJOINT_CASES[case]
+    n = (make_random_smooth(Grid.centered((16, 16), 8.0), seed=9, amplitude=1.4)
+         if K.shape[0] == 2 else
+         make_random_smooth(Grid.centered((9, 10, 11), 6.0), seed=4, amplitude=1.2,
+                            support=0.55))
+    assert abs(np.sum(K * momenta._tensor(n)) - functional(n)) <= 1e-14 * abs(functional(n))
+    adjoint = momenta._moment_adjoint(n, _gradients(n), K)
+    assert relative_gap(adjoint, functional_derivative(functional, n, step=1e-4)) < 1e-8
+
+
+@pytest.mark.parametrize("dims", [(16, 16), (9, 10, 11)])
+def test_moment_adjoint_pulls_back_once_per_axis(monkeypatch, dims):
+    # one partial_T per axis and functional: p per component of P, and two
+    # for each of the bracket's two gradients
+    n = make_random_smooth(Grid.centered(dims, 6.0), seed=4, support=0.55)
+    p, axes, partial_T = n.grid.p, [], momenta.partial_T
+    monkeypatch.setattr(momenta, "partial_T", lambda *args: axes.append(args[2]) or partial_T(*args))
+    momentum_P_derivative(n)
+    assert axes == list(range(p)) * p
+    if p == 2:
+        axes.clear()
+        check_px_py_bracket(n)
+        assert axes == [0, 1, 0, 1]
+
+
+def _peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_P_derivative_memory_at_64_cubed():
+    # in field arrays: the p derivatives, the p outputs and the adjoint's
+    # working set (v, c and partial_T's result) come to 9.06; one
+    # functional's gradient, its derivatives given, to 4.06 with its output
+    n = make_random_smooth(Grid.centered((64, 64, 64), 12.0), seed=1, amplitude=1.5)
+    field = n.values.nbytes
+    assert _peak(momentum_P_derivative, n) <= 9.5 * field
+    grads = _gradients(n)
+    assert _peak(momenta._moment_adjoint, n, grads, momenta._K_P(3)[0]) <= 4.5 * field
+
+
 def test_rotational_momentum_shift_identity():
     # exact wedge-shift identity: L' = L - delta ^ (P + P'), with P' the
     # shifted field's momentum (P itself shifts by the degree cocycle)
@@ -252,7 +327,7 @@ def test_rotational_momentum_normalization_factor():
     g = Grid.centered((64, 64), 16.0)
     f = make_bp_soliton(g, 1, 1.5, 5.0)
     dens = np.moveaxis(density_P(f), 0, -1)
-    x = g.coords()
+    x = coords(g)
     wedge = x[..., :, None] * dens[..., None, :] - dens[..., :, None] * x[..., None, :]
     raw = integrate(wedge, g)
     assert relative_gap(rotational_momentum(f), -0.5 * raw) < 1e-14
@@ -444,7 +519,7 @@ def test_momentum_JH_gauge_shift_formula():
     rot1, tr1 = momentum_JH(moved, n)
 
     ga = [partial(alpha, g, i) for i in range(2)]
-    x = g.coords()
+    x = coords(g)
     rot_shift = integrate(x[..., 0] * ga[1] - x[..., 1] * ga[0], g)
     tr_shift = np.array([integrate(ga[0], g), integrate(ga[1], g)])
     assert abs((rot1 - rot0)[0, 1] - rot_shift) < 2e-2
