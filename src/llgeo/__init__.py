@@ -22,7 +22,6 @@ from .calculus import (
     integrate,
     so3_log,
     right_gradient_axis,
-    tangent_project,
 )
 from .dynamics import (
     EnergyParams,

@@ -19,19 +19,19 @@ Conventions pinned here once and used everywhere:
   wrapped cells, and that sum order pins E's bits;
 * integrals are midpoint-rule sums (cell value times cell volume);
 * group-valued differencing uses the group logarithm of one-step motions
-  q(x+h) q(x)*, one quaternion product each, never subtraction;
+  q(x+h) q(x)*, one fields._motion each, never subtraction;
 * so3_log is 2 atan2(|v|, |w|) copysign(1, w) v / |v|, one branch-free
   formula up to pi; its input passes the unit check of a stored
   RotationField (fields._vector_norm2), with the looser ROTATION_TOL, in
   the pass that sums |v|^2;
-* the quaternion kernels (fields._qmul and so3_log) write component planes
+* the quaternion kernels (fields._motion and so3_log) write component planes
   and are sums on the four planes, so they take any layout and give the
   same bits for every layout.
 """
 
 import numpy as np
 
-from .fields import RotationField, _dot3, _qmul, _vector_norm2
+from .fields import RotationField, _motion, _vector_norm2
 from .grid import _along, _flat
 
 ROTATION_TOL = 1e-8  # so3_log rejects quaternions with | |q|^2 - 1 | beyond this
@@ -172,7 +172,7 @@ def right_gradient_axis(psi, axis):
     psi(x + eps e_axis) psi(x)^-1.
 
     Central in the group in the interior, second-order one-sided at the edges.
-    Each one-step motion q(x+h) q(x)* is one quaternion product over the
+    Each one-step motion q(x+h) q(x)* is one fields._motion over the
     flat pairs of cells at +-stride (grid._flat), logged once: the backward
     motion at x is the inverse of the forward one at x-h, and log q* = -log q.
     The pairs that wrap fall on the two edge rows, whose one-sided stencils
@@ -184,18 +184,14 @@ def right_gradient_axis(psi, axis):
     q = psi.values
     (qf,), strides = _flat(psi.grid.p, q)
     s = strides[axis]
-    fwd = so3_log(_qmul(qf[:, s:].T, qf[:, :-s].T, conj=True))
+    fwd = so3_log(_motion(qf[:, s:].T, qf[:, :-s].T))
     out = np.moveaxis(np.empty((3,) + psi.grid.dims), 0, -1)  # after the logs' scratch is freed
     (_, of), _ = _flat(psi.grid.p, q, out)
     np.add(fwd[s:], fwd[:-s], out=of[:, s:-s].T)
     # the edge rows' motions q(x+h) q(x)* and q(x+2h) q(x)* at the low end,
     # and at the high end; its two-step one runs backward, q(x-2h) q(x)*,
     # so it enters negated
-    edge = so3_log(_qmul(q[sl([1, 2, -1, -3])], q[sl([0, 0, -2, -1])], conj=True))
+    edge = so3_log(_motion(q[sl([1, 2, -1, -3])], q[sl([0, 0, -2, -1])]))
     np.negative(edge[sl(3)], out=edge[sl(3)])
     return _stencil(out, psi.grid.spacing[axis], sl, lambda e, k: edge[sl(k - 1 - 2 * e)])
 
-
-def tangent_project(vec_values, n_values):
-    """Project a 3-vector field onto the tangent planes of a unit field."""
-    return vec_values - _dot3(vec_values, n_values)[..., None] * n_values

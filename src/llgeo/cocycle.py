@@ -111,10 +111,15 @@ def lie_poisson_bracket(dF, dG, n):
     """{F, G}(n) = int n . (dF x dG), with dF and dG taken as given, not
     projected onto the tangent planes: the triple product ignores a normal
     part c n of either (n . (n x b) = n . (a x n) = 0), so a projection
-    would only move the rounding."""
+    would only move the rounding.  Each must be shaped like n.values: a
+    constant 3-vector would broadcast over the grid, and is refused."""
     if not isinstance(n, SpinField):
         raise TypeError("n must be a SpinField")
-    return float(integrate(triple(n.values, np.asarray(dF, float), np.asarray(dG, float)), n.grid))
+    dF, dG = np.asarray(dF, float), np.asarray(dG, float)
+    for name, d in (("dF", dF), ("dG", dG)):
+        if d.shape != n.values.shape:
+            raise ValueError(f"{name}: shape {d.shape} does not match the field's {n.values.shape}")
+    return float(integrate(triple(n.values, dF, dG), n.grid))
 
 
 def check_px_py_bracket(n):

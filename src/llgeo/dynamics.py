@@ -63,7 +63,6 @@ thread.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,17 +70,8 @@ import numpy as np
 from .errors import ConvergenceError, NumericsError
 from .fields import _c_view, _dot3, _Workspace
 from .calculus import cross3, integrate
-from .grid import _along, _flat
+from .grid import _along, _count, _flat, _real
 from . import momenta
-
-
-def _real(name, value, kind=numbers.Real, cast=float, noun="a real number"):
-    """value as a float, refusing a bool or anything that is not a real
-    number with a ValueError that names the field; the counts are read by
-    the same rule with kind numbers.Integral, cast int and noun "an int"."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{name}: must be {noun}, got {value!r}")
-    return cast(value)
 
 
 @dataclass(frozen=True)
@@ -111,8 +101,7 @@ class SimConfig:
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError(f"dt: must be finite and positive, got {self.dt}")
         for name in ("steps", "report_every"):  # refuses True, 2.0 and 2.5
-            object.__setattr__(self, name, _real(name, getattr(self, name),
-                                                 numbers.Integral, int, "an int"))
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.steps < 0:
             raise ValueError(f"steps: must be nonnegative, got {self.steps}")
         if self.scheme not in ("rk4_project", "midpoint"):

@@ -13,6 +13,10 @@ view that every kernel indexes.  _payload is the one place that decides
 it, so the per-component passes of the kernels stream contiguous planes,
 and the densities the momenta sum are planes too.
 
+Rotation fields meet in one product only, _motion(a, b) = a b*, the motion
+from b to a: the right gradient's one-step motions q(x+h) q(x)* and the
+gauge move psi A* (momenta.gauge_invariance_residual) are each one call.
+
 The kernels that step and measure spin fields write into a _Workspace: the
 grid-sized scratch of one run (spare field arrays and scratch planes), so
 that a run allocates its buffers once instead of once per step and report,
@@ -27,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import BOUNDARY_LAYER, Grid
+from .grid import BOUNDARY_LAYER, Grid, _count
 
 UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-10  # RotationField: | |q|^2 - 1 |, and |x|, |y|, |z| on the boundary layer
@@ -48,25 +52,24 @@ def _dot3(a, b, out=None, scratch=None):
     return out
 
 
-def _qmul(a, b, conj=False):
-    """Hamilton product a b of two stacks of quaternions (..., 4) in
-    (w, x, y, z) order, or a b* when conj (every term in b's vector part
-    changes sign): w = a_w b_w - a_v . b_v and v = a_v b_w + a_w b_v +
-    a_v x b_v.  Each component is summed term by term on its own plane of
-    one component-major buffer, so the bits do not depend on the layout of
-    a and b."""
-    plus, minus = (np.subtract, np.add) if conj else (np.add, np.subtract)
+def _motion(a, b):
+    """The motion a b* from b to a of two stacks of quaternions (..., 4) in
+    (w, x, y, z) order, the Hamilton product of a with the conjugate of b:
+    w = a_w b_w + a_v . b_v and v = a_v b_w - a_w b_v - a_v x b_v.  Each
+    component is summed term by term on its own plane of one
+    component-major buffer, so the bits do not depend on the layout of a
+    and b."""
     out = np.empty((4,) + np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     planes, t = [out[c, ...] for c in range(4)], np.empty(out.shape[1:])
     np.multiply(a[..., 0], b[..., 0], out=planes[0])
     for c in (1, 2, 3):
-        minus(planes[0], np.multiply(a[..., c], b[..., c], out=t), out=planes[0])
+        np.add(planes[0], np.multiply(a[..., c], b[..., c], out=t), out=planes[0])
     for c in (1, 2, 3):
         i, j, acc = c % 3 + 1, (c + 1) % 3 + 1, planes[c]  # (c, i, j) cyclic
         np.multiply(a[..., c], b[..., 0], out=acc)
-        plus(acc, np.multiply(a[..., 0], b[..., c], out=t), out=acc)
-        plus(acc, np.multiply(a[..., i], b[..., j], out=t), out=acc)
-        minus(acc, np.multiply(a[..., j], b[..., i], out=t), out=acc)
+        np.subtract(acc, np.multiply(a[..., 0], b[..., c], out=t), out=acc)
+        np.subtract(acc, np.multiply(a[..., i], b[..., j], out=t), out=acc)
+        np.add(acc, np.multiply(a[..., j], b[..., i], out=t), out=acc)
     return np.moveaxis(out, 0, -1)
 
 
@@ -291,16 +294,6 @@ class RotationField:
         if not np.abs(edge).max() <= ORTHO_TOL:
             raise ValueError("rotation field must be the identity (w = +-1) on the boundary layer")
 
-    def compose(self, other, check=True):
-        """Pointwise product psi(x) other(x), the Hamilton product."""
-        return RotationField(self.grid, _qmul(self.values, other.values), check=check)
-
-    def inverse(self):
-        """The conjugate (w, -x, -y, -z), the inverse of a unit quaternion."""
-        conj = -self.values
-        conj[..., 0] = self.values[..., 0]
-        return RotationField(self.grid, conj, check=False)
-
 
 def plane_pairs(p):
     """The so(p) basis, planes (i, j) with i < j in row order: (0, 1), (0, 2),
@@ -318,7 +311,7 @@ class EuclideanAlgebraElement:
     """
 
     def __init__(self, p, omega_upper=None, adot=None):
-        self.p = int(p)
+        self.p = _count("p", p)
         if self.p not in (1, 2, 3):
             raise ValueError("p must be 1, 2 or 3")
         pairs = plane_pairs(self.p)
@@ -352,9 +345,6 @@ class EuclideanAlgebraElement:
     @classmethod
     def translation(cls, adot):
         return cls(len(adot), adot=adot)
-
-    def scaled(self, c):
-        return EuclideanAlgebraElement(self.p, c * self.omega_upper, c * self.adot)
 
     def _affine(self, grid):
         """A = [Omega | adot], the p x (p + 1) matrix of the affine field

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .fields import K_AXIS, RotationField, SpinField, _dot3
-from .grid import BOUNDARY_LAYER
+from .grid import BOUNDARY_LAYER, _count, _real
 
 
 def make_constant(grid, v):
@@ -48,8 +48,8 @@ def band_limited(grid, rng, modes):
     the mean of `modes` (a positive int) weighted products of cosines, each
     mode drawing its wave numbers (1-3), phases and weight (in [0.3, 1))
     from rng in that order.  Each cosine is taken on its axis's row only."""
-    if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise ValueError(f"modes must be a positive int, got {modes!r}")
+    if _count("modes", modes) < 1:
+        raise ValueError(f"modes: must be a positive int, got {modes!r}")
     u = _box_rows(grid)
     out = np.zeros(grid.dims)
     for _ in range(modes):
@@ -70,12 +70,12 @@ def make_bp_soliton(grid, m, lam, cutoff_radius, center=None):
     """
     if grid.p != 2:
         raise ValueError("soliton construction needs p = 2")
-    m = int(m)
-    lam = float(lam)
-    cutoff = float(cutoff_radius)
+    m, lam, cutoff = _count("m", m), _real("lam", lam), _real("cutoff_radius", cutoff_radius)
     if m != 0 and not 0 < lam < cutoff:
         raise ValueError("need 0 < lambda < cutoff_radius")
     center = np.zeros(2) if center is None else np.asarray(center, float)
+    if center.shape != (2,):
+        raise ValueError(f"center: must have two entries, got {center.shape}")
     margin = (BOUNDARY_LAYER + 2) * max(grid.spacing)
     half = min(grid.half_widths())
     if m != 0 and cutoff + float(np.abs(center).max()) > half - margin:

@@ -6,12 +6,28 @@ integrals of symmetric fields cancel cleanly.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 BOUNDARY_LAYER = 2  # cells per face that stand in for "vanishing at infinity"
+
+
+def _real(name, value, kind=numbers.Real, cast=float, noun="a real number"):
+    """value as a float, refusing a bool or anything that is not a real
+    number with a ValueError that names the argument."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name}: must be {noun}, got {value!r}")
+    return cast(value)
+
+
+def _count(name, value):
+    """value as an int by _real's rule: a numpy integer passes, and True,
+    2.0 and 2.5 are refused.  Every count an argument gives (grid dims, the
+    soliton's degree, a run's steps) is read by it."""
+    return _real(name, value, numbers.Integral, int, "an int")
 
 
 def _along(axis, p):
@@ -60,7 +76,7 @@ class Grid:
     origin: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_count("dims", d) for d in self.dims)
         spacing = tuple(float(s) for s in self.spacing)
         origin = tuple(float(o) for o in self.origin)
         object.__setattr__(self, "dims", dims)
@@ -82,7 +98,7 @@ class Grid:
     def centered(cls, dims, box):
         """Grid of `dims` cells covering a box of total side length(s) `box`
         centered at the origin."""
-        dims = tuple(int(d) for d in np.atleast_1d(dims))
+        dims = tuple(_count("dims", d) for d in (dims if np.ndim(dims) else (dims,)))
         box = np.broadcast_to(np.atleast_1d(np.asarray(box, float)), (len(dims),))
         spacing = tuple(b / d for b, d in zip(box, dims))
         origin = tuple(-b / 2 + s / 2 for b, s in zip(box, spacing))

@@ -25,7 +25,11 @@ rotation lift + group gradient and the closed-form lift identity, each of
 those two the first moments (integral of x wedge w, integral of w) of one
 density w, stored as p contiguous planes (p,) + dims like the component
 planes of a spin field (fields._payload); every lift route starts from
-_lift_frame, which refuses a fat singular set n -> +k.  The routes differ
+_lift_frame, which refuses a fat singular set n -> +k.  The rotation route
+meets the group in one product, fields._motion = a b*: its right
+gradients' one-step motions and the gauge move psi A* of
+gauge_invariance_residual.  The closed form reads k x n off n's planes
+(_lift_integrand), with no field array for it.  The routes differ
 in their density only: every moment of a density plane, of F or of w, is
 taken by one rule, _plane_moments.  No sum here goes through BLAS (every
 one is np.sum or np.einsum), so no value depends on the BLAS thread count.
@@ -49,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularLiftError
-from .fields import K_AXIS, RotationField, _c_view, _dot3, _frozen, _qmul, _Workspace, plane_pairs
+from .fields import RotationField, SpinField, _c_view, _dot3, _frozen, _motion, _Workspace, plane_pairs
 from .generators import make_gauge_field
 from .calculus import (
     cross3,
@@ -356,9 +360,12 @@ def momentum_JH(psi, mu):
     """Euclidean momentum map on the unreduced space:
     ( integral of x wedge w, -integral of w ) with w_i = mu . rgrad_i psi.
 
-    mu is a SpinField (the momentum slot of the point (psi, mu)); psi a
-    RotationField on the same grid.
+    mu is a SpinField (the momentum slot of the point (psi, mu)), and
+    anything else, such as a RotationField, is refused; psi a RotationField
+    on the same grid.
     """
+    if not isinstance(mu, SpinField):
+        raise TypeError("mu must be a SpinField")
     if psi.grid is not mu.grid and psi.grid != mu.grid:
         raise ValueError("psi and mu must share a grid")
     rot, total = _first_moments(_JH_density(psi, mu), psi.grid)
@@ -367,20 +374,24 @@ def momentum_JH(psi, mu):
 
 def _lift_integrand(n):
     """w-bar_i = (k x n).d_i n / (1 - k.n) with singular cells zeroed, as p
-    contiguous planes (p,) + dims.
+    contiguous planes (p,) + dims.  k x n is (-n_y, n_x, 0), so each plane
+    is (n_x d_i n_y - n_y d_i n_x) / (1 - n_z), taken from n's planes
+    through one scratch plane, with no field array for k x n.
 
     Returns (wbar, singular_mask).  The singular cells are dropped from the
     quadrature: the singularities of the lift are tame and do not contribute.
     Refuses on a fat singular set (see _lift_frame).
     """
     singular = _lift_frame(n)
-    cross = cross3(K_AXIS, n.values)
+    n_x, n_y = n.values[..., 0], n.values[..., 1]
     denom = np.where(singular, 1.0, 1.0 - n.values[..., 2])
-    wbar = np.empty((n.grid.p,) + n.grid.dims)
+    wbar, t = np.empty((n.grid.p,) + n.grid.dims), np.empty(n.grid.dims)
     grad = None  # one derivative pass, through one buffer
     for k, plane in enumerate(wbar):
         grad = partial(n.values, n.grid, k, out=grad)
-        np.divide(_dot3(cross, grad, out=plane), denom, out=plane)
+        np.multiply(n_x, grad[..., 1], out=plane)
+        np.subtract(plane, np.multiply(n_y, grad[..., 0], out=t), out=plane)
+        np.divide(plane, denom, out=plane)
     wbar[:, singular] = 0.0
     return wbar, singular
 
@@ -401,14 +412,14 @@ def gauge_invariance_residual(n, alpha):
     psi = lift_psi(n), mu = n.
 
     The right action sends psi to psi A^-1 = psi A* and leaves mu alone:
-    one a b* product (fields._qmul with conj, the kernel of the right
-    gradient's one-step motions), with no conjugate copy of A.  For p >= 2
+    one fields._motion(psi, A), the product a b* that the right gradient
+    takes its one-step motions with, and no conjugate copy of A.  For p >= 2
     and boundary-constant alpha this vanishes in the continuum; for p = 1
     with winding alpha it equals 2*pi times the winding.
     """
     psi = lift_psi(n)
     gauge = make_gauge_field(n.grid, alpha)
-    psi_moved = RotationField(n.grid, _qmul(psi.values, gauge.values, conj=True), check=False)
+    psi_moved = RotationField(n.grid, _motion(psi.values, gauge.values), check=False)
     rot0, trans0 = momentum_JH(psi, n)
     rot1, trans1 = momentum_JH(psi_moved, n)
     return float(

@@ -8,6 +8,7 @@ from llgeo import (
     make_bp_soliton,
     make_random_smooth,
 )
+from llgeo.fields import _dot3
 from llgeo.generators import band_limited, bump_envelope
 
 import so3_oracle
@@ -19,6 +20,13 @@ def coords(grid):
     broadcasts, as the (..., p) view of a fresh C-contiguous stack of the
     p coordinate planes, (p,) + dims."""
     return np.moveaxis(np.stack(np.broadcast_arrays(*grid._rows())), 0, -1)
+
+
+def tangent_project(vec_values, n_values):
+    """The part of a 3-vector field tangent to the unit field n, in a fresh
+    array: vec - (vec . n) n, the dot product a _dot3, so its bits are those
+    of the in-place projection that ends momenta._moment_adjoint."""
+    return vec_values - _dot3(vec_values, n_values)[..., None] * n_values
 
 
 def relative_gap(a, b):

@@ -5,17 +5,18 @@ They work on interleaved (..., 3, 3) arrays: the exponential sums hat(v),
 an outer product and a multiple of eye, the log reads vee R and the trace
 off the stacked matrices (with the largest-diagonal column of
 sym R - cos(theta) I for obtuse angles), and products are `@`.  matrix(q)
-is the rotation matrix of a unit quaternion, a polynomial in q, and
-quaternion(v) the unit quaternion of a rotation vector; llgeo's quaternion
-route is checked against these through matrix(q).  right_gradient is the
-allocating assembly of llgeo's own logged motions, the oracle of the
-in-place stencil of llgeo.calculus.right_gradient_axis.
+is the rotation matrix of a unit quaternion, a polynomial in q,
+quaternion(v) the unit quaternion of a rotation vector, and qmul the
+textbook Hamilton product, which builds the composed fields of the tests;
+llgeo's quaternion route is checked against these through matrix(q).
+right_gradient is the allocating assembly of llgeo's own logged motions,
+the oracle of the in-place stencil of llgeo.calculus.right_gradient_axis.
 """
 
 import numpy as np
 
 import llgeo.calculus
-from llgeo.fields import _qmul
+from llgeo.fields import _motion
 
 
 def hat(v):
@@ -73,6 +74,17 @@ def compose(a, b):
     return a @ b
 
 
+def qmul(a, b):
+    """The Hamilton product a b of quaternions (w, x, y, z), stacked:
+    (a_w b_w - a_v . b_v, a_w b_v + b_w a_v + a_v x b_v), through np.cross
+    and fresh C-order arrays, independent of llgeo's plane-by-plane
+    fields._motion."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    av, bv = a[..., 1:], b[..., 1:]
+    w = a[..., :1] * b[..., :1] - (av * bv).sum(axis=-1, keepdims=True)
+    return np.concatenate([w, a[..., :1] * bv + b[..., :1] * av + np.cross(av, bv)], axis=-1)
+
+
 def quaternion(v):
     """The unit quaternion (cos(theta/2), sin(theta/2) v/theta) of each
     rotation vector v, theta = |v|, stacked (..., 4); (1, 0, 0, 0) at 0."""
@@ -93,13 +105,13 @@ def matrix(q):
 
 def right_gradient(psi, axis):
     """The right gradient of a RotationField along axis, assembled in fresh
-    C-order arrays from the motions llgeo logs (llgeo's _qmul and so3_log):
+    C-order arrays from the motions llgeo logs (llgeo's _motion and so3_log):
     fwd[i] + fwd[i-1] in the interior, 4 fwd[0] - two[0] and
     4 fwd[-1] + two[1] at the edges, divided by 2h."""
     sl = lambda s: (slice(None),) * axis + (s,)  # noqa: E731
     q = psi.values
-    fwd = llgeo.calculus.so3_log(_qmul(q[sl(slice(1, None))], q[sl(slice(None, -1))], conj=True))
-    two = llgeo.calculus.so3_log(_qmul(q[sl([2, -3])], q[sl([0, -1])], conj=True))
+    fwd = llgeo.calculus.so3_log(_motion(q[sl(slice(1, None))], q[sl(slice(None, -1))]))
+    two = llgeo.calculus.so3_log(_motion(q[sl([2, -3])], q[sl([0, -1])]))
     out = np.empty(psi.grid.dims + (3,))
     out[sl(slice(1, -1))] = fwd[sl(slice(1, None))] + fwd[sl(slice(None, -1))]
     out[sl(0)] = 4.0 * fwd[sl(0)] - two[sl(0)]

@@ -33,14 +33,13 @@ from llgeo import (
     reduced_momentum_lift,
     rotational_momentum,
     simulate,
-    tangent_project,
     write_snapshot,
 )
 from llgeo.calculus import partial
 from llgeo.cocycle import check_px_py_bracket, cocycle_direct, cocycle_via_pairing, omega0
 from llgeo.dynamics import _effective_field
 
-from conftest import relative_gap
+from conftest import relative_gap, tangent_project
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 

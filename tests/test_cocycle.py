@@ -22,12 +22,12 @@ from llgeo.cocycle import (
     semidirect_bracket,
     wedge_lift,
 )
-from llgeo.calculus import integrate, partial, tangent_project
+from llgeo.calculus import integrate, partial
 from llgeo.generators import band_limited, bump_envelope
 
 from allocating_report import two_form
 from allocating_stepper import variational_derivative_energy
-from conftest import coords, interior, off_axis_texture, relative_gap
+from conftest import coords, interior, off_axis_texture, relative_gap, tangent_project
 from test_generators import profile_bump
 
 E1 = lambda: EuclideanAlgebraElement.translation((1.0, 0.0))
@@ -230,8 +230,9 @@ def test_cocycle_antisymmetry_and_bilinearity():
     a, b = random_element(2, rng), random_element(2, rng)
     s_ab = cocycle_direct(mu, a, b)
     assert abs(s_ab + cocycle_direct(mu, b, a)) < 1e-12
-    assert abs(cocycle_direct(mu, a.scaled(2.5), b) - 2.5 * s_ab) < 1e-10 * abs(s_ab)
-    assert abs(cocycle_via_pairing(mu, a.scaled(2.5), b) - 2.5 * cocycle_via_pairing(mu, a, b)) \
+    a25 = EuclideanAlgebraElement(2, 2.5 * a.omega_upper, 2.5 * a.adot)
+    assert abs(cocycle_direct(mu, a25, b) - 2.5 * s_ab) < 1e-10 * abs(s_ab)
+    assert abs(cocycle_via_pairing(mu, a25, b) - 2.5 * cocycle_via_pairing(mu, a, b)) \
         < 1e-10 * max(abs(s_ab), 1.0)
 
 
@@ -277,6 +278,17 @@ def test_bracket_antisymmetric_and_degenerate():
     alpha, beta = (rng.normal(size=g.dims + (1,)) for _ in range(2))
     moved = lie_poisson_bracket(dF + alpha * n.values, dG + beta * n.values, n)
     assert abs(moved - ab) <= 1e-12 * abs(ab)
+
+
+def test_bracket_refuses_derivatives_not_shaped_like_the_field():
+    # two constant covectors broadcast over the grid and gave -62.80
+    g = Grid.centered((48, 48), 16.0)
+    n = make_random_smooth(g, seed=15, amplitude=1.4)
+    dF = random_tangent(n, 20)
+    for a, b, name in ((np.array([1, 0, 0]), np.array([0, 1, 0]), "dF"),
+                       (dF, dF[..., :1], "dG"), (dF[None], dF, "dF")):
+        with pytest.raises(ValueError, match=f"{name}: shape"):
+            lie_poisson_bracket(a, b, n)
 
 
 def test_bracket_vanishes_at_equilibrium_factor():

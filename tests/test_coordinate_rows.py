@@ -22,12 +22,12 @@ from llgeo import (
     moments,
     reduced_momentum_lift,
 )
-from llgeo.calculus import cross3, partial, partial_T, tangent_project
+from llgeo.calculus import cross3, partial, partial_T
 from llgeo.fields import K_AXIS, _dot3
 from llgeo.generators import _cutoff_blend, band_limited, bump, bump_envelope
 from llgeo.momenta import _K_P, _gradients, _moment_adjoint
 
-from conftest import coords, relative_gap
+from conftest import coords, relative_gap, tangent_project
 
 GRIDS = [
     Grid.centered((40,), 10.0),

@@ -24,7 +24,6 @@ from llgeo import (
     make_random_smooth,
     simulate,
     step,
-    tangent_project,
 )
 from llgeo import EuclideanAlgebraElement, calculus, cocycle, fields, momenta
 from llgeo.calculus import cross3, integrate
@@ -38,7 +37,7 @@ from llgeo.fields import _is_planar
 import allocating_report
 import allocating_stepper
 import so3_oracle
-from conftest import relative_gap
+from conftest import relative_gap, tangent_project
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 

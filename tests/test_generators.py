@@ -95,6 +95,27 @@ def test_bp_invariants_and_center():
     assert np.abs(coords(g)[idx] - (2.0, -1.0)).max() < g.spacing[0]
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.6, 1.5, 6.0), "m"),  # int() made it a degree-1 soliton
+    ((True, 1.5, 6.0), "m"),
+    ((1, True, 6.0), "lam"),
+    ((1, 1.5, "6.0"), "cutoff_radius"),
+])
+def test_bp_soliton_refuses_arguments_that_are_not_numbers_of_their_kind(args, name):
+    g = Grid.centered((64, 64), 16.0)
+    with pytest.raises(ValueError, match=f"{name}: must be"):
+        make_bp_soliton(g, *args)
+    make_bp_soliton(g, np.int64(1), np.float64(1.5), 6).check_invariants()
+
+
+def test_bp_soliton_refuses_a_center_without_two_entries():
+    # a third entry was ignored: (0.5, -0.25, 0.1) gave the bits of (0.5, -0.25)
+    g = Grid.centered((64, 64), 16.0)
+    for center in ((0.5, -0.25, 0.1), (0.5,), 0.5):
+        with pytest.raises(ValueError, match="center: must have two entries"):
+            make_bp_soliton(g, 1, 1.5, 6.0, center=center)
+
+
 def profile_bump(amplitude, radius):
     def profile(r):
         arg = 1.0 - (r / radius) ** 2
@@ -198,6 +219,6 @@ def test_random_smooth_names_the_grid_it_is_too_small_for():
 @pytest.mark.parametrize("modes", [0, -1, 2.5, True])
 def test_random_smooth_refuses_a_mode_count_that_is_not_a_positive_int(modes):
     # unrefused, 0 would divide by zero, -1 give the vacuum and True count as 1
-    with pytest.raises(ValueError, match=rf"modes must be a positive int, got {modes!r}"):
+    with pytest.raises(ValueError, match=rf"modes: must be (a positive|an) int, got {modes!r}"):
         make_random_smooth(Grid.centered((32, 32), 12.0), seed=0, modes=modes)
     make_random_smooth(Grid.centered((32, 32), 12.0), seed=0, modes=np.int64(2)).check_invariants()

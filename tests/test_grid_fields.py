@@ -45,6 +45,19 @@ def test_grid_rejects_small_dims_and_bad_spacing():
         Grid((16, 16), (1,), (0, 0))
 
 
+@pytest.mark.parametrize("dims", [(8.9, 12.2), (np.float64(9.99), 16), (16, True)])
+def test_grid_refuses_dims_that_are_not_ints(dims):
+    # int() would truncate 8.9 to 8 and 9.99 to 9, and take True for 1
+    with pytest.raises(ValueError, match="dims: must be an int"):
+        Grid(dims, (1, 1), (0, 0))
+    with pytest.raises(ValueError, match="dims: must be an int"):
+        Grid.centered(dims, 8.0)
+    # numpy integers are counts too
+    for grid in (Grid((np.int64(9), np.int32(16)), (1, 1), (0, 0)),
+                 Grid.centered(np.array([9, 16]), 8.0)):
+        assert grid.dims == (9, 16) and all(type(d) is int for d in grid.dims)
+
+
 @pytest.mark.parametrize("spacing, origin", [
     ((1.0, float("nan")), (0.0, 0.0)),
     ((float("inf"), 1.0), (0.0, 0.0)),
@@ -260,6 +273,14 @@ def test_euclidean_algebra_element_exact_skewness():
         EuclideanAlgebraElement(2, (0.1, 0.2), (1.0, 0.0))
     with pytest.raises(ValueError):
         EuclideanAlgebraElement.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 0))
+
+
+@pytest.mark.parametrize("p", [2.9, 2.0, True])
+def test_euclidean_algebra_element_refuses_a_dimension_that_is_not_an_int(p):
+    # int(2.9) is 2: the element would silently live in so(2) x R^2
+    with pytest.raises(ValueError, match="p: must be an int"):
+        EuclideanAlgebraElement(p, [0.5], [1, 0])
+    assert EuclideanAlgebraElement(np.int64(2), [0.5], [1, 0]).p == 2
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from llgeo import (
     Grid,
     K_AXIS,
+    RotationField,
     SingularLiftError,
     check_px_py_bracket,
     degree,
@@ -38,10 +39,11 @@ from llgeo.momenta import (
     _lift_integrand,
     _two_form,
 )
-from llgeo.calculus import integrate, partial
+from llgeo.calculus import cross3, integrate, partial
+from llgeo.fields import _dot3
 
 from allocating_report import density_P, density_route, first_moments
-from so3_oracle import matrix, quaternion, so3_exp
+from so3_oracle import matrix, qmul, quaternion, so3_exp
 from conftest import coords, off_axis_texture, relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
@@ -299,6 +301,35 @@ def test_P_derivative_memory_at_64_cubed():
     assert _peak(momenta._moment_adjoint, n, grads, momenta._K_P(3)[0]) <= 4.5 * field
 
 
+def test_lift_memory_at_64_cubed():
+    # in field arrays: the p density planes (one array), one derivative,
+    # the denominator and a scratch plane come to 2.75; k x n is read off
+    # n's planes, where a field array for it took 3.71
+    n = make_random_smooth(Grid.centered((64, 64, 64), 12.0), seed=3, amplitude=1.5)
+    assert _peak(reduced_momentum_lift, n) <= 3.0 * n.values.nbytes
+
+
+@pytest.mark.parametrize("dims", [(40, 44), (20, 22, 24)], ids=["2d", "3d"])
+def test_lift_integrand_is_the_cross_formula(dims):
+    # (n_x d_i n_y - n_y d_i n_x) / (1 - n_z) is (k x n) . d_i n / (1 - k.n)
+    # with k x n from cross3: the same values, up to the sign of a zero,
+    # two singular cells (+k) zeroed included
+    n = make_random_smooth(Grid.centered(dims, 12.0), seed=3, amplitude=2.5)
+    values = np.array(n.values)
+    values[(10,) * len(dims)] = values[(11,) * len(dims)] = K_AXIS
+    n = n.with_values(values)
+    singular = lift_singular_mask(n)
+    assert singular.sum() == 2
+    cross = cross3(K_AXIS, n.values)
+    denom = np.where(singular, 1.0, 1.0 - n.values[..., 2])
+    want = np.stack([_dot3(cross, partial(n.values, n.grid, k)) / denom
+                     for k in range(n.grid.p)])
+    want[:, singular] = 0.0
+    got, mask = _lift_integrand(n)
+    assert np.array_equal(mask, singular)
+    assert np.array_equal(got, want)
+
+
 def test_rotational_momentum_shift_identity():
     # exact wedge-shift identity: L' = L - delta ^ (P + P'), with P' the
     # shifted field's momentum (P itself shifts by the degree cocycle)
@@ -496,8 +527,6 @@ def test_lift_and_JH_moments_equal_the_coordinate_plane_oracle(dims, box):
 
 def test_momentum_JH_identity_field_is_zero():
     g = Grid.centered((48, 48), 16.0)
-    from llgeo import RotationField
-
     eye = np.broadcast_to([1.0, 0.0, 0.0, 0.0], g.dims + (4,)).copy()
     psi = RotationField(g, eye)
     mu = make_random_smooth(g, seed=3, amplitude=1.2)
@@ -514,7 +543,8 @@ def test_momentum_JH_gauge_shift_formula():
     from llgeo import make_gauge_field
 
     psi = lift_psi(n)
-    moved = psi.compose(make_gauge_field(g, alpha).inverse(), check=False)
+    moved = RotationField(g, qmul(psi.values, make_gauge_field(g, alpha).values * [1, -1, -1, -1]),
+                          check=False)
     rot0, tr0 = momentum_JH(psi, n)
     rot1, tr1 = momentum_JH(moved, n)
 
@@ -524,6 +554,15 @@ def test_momentum_JH_gauge_shift_formula():
     tr_shift = np.array([integrate(ga[0], g), integrate(ga[1], g)])
     assert abs((rot1 - rot0)[0, 1] - rot_shift) < 2e-2
     assert np.abs((tr1 - tr0) - (-tr_shift)).max() < 2e-2
+
+
+def test_momentum_JH_refuses_a_momentum_slot_that_is_not_a_spin_field():
+    # a RotationField's (..., 4) values read as mu gave a momentum from
+    # three of its four quaternion components
+    psi = lift_psi(make_random_smooth(Grid.centered((32, 32), 12.0), seed=3, amplitude=1.5))
+    for mu in (psi, psi.values[..., 1:]):
+        with pytest.raises(TypeError, match="mu must be a SpinField"):
+            momentum_JH(psi, mu)
 
 
 def test_momentum_JH_reads_one_axis_at_a_time():

@@ -19,7 +19,7 @@ from llgeo import (
     so3_log,
     write_snapshot,
 )
-from llgeo.fields import _is_planar, _qmul, _vector_norm2
+from llgeo.fields import _is_planar, _motion, _vector_norm2
 
 import so3_oracle
 from conftest import random_rotation_field
@@ -61,13 +61,12 @@ def test_kernels_agree_with_the_stacked_oracle(layout):
     qa, qb = (layouts(so3_oracle.quaternion(x), 1)[layout] for x in (v, w))
     ra, rb = so3_oracle.matrix(qa), so3_oracle.matrix(qb)
     assert np.abs(ra - so3_oracle.so3_exp(v)).max() <= 1e-15
-    g = Grid.centered((600,), 8.0)
-    a, b = RotationField(g, qa, check=False), RotationField(g, qb, check=False)
-    composed = so3_oracle.matrix(a.compose(b, check=False).values)
-    assert np.abs(composed - so3_oracle.compose(ra, rb)).max() <= 1e-15
-    motion = so3_oracle.matrix(_qmul(qa, qb, conj=True))
+    motion = so3_oracle.matrix(_motion(qa, qb))
     assert np.abs(motion - so3_oracle.motion(ra, rb)).max() <= 1e-15
-    assert np.array_equal(so3_oracle.matrix(a.inverse().values), np.swapaxes(ra, -1, -2))
+    # the oracle's Hamilton product, which builds the tests' composed
+    # fields, is the matrix product
+    composed = so3_oracle.matrix(so3_oracle.qmul(qa, qb))
+    assert np.abs(composed - so3_oracle.compose(ra, rb)).max() <= 1e-15
     # the log, near-pi block included, is the rotation vector it came from
     # and the matrix oracle's log; -q logs to the same bits as q
     assert (np.linalg.norm(v, axis=-1) > np.pi / 2).sum() > 200
@@ -126,8 +125,7 @@ def test_right_gradient_is_bitwise_independent_of_layout():
     psi = random_rotation_field(g, seed=6, amplitude=2.5)
     c_order, planar = layouts(psi.values, 1).values()
     assert np.array_equal(so3_log(c_order), so3_log(planar))
-    assert np.array_equal(_qmul(c_order, planar[::-1], conj=True),
-                          _qmul(planar, c_order[::-1], conj=True))
+    assert np.array_equal(_motion(c_order, planar[::-1]), _motion(planar, c_order[::-1]))
     copies = [RotationField(g, values, check=False) for values in (c_order, planar)]
     for axis in range(3):
         grads = [right_gradient_axis(copy, axis) for copy in copies]
@@ -146,14 +144,12 @@ def test_rotation_kernels_return_contiguous_entry_planes(tmp_path):
     gauge = make_gauge_field(g, make_gauge_bump_alpha(g, winding=1))
     write_snapshot(gauge, tmp_path / "a.llgf")
     made = {
-        "_qmul": _qmul(a, b),
+        "_motion": _motion(a, b),
         "so3_log": so3_log(a),
         "lift_psi": lift_psi(make_random_smooth(g, seed=9)).values,
         "RotationField": psi.values,
         "RotationField unchecked": RotationField(g, np.ascontiguousarray(psi.values),
                                                  check=False).values,
-        "compose": psi.compose(psi).values,
-        "inverse": psi.inverse().values,
         "make_gauge_field": gauge.values,
         "read_snapshot": read_snapshot(tmp_path / "a.llgf").values,
         **{f"right_gradient_axis {axis}": right_gradient_axis(psi, axis) for axis in range(2)},
@@ -186,10 +182,11 @@ def test_lift_and_gauge_agree_with_the_matrix_oracle(bp_m1_96):
 
 @pytest.mark.parametrize("dims", [(40, 44), (256,)], ids=["p=2 bump", "p=1 winding"])
 def test_gauge_move_is_one_conjugate_product(dims):
-    # gauge_invariance_residual moves psi by _qmul(psi, A, conj=True): the
-    # bits of psi.compose(A.inverse()), without the negated copy of A
+    # gauge_invariance_residual moves psi by _motion(psi, A) = psi A*, the
+    # matrix oracle's motion psi A^T, without a negated copy of A
     g = Grid.centered(dims, 12.0)
     gauge = make_gauge_field(g, make_gauge_bump_alpha(g, winding=1, support=0.5))
     psi = lift_psi(make_random_smooth(g, seed=4, amplitude=1.5))
-    assert np.array_equal(_qmul(psi.values, gauge.values, conj=True),
-                          psi.compose(gauge.inverse(), check=False).values)
+    moved = so3_oracle.matrix(_motion(psi.values, gauge.values))
+    want = so3_oracle.motion(so3_oracle.matrix(psi.values), so3_oracle.matrix(gauge.values))
+    assert np.abs(moved - want).max() <= 1e-15

@@ -11,14 +11,27 @@ level, by def, class or assignment, or that a top-level class body binds
 by def (a method, property or cached property), must be read somewhere in
 src/llgeo: as an ast.Name in a Load context or as the attribute of an
 ast.Attribute, which is how module.name and self.name read it.  So a
-cache or helper left with no reader fails.
+cache or helper left with no reader fails.  Every public name bound the
+same way must be read by the program itself: in src/llgeo outside
+__init__.py, in perfbench/ or in demos/.  A method, function or class that
+only the tests call is surface with no use, and fails, unless
+UNREAD_PUBLIC names it with its reason.
 """
 
 import ast
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "llgeo"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "llgeo"
+
+# the public names kept with no reader in the program, each with its reason
+UNREAD_PUBLIC = {
+    "momentum_P_derivative": "the P gradients' public form until ROADMAP item 7's "
+                             "Poisson table replaces it",
+    "wedge_lift": "the public lift of an algebra element; cocycle_via_pairing calls "
+                  "_wedge_lift so that both lifts share one derivative pass",
+}
 
 
 def unused_imports(source):
@@ -84,17 +97,24 @@ def _top_level_names(tree):
                         yield node.lineno, leaf.id
 
 
-def unread_private_names(sources):
-    """(module, line, name) of every top-level private name of the modules
-    of sources (a dict from module name to source) that none of them reads."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def _reads(trees):
+    """Every name the trees read: as an ast.Name in a Load context or as
+    the attribute of an ast.Attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources):
+    """(module, line, name) of every top-level private name of the modules
+    of sources (a dict from module name to source) that none of them reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _reads(trees.values())
     return [(module, line, name) for module, tree in trees.items()
             for line, name in _top_level_names(tree)
             if name.startswith("_") and not name.startswith("__") and name not in read]
@@ -144,3 +164,51 @@ def test_the_check_finds_private_names_nothing_reads():
 def test_every_private_name_is_read_somewhere_in_the_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def unread_public_names(sources, readers):
+    """(module, line, name) of every top-level public name of the modules
+    of sources (a dict from module name to source) that no source of
+    readers (a list) reads."""
+    read = _reads(ast.parse(source) for source in readers)
+    return [(module, line, name) for module, source in sources.items()
+            for line, name in _top_level_names(ast.parse(source))
+            if not name.startswith("_") and name not in read]
+
+
+def test_the_check_finds_public_names_only_other_code_reads():
+    sources = {
+        "a": textwrap.dedent("""\
+            LIMIT = 1
+
+            def used():
+                return LIMIT
+
+            def tested_only():
+                return 0
+
+            class Box:
+                def __init__(self):
+                    self.size = 1
+
+                def area(self):
+                    return self.size
+
+                def scaled(self, c):
+                    return c * self.size
+            """),
+    }
+    readers = [sources["a"], "from a import Box, used\nprint(used(), Box().area())\n"]
+    # LIMIT is read in a's own body and __init__ is a dunder; tested_only
+    # and scaled have no reader among readers, which hold no tests
+    assert unread_public_names(sources, readers) == [("a", 6, "tested_only"),
+                                                     ("a", 16, "scaled")]
+
+
+def test_every_public_name_is_read_by_the_program():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [source for name, source in sources.items() if name != "__init__.py"]
+    readers += [path.read_text() for folder in ("perfbench", "demos")
+                for path in sorted((ROOT / folder).rglob("*.py"))]
+    unread = [name for _, _, name in unread_public_names(sources, readers)]
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)
