@@ -165,6 +165,7 @@ def make_random_smooth(grid, seed, amplitude=1.0, modes=3, support=0.75):
     is zero.  Each axis needs about (2 BOUNDARY_LAYER - 1)/(1 - support)
     cells for the envelope to clear the boundary layer.
     """
+    amplitude, support = _real("amplitude", amplitude), _real("support", support)
     if not 0 < support < 1:
         raise ValueError(f"support must lie in (0, 1), got {support}")
     envelope = bump_envelope(grid, support)

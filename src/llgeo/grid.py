@@ -77,8 +77,8 @@ class Grid:
 
     def __post_init__(self):
         dims = tuple(_count("dims", d) for d in self.dims)
-        spacing = tuple(float(s) for s in self.spacing)
-        origin = tuple(float(o) for o in self.origin)
+        spacing = tuple(_real("spacing", s) for s in self.spacing)
+        origin = tuple(_real("origin", o) for o in self.origin)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -97,9 +97,9 @@ class Grid:
     @classmethod
     def centered(cls, dims, box):
         """Grid of `dims` cells covering a box of total side length(s) `box`
-        centered at the origin."""
+        centered at the origin; one side length is every axis's."""
         dims = tuple(_count("dims", d) for d in (dims if np.ndim(dims) else (dims,)))
-        box = np.broadcast_to(np.atleast_1d(np.asarray(box, float)), (len(dims),))
+        box = np.broadcast_to([_real("box", b) for b in (box if np.ndim(box) else (box,))], (len(dims),))
         spacing = tuple(b / d for b, d in zip(box, dims))
         origin = tuple(-b / 2 + s / 2 for b, s in zip(box, spacing))
         return cls(dims, spacing, origin)

@@ -23,16 +23,21 @@ Besides these: the rotation charge N, and the three routes to the
 Euclidean momentum of the reduced system: (L, P) of moments, and the
 rotation lift + group gradient and the closed-form lift identity, each of
 those two the first moments (integral of x wedge w, integral of w) of one
-density w, stored as p contiguous planes (p,) + dims like the component
-planes of a spin field (fields._payload); every lift route starts from
-_lift_frame, which refuses a fat singular set n -> +k.  The rotation route
-meets the group in one product, fields._motion = a b*: its right
-gradients' one-step motions and the gauge move psi A* of
-gauge_invariance_residual.  The closed form reads k x n off n's planes
-(_lift_integrand), with no field array for it.  The routes differ
-in their density only: every moment of a density plane, of F or of w, is
-taken by one rule, _plane_moments.  No sum here goes through BLAS (every
-one is np.sum or np.einsum), so no value depends on the BLAS thread count.
+density w; every lift route starts from _lift_frame, which refuses a fat
+singular set n -> +k.  The rotation route meets the group in one product,
+fields._motion = a b*: its right gradients' one-step motions and the gauge
+move psi A* of gauge_invariance_residual.  The closed form reads k x n off
+n's planes (_lift_integrand), with no field array for it.  The routes
+differ in their density only: every moment of a density plane, of F or of
+w, is taken by one rule, _plane_moments.  Every density is a stream of
+planes: _JH_density and _lift_integrand each yield one plane (shape dims)
+at a time into one reused plane, as _two_form does into its out, and their
+readers (_moment_tensor, _first_moments, check_lift_identity's running
+max) take each plane before the next is written, so no lift density is
+ever held whole (momentum_P_cross alone keeps F's planes, fresh ones, for
+its curl).
+No sum here goes through BLAS (every one is np.sum or np.einsum), so no
+value depends on the BLAS thread count.
 
 Orientation conventions are pinned in one place:
 
@@ -175,12 +180,12 @@ def momentum_P_cross(n):
     return 2.0 * np.pi * integrate(np.moveaxis(cross, 0, -1), n.grid)
 
 
-def _first_moments(w, grid):
-    """(integral of x wedge w, integral of w) for a density w of p
-    contiguous planes, (p,) + dims, read off the last row of each plane's
-    _plane_moments: the wedge moment is M - M^T with M = integral of x w^T,
-    exactly skew."""
-    first = np.array([_plane_moments(plane, grid)[-1] for plane in w]) * grid.cell_volume
+def _first_moments(planes, grid):
+    """(integral of x wedge w, integral of w) for a density w given as a
+    stream of its p planes (shape dims) in axis order, each read off the
+    last row of its _plane_moments as it comes: the wedge moment is
+    M - M^T with M = integral of x w^T, exactly skew."""
+    first = np.array([_plane_moments(plane, grid)[-1] for plane in planes]) * grid.cell_volume
     m = first[:, :-1].T
     return m - m.T, first[:, -1]
 
@@ -348,12 +353,12 @@ def lift_psi(n):
 
 
 def _JH_density(psi, mu):
-    """w_k = mu . rgrad_k psi, as p contiguous planes (p,) + dims, each
-    axis's right gradient dotted into its plane as soon as it is made."""
-    w = np.empty((psi.grid.p,) + psi.grid.dims)
-    for k, plane in enumerate(w):
-        _dot3(mu.values, right_gradient_axis(psi, k), out=plane)
-    return w
+    """w_k = mu . rgrad_k psi, yielded one plane (shape dims) at a time in
+    axis order into one reused plane, each axis's right gradient dotted
+    into it as soon as it is made and dropped before the yield."""
+    plane = np.empty(psi.grid.dims)
+    for k in range(psi.grid.p):
+        yield _dot3(mu.values, right_gradient_axis(psi, k), out=plane)
 
 
 def momentum_JH(psi, mu):
@@ -372,37 +377,36 @@ def momentum_JH(psi, mu):
     return rot, -total
 
 
-def _lift_integrand(n):
-    """w-bar_i = (k x n).d_i n / (1 - k.n) with singular cells zeroed, as p
-    contiguous planes (p,) + dims.  k x n is (-n_y, n_x, 0), so each plane
-    is (n_x d_i n_y - n_y d_i n_x) / (1 - n_z), taken from n's planes
-    through one scratch plane, with no field array for k x n.
+def _lift_integrand(n, singular):
+    """w-bar_i = (k x n).d_i n / (1 - k.n), zeroed on the singular cells of
+    _lift_frame, yielded one plane (shape dims) at a time in axis order
+    into one reused plane.  k x n is (-n_y, n_x, 0), so each plane is
+    (n_x d_i n_y - n_y d_i n_x) / (1 - n_z): only n_x and n_y are
+    differentiated, taken from n's planes through one scratch plane, and
+    no field array is held across a yield.
 
-    Returns (wbar, singular_mask).  The singular cells are dropped from the
-    quadrature: the singularities of the lift are tame and do not contribute.
-    Refuses on a fat singular set (see _lift_frame).
+    The singular cells are dropped from the quadrature: the singularities
+    of the lift are tame and do not contribute.
     """
-    singular = _lift_frame(n)
     n_x, n_y = n.values[..., 0], n.values[..., 1]
     denom = np.where(singular, 1.0, 1.0 - n.values[..., 2])
-    wbar, t = np.empty((n.grid.p,) + n.grid.dims), np.empty(n.grid.dims)
-    grad = None  # one derivative pass, through one buffer
-    for k, plane in enumerate(wbar):
-        grad = partial(n.values, n.grid, k, out=grad)
+    plane, t = np.empty(n.grid.dims), np.empty(n.grid.dims)
+    for k in range(n.grid.p):
+        grad = partial(n.values[..., :2], n.grid, k)
         np.multiply(n_x, grad[..., 1], out=plane)
         np.subtract(plane, np.multiply(n_y, grad[..., 0], out=t), out=plane)
+        del grad
         np.divide(plane, denom, out=plane)
-    wbar[:, singular] = 0.0
-    return wbar, singular
+        plane[singular] = 0.0
+        yield plane
 
 
 def reduced_momentum_lift(n):
     """Euclidean momentum from the closed-form lift identity:
     ( integral of x wedge wbar, -integral of wbar ); refuses on a fat
-    singular set (see _lift_integrand)."""
+    singular set (see _lift_frame)."""
     n.require_decaying("reduced_momentum_lift")
-    wbar, _ = _lift_integrand(n)
-    rot, total = _first_moments(wbar, n.grid)
+    rot, total = _first_moments(_lift_integrand(n, _lift_frame(n)), n.grid)
     return rot, -total
 
 
@@ -427,17 +431,16 @@ def gauge_invariance_residual(n, alpha):
     )
 
 
-def _lift_identity_residual(n):
-    """Cellwise |n . rgrad_i psi_n - wbar_i| over axes i, with wbar the
-    closed form; zero on singular cells.  Shape dims."""
-    wbar, singular = _lift_integrand(n)
-    resid = np.abs(_JH_density(lift_psi(n), n) - wbar).max(axis=0)
-    resid[singular] = 0.0
-    return resid
-
-
 def check_lift_identity(n):
-    """Max residual of the lift derivative identity over non-singular cells;
-    refuses on a fat singular set (see _lift_integrand)."""
+    """Max over axes i and non-singular cells of |n . rgrad_i psi_n - wbar_i|,
+    wbar the closed form: a running max over the zipped plane streams of
+    the two routes, each difference taken in the J^H plane (the stream
+    overwrites it next).  np.maximum keeps a NaN that Python's max would
+    drop.  Refuses on a fat singular set (see _lift_frame)."""
     n.require_decaying("check_lift_identity")
-    return float(_lift_identity_residual(n).max())
+    singular, worst = _lift_frame(n), 0.0
+    for w, wbar in zip(_JH_density(lift_psi(n), n), _lift_integrand(n, singular)):
+        resid = np.abs(np.subtract(w, wbar, out=w), out=w)
+        resid[singular] = 0.0
+        worst = np.maximum(worst, resid.max())
+    return float(worst)

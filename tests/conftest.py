@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,17 @@ def tangent_project(vec_values, n_values):
     array: vec - (vec . n) n, the dot product a _dot3, so its bits are those
     of the in-place projection that ends momenta._moment_adjoint."""
     return vec_values - _dot3(vec_values, n_values)[..., None] * n_values
+
+
+def peak_bytes(call):
+    """The tracemalloc peak, in bytes, of one call of the no-argument
+    callable call (what it allocates and frees, its result included)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def relative_gap(a, b):

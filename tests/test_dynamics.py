@@ -3,7 +3,6 @@ import math
 import os
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,7 +36,7 @@ from llgeo.fields import _is_planar
 import allocating_report
 import allocating_stepper
 import so3_oracle
-from conftest import relative_gap, tangent_project
+from conftest import peak_bytes, relative_gap, tangent_project
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
@@ -382,7 +381,7 @@ def test_a_midpoint_step_holds_one_field_array_more_than_an_rk4_step():
     peaks = {}
     for scheme in ("rk4_project", "midpoint"):
         cfg = _stable_cfg(n, scheme)
-        peaks[scheme] = _peak_bytes(lambda: step(n, cfg))
+        peaks[scheme] = peak_bytes(lambda: step(n, cfg))
     assert peaks["midpoint"] <= peaks["rk4_project"] + n.values.nbytes + 1024
 
 
@@ -849,15 +848,6 @@ def test_make_report_equals_the_allocating_oracle_bitwise(case, layout, work):
             assert (a is None and b is None) or np.array_equal(a, b)
 
 
-def _peak_bytes(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("dims", [(128, 128), (32, 32, 32)], ids=["128^2", "32^3"])
 def test_make_report_allocates_no_field_array_in_a_run_workspace(dims):
     n = make_random_smooth(Grid.centered(dims, 12.0), seed=5, amplitude=1.2)
@@ -869,11 +859,11 @@ def test_make_report_allocates_no_field_array_in_a_run_workspace(dims):
     make_report(planar, 0.0, params, work)
     stepped = step(planar, _stable_cfg(planar, "rk4_project"), work)
     work.pool.append(planar.values)
-    assert _peak_bytes(lambda: make_report(stepped, 0.0, params, work)) < n.values.nbytes
+    assert peak_bytes(lambda: make_report(stepped, 0.0, params, work)) < n.values.nbytes
     # without one, no more than the allocating composition, whose peak is
     # the one make_report had before it took a workspace
-    oracle = _peak_bytes(lambda: allocating_report.make_report(n, 0.0, params))
-    assert _peak_bytes(lambda: make_report(n, 0.0, params)) <= oracle
+    oracle = peak_bytes(lambda: allocating_report.make_report(n, 0.0, params))
+    assert peak_bytes(lambda: make_report(n, 0.0, params)) <= oracle
 
 
 def test_a_3d_report_borrows_no_workspace_plane():

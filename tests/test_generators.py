@@ -222,3 +222,19 @@ def test_random_smooth_refuses_a_mode_count_that_is_not_a_positive_int(modes):
     with pytest.raises(ValueError, match=rf"modes: must be (a positive|an) int, got {modes!r}"):
         make_random_smooth(Grid.centered((32, 32), 12.0), seed=0, modes=modes)
     make_random_smooth(Grid.centered((32, 32), 12.0), seed=0, modes=np.int64(2)).check_invariants()
+
+
+@pytest.mark.parametrize("kwargs, name", [({"amplitude": "1.0"}, "amplitude"),
+                                          ({"amplitude": True}, "amplitude"),
+                                          ({"support": "0.5"}, "support"),
+                                          ({"support": False}, "support")],
+                         ids=["amplitude-str", "amplitude-bool", "support-str", "support-bool"])
+def test_random_smooth_refuses_an_amplitude_or_support_that_is_not_real(kwargs, name):
+    # a string amplitude raised numpy's UFuncTypeError and a string support
+    # a bare TypeError; True read as 1
+    g = Grid.centered((32, 32), 12.0)
+    with pytest.raises(ValueError, match=f"{name}: must be a real number"):
+        make_random_smooth(g, 0, **kwargs)
+    want = make_random_smooth(g, 0, amplitude=1.5, support=0.5).values
+    for amplitude, support in ((np.float64(1.5), np.float64(0.5)), (np.float32(1.5), 0.5)):
+        assert np.array_equal(make_random_smooth(g, 0, amplitude, support=support).values, want)

@@ -58,6 +58,31 @@ def test_grid_refuses_dims_that_are_not_ints(dims):
         assert grid.dims == (9, 16) and all(type(d) is int for d in grid.dims)
 
 
+
+@pytest.mark.parametrize("spacing, origin, name", [
+    (("1.5", 1.0), (0.0, 0.0), "spacing"),
+    ((1.5, True), (0.0, 0.0), "spacing"),
+    ((1.0, 1.0), (0, "0.25"), "origin"),
+    ((1.0, 1.0), (False, 0.0), "origin"),
+], ids=["spacing-str", "spacing-bool", "origin-str", "origin-bool"])
+def test_grid_refuses_geometry_that_is_not_real(spacing, origin, name):
+    # float() read '1.5' as 1.5 and True as a spacing of 1.0
+    with pytest.raises(ValueError, match=f"{name}: must be a real number"):
+        Grid((16, 16), spacing, origin)
+    grid = Grid((16, 16), (1, np.float64(0.5)), (np.float32(-4.0), 0))
+    assert grid.spacing == (1.0, 0.5) and grid.origin == (-4.0, 0.0)
+    assert all(type(v) is float for v in grid.spacing + grid.origin)
+
+
+@pytest.mark.parametrize("box", [True, "8.0", (8.0, "8.0"), (8.0, False)],
+                         ids=["bool", "str", "str-entry", "bool-entry"])
+def test_grid_centered_refuses_a_box_that_is_not_real(box):
+    # np.asarray(box, float) read True as a side of 1 and '8.0' as 8
+    with pytest.raises(ValueError, match="box: must be a real number"):
+        Grid.centered((16, 16), box)
+    assert Grid.centered((16, 16), np.array([8, 4.0])).spacing == (0.5, 0.25)
+    assert Grid.centered((16, 16), np.float32(8)).spacing == (0.5, 0.5)
+
 @pytest.mark.parametrize("spacing, origin", [
     ((1.0, float("nan")), (0.0, 0.0)),
     ((float("inf"), 1.0), (0.0, 0.0)),

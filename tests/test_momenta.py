@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,16 +33,16 @@ from llgeo.momenta import (
     MomentumReport,
     _JH_density,
     _gradients,
-    _lift_identity_residual,
+    _lift_frame,
     _lift_integrand,
     _two_form,
 )
-from llgeo.calculus import cross3, integrate, partial
+from llgeo.calculus import cross3, integrate, partial, right_gradient_axis
 from llgeo.fields import _dot3
 
 from allocating_report import density_P, density_route, first_moments
 from so3_oracle import matrix, qmul, quaternion, so3_exp
-from conftest import coords, off_axis_texture, relative_gap
+from conftest import coords, off_axis_texture, peak_bytes, relative_gap
 from fd_oracle import functional_derivative
 from test_generators import profile_bump
 
@@ -281,32 +279,62 @@ def test_moment_adjoint_pulls_back_once_per_axis(monkeypatch, dims):
         assert axes == [0, 1, 0, 1]
 
 
-def _peak(call, *args):
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_P_derivative_memory_at_64_cubed():
     # in field arrays: the p derivatives, the p outputs and the adjoint's
     # working set (v, c and partial_T's result) come to 9.06; one
     # functional's gradient, its derivatives given, to 4.06 with its output
     n = make_random_smooth(Grid.centered((64, 64, 64), 12.0), seed=1, amplitude=1.5)
     field = n.values.nbytes
-    assert _peak(momentum_P_derivative, n) <= 9.5 * field
+    assert peak_bytes(lambda: momentum_P_derivative(n)) <= 9.5 * field
     grads = _gradients(n)
-    assert _peak(momenta._moment_adjoint, n, grads, momenta._K_P(3)[0]) <= 4.5 * field
+    assert peak_bytes(lambda: momenta._moment_adjoint(n, grads, momenta._K_P(3)[0])) <= 4.5 * field
 
 
-def test_lift_memory_at_64_cubed():
-    # in field arrays: the p density planes (one array), one derivative,
-    # the denominator and a scratch plane come to 2.75; k x n is read off
-    # n's planes, where a field array for it took 3.71
-    n = make_random_smooth(Grid.centered((64, 64, 64), 12.0), seed=3, amplitude=1.5)
-    assert _peak(reduced_momentum_lift, n) <= 3.0 * n.values.nbytes
+@pytest.fixture(scope="module")
+def random_64_cubed():
+    return make_random_smooth(Grid.centered((64, 64, 64), 12.0), seed=3, amplitude=1.5)
+
+
+def _stacked(planes):
+    """The planes of a density stream as one (p,) + dims array, each copied
+    as it is yielded (a stream writes every plane into one buffer)."""
+    return np.stack([np.array(plane) for plane in planes])
+
+
+def test_lift_memory_at_64_cubed(random_64_cubed):
+    # in field arrays: the closed form's one density plane, a scratch plane,
+    # the denominator and the derivative of (n_x, n_y) along one axis come
+    # to 1.74; holding all p planes and a three-component derivative took
+    # 2.75, and a field array for k x n 3.71 before that
+    n = random_64_cubed
+    assert peak_bytes(lambda: reduced_momentum_lift(n)) <= 2.0 * n.values.nbytes
+
+
+@pytest.mark.parametrize("route, bound", [("JH", 5.2), ("check", 6.3), ("gauge", 8.0)])
+def test_lift_routes_hold_one_density_plane_at_a_time_at_64_cubed(random_64_cubed, route, bound):
+    # in field arrays, with the p density planes held whole: 5.67 for
+    # J^H(lift_psi(n), n), 6.71 for the lift identity and 8.33 for the
+    # gauge residual; each density streamed one plane at a time: 5.00,
+    # 6.04 and 7.67
+    n = random_64_cubed
+    alpha = make_gauge_bump_alpha(n.grid, 1, 0.5)
+    call = {"JH": lambda: momentum_JH(lift_psi(n), n), "check": lambda: check_lift_identity(n),
+            "gauge": lambda: gauge_invariance_residual(n, alpha)}[route]
+    assert peak_bytes(call) <= bound * n.values.nbytes
+
+
+@pytest.mark.parametrize("dims", [(40, 44), (20, 22, 24)], ids=["2d", "3d"])
+def test_closed_form_differentiates_only_n_x_and_n_y(monkeypatch, dims):
+    # k x n = (-n_y, n_x, 0) reads two components, and only those are
+    # differentiated: one call per axis, each on a two-component array
+    n = make_random_smooth(Grid.centered(dims, 12.0), seed=3, amplitude=1.5)
+    want = reduced_momentum_lift(n)
+    shapes = []
+    monkeypatch.setattr(momenta, "partial",
+                        lambda values, *args, **kw: shapes.append(values.shape) or partial(values, *args, **kw))
+    got = reduced_momentum_lift(n)
+    assert shapes == [dims + (2,)] * len(dims)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("dims", [(40, 44), (20, 22, 24)], ids=["2d", "3d"])
@@ -325,7 +353,8 @@ def test_lift_integrand_is_the_cross_formula(dims):
     want = np.stack([_dot3(cross, partial(n.values, n.grid, k)) / denom
                      for k in range(n.grid.p)])
     want[:, singular] = 0.0
-    got, mask = _lift_integrand(n)
+    mask = _lift_frame(n)
+    got = _stacked(_lift_integrand(n, mask))
     assert np.array_equal(mask, singular)
     assert np.array_equal(got, want)
 
@@ -517,8 +546,8 @@ def test_lift_and_JH_moments_equal_the_coordinate_plane_oracle(dims, box):
     # 96^2, 128^2 and 64^3)
     n = make_random_smooth(Grid.centered(dims, box), seed=7, amplitude=1.8)
     psi = lift_psi(n)
-    for got, density in ((reduced_momentum_lift(n), _lift_integrand(n)[0]),
-                         (momentum_JH(psi, n), _JH_density(psi, n))):
+    for got, density in ((reduced_momentum_lift(n), _stacked(_lift_integrand(n, _lift_frame(n)))),
+                         (momentum_JH(psi, n), _stacked(_JH_density(psi, n)))):
         rot, total = first_moments(density, n.grid)
         want = np.concatenate([rot.ravel(), -total])
         gap = np.abs(np.concatenate([got[0].ravel(), got[1]]) - want).max()
@@ -566,18 +595,14 @@ def test_momentum_JH_refuses_a_momentum_slot_that_is_not_a_spin_field():
 
 
 def test_momentum_JH_reads_one_axis_at_a_time():
-    # each axis's right gradient is dotted into its density plane as soon as
-    # it is made, so no stack of all p gradients is ever held: the peak stays
-    # below 5 spin fields (one axis's logs and gradient, and the p planes)
+    # each axis's right gradient is dotted into the one density plane as
+    # soon as it is made, and that plane's moments are taken before the
+    # next axis, so neither a stack of all p gradients nor the p planes is
+    # ever held: the peak is 3.68 spin fields (one axis's logs and
+    # gradient), where holding the p planes took 4.34
     n = make_random_smooth(Grid.centered((32, 32, 32), 12.0), seed=1, amplitude=1.5)
     psi = lift_psi(n)
-    tracemalloc.start()
-    try:
-        momentum_JH(psi, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * n.values.nbytes
+    assert peak_bytes(lambda: momentum_JH(psi, n)) < 3.7 * n.values.nbytes
 
 
 # ---------- gauge invariance ----------
@@ -641,8 +666,28 @@ def test_lift_identity_near_singular_zone_localized():
     # identity residual blows up there and stays moderate elsewhere
     g = Grid.centered((96, 96), 16.0)
     n = make_bp_soliton(g, 1, 2.0, 6.0)
-    resid = _lift_identity_residual(n)
+    singular = _lift_frame(n)
+    resid = np.max([np.abs(w - wbar) for w, wbar in
+                    zip(_JH_density(lift_psi(n), n), _lift_integrand(n, singular))], axis=0)
+    resid[singular] = 0.0
     kdot = n.values @ K_AXIS
     near = kdot > 0.8
     assert near.any() and (~near).any()
     assert resid[near].max() > 10.0 * resid[~near].max()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lift_identity_keeps_a_nan(monkeypatch, axis):
+    # the residual is a running max over the axes' planes; a NaN in either
+    # comes through (Python's max(0.0, nan) is 0.0, max(x, nan) is x)
+    n = make_random_smooth(Grid.centered((40, 44), 12.0), seed=3, amplitude=1.5)
+    assert np.isfinite(check_lift_identity(n))
+
+    def gradient_with_a_nan(psi, k):
+        out = right_gradient_axis(psi, k)
+        if k == axis:
+            out[20, 22, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(momenta, "right_gradient_axis", gradient_with_a_nan)
+    assert np.isnan(check_lift_identity(n))
